@@ -70,19 +70,25 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _crawl_config(cfg: dict) -> CrawlConfig:
-    kwargs = {}
-    for key, cast in (("max_depth", int), ("per_host_rate", float),
-                      ("max_in_flight", int), ("fetch_timeout", float),
-                      ("max_links_followed_per_page", int),
-                      ("title_similarity_threshold", float),
-                      ("head_fraction", float), ("tail_fraction", float)):
+def _cast_values(cfg: dict, casts: dict) -> dict:
+    """The keys of casts that cfg sets, each passed through its cast; a value
+    the cast rejects is a CliError."""
+    out = {}
+    for key, cast in casts.items():
         if key in cfg:
             try:
-                kwargs[key] = cast(cfg[key])
+                out[key] = cast(cfg[key])
             except ValueError as exc:
                 raise CliError(f"bad value for {key}: {exc}")
-    config = CrawlConfig(**kwargs)
+    return out
+
+
+def _crawl_config(cfg: dict) -> CrawlConfig:
+    config = CrawlConfig(**_cast_values(cfg, {
+        "max_depth": int, "per_host_rate": float,
+        "max_links_followed_per_page": int,
+        "title_similarity_threshold": float,
+        "head_fraction": float, "tail_fraction": float}))
     try:
         config.validate()
     except ValueError as exc:
@@ -90,22 +96,22 @@ def _crawl_config(cfg: dict) -> CrawlConfig:
     return config
 
 
-def _load_records(cfg: dict) -> list:
-    path = _require(cfg, "records")
-    if not Path(path).exists():
-        raise CliError(f"records file not found: {path}")
+def _load(cfg: dict, key: str, loader):
+    """loader(path) for the file or directory cfg[key] names. A missing,
+    unreadable or malformed input is a CliError."""
+    path = _require(cfg, key)
     try:
-        return load_records(path)
+        return loader(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {key}: {exc}")
     except ValueError as exc:
-        raise CliError(f"bad records file: {exc}")
+        raise CliError(f"bad {key} file: {exc}")
 
 
 def _resolved_records(cfg: dict):
-    recs = _load_records(cfg)
-    det_path = _require(cfg, "detections")
-    if not Path(det_path).exists():
-        raise CliError(f"detections file not found: {det_path}")
-    merged = records.apply_detections(recs, load_detections(det_path))
+    merged = records.apply_detections(
+        _load(cfg, "records", load_records),
+        _load(cfg, "detections", load_detections))
     unknown = [r for r in merged if r.oa_status is OAStatus.UNKNOWN]
     if unknown:
         if cfg.get("allow_unknown", "").lower() in ("true", "1", "yes"):
@@ -143,14 +149,25 @@ class _FixedClock(Clock):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _replay_journal(path) -> list:
+    """The detections in a resumable journal. A last line cut off by a kill
+    is truncated away first, so that article is detected again and the next
+    append starts on a fresh line."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            keep = data.rfind(b"\n") + 1
+            print(f"warning: {path}: dropping cut-off last line "
+                  f"({len(data) - keep} bytes)", file=sys.stderr)
+            fh.truncate(keep)
+    return load_detections(path)
+
+
 def cmd_detect(args) -> int:
     cfg = _merged_config(args)
-    recs = _load_records(cfg)
+    recs = _load(cfg, "records", load_records)
     det_path = Path(_require(cfg, "detections"))
-    mock_dir = _require(cfg, "mock_web")
-    if not Path(mock_dir).exists():
-        raise CliError(f"mock web directory not found: {mock_dir}")
-    web = corpusmod.load_mock_web(mock_dir)
+    web = _load(cfg, "mock_web", corpusmod.load_mock_web)
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
     config = _crawl_config(cfg)
@@ -160,7 +177,7 @@ def cmd_detect(args) -> int:
     # Resumable append-only journal: replay keeps the last entry per id.
     done: dict[str, records.DetectionEvidence] = {}
     if det_path.exists():
-        for ev in load_detections(det_path):
+        for ev in _load(cfg, "detections", _replay_journal):
             done[ev.article_id] = ev
 
     n_unknown = 0
@@ -279,19 +296,18 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    cfg = _merged_config(args)
-    det_path = _require(cfg, "detections")
-    gt_path = _require(cfg, "ground_truth")
-    for p in (det_path, gt_path):
-        if not Path(p).exists():
-            raise CliError(f"file not found: {p}")
-    detections = load_detections(det_path)
-    truth = corpusmod.load_ground_truth(gt_path)
-    sample_size = int(cfg.get("sample_size", "100"))
-    seed = int(cfg.get("seed", "0"))
+def _audit(cfg: dict):
+    """Score a seeded sample of the detections against ground truth, write
+    sdt.csv and print the audit line; returns (matrix, sdt result)."""
+    detections = _load(cfg, "detections", load_detections)
+    truth = _load(cfg, "ground_truth", corpusmod.load_ground_truth)
+    values = _cast_values(cfg, {"sample_size": int, "seed": int})
+    sample_size = values.get("sample_size", 100)
+    if sample_size < 1:
+        raise CliError(f"sample_size must be >= 1, got {sample_size}")
     try:
-        matrix = corpusmod.run_audit(detections, truth, sample_size, seed)
+        matrix = corpusmod.run_audit(detections, truth, sample_size,
+                                     values.get("seed", 0))
     except corpusmod.CorpusError as exc:
         raise CliError(str(exc), EXIT_AUDIT)
     result = stats.sdt_analysis(matrix)
@@ -300,6 +316,11 @@ def cmd_audit(args) -> int:
     print(f"audit: hits={matrix.hits} misses={matrix.misses} "
           f"fa={matrix.false_alarms} cr={matrix.correct_rejections} "
           f"d'={result.d_prime:.3f} beta={result.beta:.3f}")
+    return matrix, result
+
+
+def cmd_audit(args) -> int:
+    _audit(_merged_config(args))
     return EXIT_OK
 
 
@@ -320,8 +341,7 @@ def _corpus_spec_from_config(cfg: dict, seed_override=None) -> corpusmod.CorpusS
             return out
         return float(text)
 
-    kwargs = {}
-    casts = {
+    kwargs = _cast_values(cfg, {
         "n_articles": int,
         "disciplines": lambda s: tuple(x.strip() for x in s.split(",")),
         "years": lambda s: tuple(int(x) for x in s.split("-")),
@@ -335,13 +355,7 @@ def _corpus_spec_from_config(cfg: dict, seed_override=None) -> corpusmod.CorpusS
         "journals_per_discipline": int,
         "issues_per_year": int,
         "seed": int,
-    }
-    for key, cast in casts.items():
-        if key in cfg:
-            try:
-                kwargs[key] = cast(cfg[key])
-            except ValueError as exc:
-                raise CliError(f"bad corpus spec value for {key}: {exc}")
+    })
     if seed_override is not None:
         kwargs["seed"] = seed_override
     spec = corpusmod.CorpusSpec(**kwargs)
@@ -388,22 +402,15 @@ def cmd_evaluate(args) -> int:
         config=str(run_cfg), records=None, detections=None, out=None,
         mock_web=None, ground_truth=None, seed=None, allow_unknown=False)
 
-    for step in (cmd_detect, cmd_analyze, cmd_cohorts, cmd_correlate,
-                 cmd_audit):
-        code = step(run_args)
-        if code != EXIT_OK:
-            return code
+    for step in (cmd_detect, cmd_analyze, cmd_cohorts, cmd_correlate):
+        step(run_args)
+    matrix, sdt = _audit(base)
 
     merged = _resolved_records(base)
     kept, _ = metrics.apply_exclusions(merged)
     n_oa = sum(1 for r in merged if r.oa_status is OAStatus.OA)
     overall = metrics.aggregate_advantage(kept, "discipline")
     advs = [rep.advantage for rep in overall if rep.advantage is not None]
-    matrix = corpusmod.run_audit(
-        load_detections(base["detections"]),
-        corpusmod.load_ground_truth(base["ground_truth"]),
-        int(base["sample_size"]), int(base["seed"]))
-    sdt = stats.sdt_analysis(matrix)
     print("evaluate summary")
     print(f"  articles: {len(merged)}  percent OA: "
           f"{100.0 * n_oa / len(merged):.1f}%")
@@ -478,6 +485,9 @@ def main(argv=None) -> int:
     except metrics.UnresolvedStatusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
+    except metrics.MetricsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

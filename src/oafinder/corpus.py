@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -19,7 +19,9 @@ from .records import (
     ArticleRecord,
     DetectionEvidence,
     OAStatus,
+    ParseError,
     Verdict,
+    _read_jsonl,
     make_issue_key,
 )
 from .robot.crawl import FetchResult, format_query
@@ -153,10 +155,8 @@ class MockFetcher:
 
     def __init__(self, web: MockWeb):
         self.web = web
-        self.fetch_count = 0
 
     def fetch(self, url: str) -> FetchResult:
-        self.fetch_count += 1
         try:
             canon = normalize_url(url)
         except ValueError:
@@ -351,17 +351,8 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 def resolved_records(corpus: Corpus) -> list[ArticleRecord]:
     """Records with oa_status set straight from ground truth, bypassing the
     robot. For analytics-only corpora where no crawl is needed."""
-    out = []
-    for rec in corpus.records:
-        status = (OAStatus.OA if corpus.ground_truth[rec.id].oa
-                  else OAStatus.NOA)
-        out.append(ArticleRecord(**{
-            **{f: getattr(rec, f) for f in (
-                "id", "first_author_surname", "title", "journal_id",
-                "issue_key", "year", "discipline", "country",
-                "citation_count")},
-            "oa_status": status}))
-    return out
+    return [replace(rec, oa_status=OAStatus.OA if corpus.ground_truth[rec.id].oa
+                    else OAStatus.NOA) for rec in corpus.records]
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +473,14 @@ def load_mock_web(mockweb_dir) -> MockWeb:
     return web
 
 
+def _ground_truth_from_dict(obj: dict) -> GroundTruth:
+    try:
+        return GroundTruth(obj["article_id"], bool(obj["oa"]),
+                           obj.get("kind", ""), int(obj.get("chain_depth", 0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad ground truth object: {exc}") from exc
+
+
 def load_ground_truth(path) -> dict[str, GroundTruth]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            gt = GroundTruth(obj["article_id"], bool(obj["oa"]),
-                             obj.get("kind", ""), int(obj.get("chain_depth", 0)))
-            out[gt.article_id] = gt
-    return out
+    return {gt.article_id: gt
+            for gt in _read_jsonl(path, _ground_truth_from_dict)}

@@ -16,8 +16,6 @@ from typing import Iterable, Optional
 
 from .records import ALL_RANGES, ArticleRecord, CitationRange, OAStatus
 
-GROUP_DIMENSIONS = ("discipline", "country", "year", "journal")
-
 # Exclusion reasons
 ALL_OA_JOURNAL = "ALL_OA_JOURNAL"
 ALL_OA_ISSUE = "ALL_OA_ISSUE"

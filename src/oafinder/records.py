@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional
 
 
@@ -164,12 +164,12 @@ def _record_from_dict(obj: dict) -> ArticleRecord:
     return rec
 
 
-def load_records(path) -> list[ArticleRecord]:
-    """Load and validate a JSONL records file, one object per line.
+def _read_jsonl(path, from_dict) -> list:
+    """from_dict of each non-blank line of a JSONL file, in file order.
 
-    Errors carry the 1-based line number of the offending line.
+    Errors carry the file and the 1-based line number of the offending line.
     """
-    records = []
+    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -180,12 +180,15 @@ def load_records(path) -> list[ArticleRecord]:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             try:
-                records.append(_record_from_dict(obj))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return records
+                out.append(from_dict(obj))
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def load_records(path) -> list[ArticleRecord]:
+    """Load and validate a JSONL records file, one object per line."""
+    return _read_jsonl(path, _record_from_dict)
 
 
 def save_records(records: Iterable[ArticleRecord], path) -> None:
@@ -228,21 +231,7 @@ def detection_from_dict(obj: dict) -> DetectionEvidence:
 
 
 def load_detections(path) -> list[DetectionEvidence]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            try:
-                out.append(detection_from_dict(obj))
-            except (ParseError, ValidationError) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-    return out
+    return _read_jsonl(path, detection_from_dict)
 
 
 def apply_detections(
@@ -252,19 +241,7 @@ def apply_detections(
 
     Records with no detection keep their current status.
     """
-    verdicts = {ev.article_id: ev.verdict for ev in detections}
-    out = []
-    for rec in records:
-        v = verdicts.get(rec.id)
-        if v is None:
-            out.append(rec)
-        else:
-            out.append(
-                ArticleRecord(
-                    **{
-                        **asdict(rec),
-                        "oa_status": OAStatus.OA if v is Verdict.OA else OAStatus.NOA,
-                    }
-                )
-            )
-    return out
+    status = {ev.article_id: OAStatus.OA if ev.verdict is Verdict.OA
+              else OAStatus.NOA for ev in detections}
+    return [replace(rec, oa_status=status[rec.id]) if rec.id in status
+            else rec for rec in records]

@@ -7,8 +7,6 @@ from .crawl import (
     DetectionError,
     FetchResult,
     HostRateLimiter,
-    LiveFetcher,
-    LiveSearchProvider,
     build_query,
     detect_oa,
     format_query,
@@ -18,7 +16,6 @@ from .extract import (
     ExternalConverter,
     ExtractionError,
     extract_text,
-    format_for,
     parse_html,
 )
 from .match import (
@@ -38,10 +35,9 @@ from .urls import (
 
 __all__ = [
     "Clock", "CrawlConfig", "CrawlObserver", "DetectionError", "FetchResult",
-    "HostRateLimiter", "LiveFetcher", "LiveSearchProvider", "build_query",
-    "format_query",
-    "detect_oa", "ConverterUnavailableError", "ExternalConverter",
-    "ExtractionError", "extract_text", "format_for", "parse_html",
+    "HostRateLimiter", "build_query", "format_query", "detect_oa",
+    "ConverterUnavailableError", "ExternalConverter", "ExtractionError",
+    "extract_text", "parse_html",
     "MatchVerdict", "NotFoundReason", "extract_candidate_links",
     "match_full_text", "UrlError", "dedup_urls", "filter_irrelevant_links",
     "host_of", "normalize_url", "prioritize_urls",

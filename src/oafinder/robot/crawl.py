@@ -4,19 +4,20 @@ depth-limited link following, and the OA/NOA verdict for one article.
 The crawl is deterministic: frontier order is (priority, discovery order)
 within each depth level, a visited set over canonical URLs guarantees each
 URL is fetched at most once, and the first full-text hit in that order wins.
+
+Search providers and the fetcher are passed in (see ``SearchProvider`` and
+``Fetcher``); the mock web in ``oafinder.corpus`` implements both.
 """
 
 from __future__ import annotations
 
 import time
-import urllib.request
-import urllib.robotparser
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from ..records import ArticleRecord, DetectionEvidence, Verdict
 from . import urls as urlmod
-from .extract import ExternalConverter, ExtractionError, extract_text, format_for
+from .extract import ExternalConverter, ExtractionError, extract_text
 from .match import (
     NotFoundReason,
     contains_title,
@@ -56,8 +57,6 @@ class Fetcher(Protocol):
 class CrawlConfig:
     max_depth: int = 3
     per_host_rate: float = 0.0  # requests/second; 0 disables throttling
-    max_in_flight: int = 1
-    fetch_timeout: float = 10.0
     max_links_followed_per_page: int = 20
     title_similarity_threshold: float = 0.90
     head_fraction: float = 0.20
@@ -131,7 +130,7 @@ class CrawlObserver:
     fetch_log: list[FetchLogEntry] = field(default_factory=list)
 
 
-def _search_fanout(record, providers, config) -> list[str]:
+def _search_fanout(record, providers) -> list[str]:
     results: list[str] = []
     n_failed = 0
     for provider in providers:
@@ -167,7 +166,7 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
     clock = clock or Clock()
     limiter = HostRateLimiter(config.per_host_rate, clock)
 
-    frontier = [(url, 0) for url in _search_fanout(record, providers, config)]
+    frontier = [(url, 0) for url in _search_fanout(record, providers)]
     visited: set[str] = set()
     max_depth_seen = 0
     low_confidence = False
@@ -227,76 +226,3 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
         article_id=record.id, verdict=Verdict.NOA,
         reason=NotFoundReason.EXHAUSTED.value, depth=max_depth_seen,
         timestamp=clock.now(), low_confidence=low_confidence)
-
-
-# ---------------------------------------------------------------------------
-# Live implementations (not used by the offline test harness)
-# ---------------------------------------------------------------------------
-
-class LiveFetcher:
-    """urllib-based fetcher with timeout and robots.txt compliance (on by
-    default)."""
-
-    def __init__(self, timeout: float = 10.0, respect_robots: bool = True,
-                 user_agent: str = "oafinder/0.1"):
-        self.timeout = timeout
-        self.respect_robots = respect_robots
-        self.user_agent = user_agent
-        self._robots: dict[str, urllib.robotparser.RobotFileParser] = {}
-
-    def _allowed(self, url: str) -> bool:
-        if not self.respect_robots:
-            return True
-        host = urlmod.host_of(url)
-        rp = self._robots.get(host)
-        if rp is None:
-            rp = urllib.robotparser.RobotFileParser()
-            rp.set_url(f"http://{host}/robots.txt")
-            try:
-                rp.read()
-            except OSError:
-                rp.allow_all = True
-            self._robots[host] = rp
-        return rp.can_fetch(self.user_agent, url)
-
-    def fetch(self, url: str) -> FetchResult:
-        if not self._allowed(url):
-            return FetchResult(url, 403, "text", b"")
-        req = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                data = resp.read()
-                ctype = resp.headers.get("Content-Type")
-                return FetchResult(url, resp.status, format_for(ctype, url), data)
-        except urllib.error.HTTPError as exc:
-            return FetchResult(url, exc.code, "text", b"")
-        except OSError:
-            return FetchResult(url, 0, "text", b"")
-
-
-class LiveSearchProvider:
-    """HTTP search provider from a URL template and a URL-extracting regex.
-
-    url_template gets the percent-encoded query substituted for {query};
-    result_pattern's first group captures each result URL.
-    """
-
-    def __init__(self, name: str, url_template: str, result_pattern: str,
-                 blocklist: tuple[str, ...] = (), fetcher: Optional[LiveFetcher] = None):
-        import re
-
-        self.name = name
-        self.url_template = url_template
-        self.result_re = re.compile(result_pattern)
-        self.blocklist = blocklist
-        self.fetcher = fetcher or LiveFetcher()
-
-    def query(self, author: str, title: str) -> list[str]:
-        from urllib.parse import quote_plus
-
-        q = format_query(author, title)
-        result = self.fetcher.fetch(self.url_template.format(query=quote_plus(q)))
-        if not result.ok:
-            raise DetectionError(f"provider {self.name} returned {result.status}")
-        body = result.data.decode("utf-8", errors="replace")
-        return [m.group(1) for m in self.result_re.finditer(body)]

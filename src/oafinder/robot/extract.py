@@ -26,13 +26,6 @@ EXTENSION_FORMATS = {
     ".tex": "latex",
 }
 
-CONTENT_TYPE_FORMATS = {
-    "text/html": "html", "application/xhtml+xml": "html", "text/xml": "xml",
-    "application/xml": "xml", "text/plain": "text",
-    "application/pdf": "pdf", "application/postscript": "ps",
-    "application/rtf": "rtf", "application/msword": "doc",
-}
-
 
 class ExtractionError(ValueError):
     pass
@@ -40,17 +33,6 @@ class ExtractionError(ValueError):
 
 class ConverterUnavailableError(ExtractionError):
     """Format needs the external converter and none is configured."""
-
-
-def format_for(content_type: Optional[str], url: str = "") -> str:
-    """Resolve a format tag from a Content-Type header or URL extension."""
-    if content_type:
-        base = content_type.split(";")[0].strip().lower()
-        if base in CONTENT_TYPE_FORMATS:
-            return CONTENT_TYPE_FORMATS[base]
-    from .urls import url_extension
-
-    return EXTENSION_FORMATS.get(url_extension(url), "html")
 
 
 class _TextAndLinks(HTMLParser):

@@ -35,6 +35,21 @@ def detections(corpus_dir, tmp_path_factory):
     return path
 
 
+def write_report_config(tmp_path, corpus_dir, detections, extra):
+    """A config for the report and audit commands, with one extra line that
+    may override a key."""
+    cfg = tmp_path / "reports.cfg"
+    cfg.write_text(f"""
+records = {corpus_dir / 'records.jsonl'}
+detections = {detections}
+ground_truth = {corpus_dir / 'ground_truth.jsonl'}
+out = {tmp_path / 'r'}
+sample_size = 5
+{extra}
+""")
+    return cfg
+
+
 class TestExitCodes:
     def test_missing_records_file(self, tmp_path):
         assert main(["detect", "--records", str(tmp_path / "nope.jsonl"),
@@ -70,14 +85,8 @@ class TestExitCodes:
         assert "dropping" in capsys.readouterr().err
 
     def test_audit_insufficient_sample(self, corpus_dir, detections, tmp_path):
-        cfg = tmp_path / "audit.cfg"
-        cfg.write_text(f"""
-records = {corpus_dir / 'records.jsonl'}
-detections = {detections}
-ground_truth = {corpus_dir / 'ground_truth.jsonl'}
-out = {tmp_path / 'r'}
-sample_size = 10000
-""")
+        cfg = write_report_config(tmp_path, corpus_dir, detections,
+                                  "sample_size = 10000")
         assert main(["audit", "--config", str(cfg)]) == 4
 
     def test_empty_records_detect_ok(self, corpus_dir, tmp_path):
@@ -86,6 +95,32 @@ sample_size = 10000
         assert main(["detect", "--records", str(empty),
                      "--detections", str(tmp_path / "d.jsonl"),
                      "--mock-web", str(corpus_dir / "mockweb")]) == 0
+
+    @pytest.mark.parametrize("cmd,key", [
+        ("analyze", "detections"), ("cohorts", "detections"),
+        ("correlate", "detections"), ("audit", "detections"),
+        ("audit", "ground_truth"),
+    ])
+    def test_malformed_input_file(self, cmd, key, corpus_dir, detections,
+                                  tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text({"detections": '{"article_id": "a0"}\n',
+                        "ground_truth": '{"oa": true}\n'}[key])
+        cfg = write_report_config(tmp_path, corpus_dir, detections,
+                                  f"{key} = {bad}")
+        assert main([cmd, "--config", str(cfg)]) == 2
+        assert f"{bad}:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd,line", [
+        ("audit", "sample_size = abc"),
+        ("audit", "seed = x"),
+        ("audit", "sample_size = 0"),
+        ("analyze", "weighting = bogus"),
+        ("correlate", "weighting = bogus"),
+    ])
+    def test_bad_value(self, cmd, line, corpus_dir, detections, tmp_path):
+        cfg = write_report_config(tmp_path, corpus_dir, detections, line)
+        assert main([cmd, "--config", str(cfg)]) == 2
 
     def test_bad_crawl_config_value(self, corpus_dir, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -112,12 +147,16 @@ class TestDetect:
         assert again.read_bytes() == detections.read_bytes()
 
     def test_resume_from_truncated_journal(self, corpus_dir, detections,
-                                           tmp_path):
+                                           tmp_path, capsys):
+        # A kill can cut the journal at any byte of the line being written;
+        # resuming drops that line and detects its article again.
         partial = tmp_path / "resume.jsonl"
-        lines = detections.read_text().splitlines(keepends=True)
-        partial.write_text("".join(lines[:25]))
-        assert run_detect(corpus_dir, partial) == 0
-        assert partial.read_bytes() == detections.read_bytes()
+        lines = detections.read_bytes().splitlines(keepends=True)
+        for cut in range(len(lines[25])):
+            partial.write_bytes(b"".join(lines[:25]) + lines[25][:cut])
+            assert run_detect(corpus_dir, partial) == 0, cut
+            assert partial.read_bytes() == detections.read_bytes(), cut
+            assert ("cut-off" in capsys.readouterr().err) == (cut > 0), cut
 
     def test_flag_overrides_config(self, corpus_dir, detections, tmp_path):
         cfg = tmp_path / "d.cfg"
@@ -159,14 +198,7 @@ class TestReports:
             assert (out2 / p.name).read_bytes() == p.read_bytes(), p.name
 
     def test_audit_writes_sdt_csv(self, corpus_dir, detections, tmp_path):
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text(f"""
-records = {corpus_dir / 'records.jsonl'}
-detections = {detections}
-ground_truth = {corpus_dir / 'ground_truth.jsonl'}
-out = {tmp_path / 'r'}
-sample_size = 5
-""")
+        cfg = write_report_config(tmp_path, corpus_dir, detections, "")
         assert main(["audit", "--config", str(cfg)]) == 0
         body = (tmp_path / "r" / "sdt.csv").read_text()
         assert "d_prime" in body

@@ -9,7 +9,6 @@ from oafinder.robot.extract import (
     ExternalConverter,
     ExtractionError,
     extract_text,
-    format_for,
     parse_html,
 )
 from oafinder.robot.match import (
@@ -66,11 +65,6 @@ class TestExtractText:
         conv = ExternalConverter("false")
         with pytest.raises(ExtractionError, match="exit"):
             extract_text(b"x", "pdf", conv)
-
-    def test_format_for(self):
-        assert format_for("text/html; charset=utf-8") == "html"
-        assert format_for(None, "http://h/a.pdf") == "pdf"
-        assert format_for("application/pdf", "http://h/a.cgi") == "pdf"
 
     def test_parse_html_keeps_anchor_targets_separately(self):
         text, anchors = parse_html(
