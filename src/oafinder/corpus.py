@@ -87,6 +87,9 @@ class CorpusSpec:
     def validate(self) -> None:
         if self.n_articles < 1:
             raise CorpusError("n_articles must be >= 1")
+        if len(self.years) != 2:
+            raise CorpusError("years must be FIRST-LAST, got "
+                              + "-".join(map(str, self.years)))
         if self.years[0] > self.years[1]:
             raise CorpusError("years range is empty")
         for name in ("uncited_mass", "abstract_page_prob", "dead_link_prob"):
@@ -466,10 +469,14 @@ def load_mock_web(mockweb_dir) -> MockWeb:
     with open(base / "index.json", encoding="utf-8") as fh:
         index = json.load(fh)
     web = MockWeb()
-    for url, meta in index["pages"].items():
-        web.pages[url] = (meta["format"], (base / meta["file"]).read_bytes())
-    web.queries = {q: list(us) for q, us in index["queries"].items()}
-    web.dead_links = set(index["dead_links"])
+    try:
+        for url, meta in index["pages"].items():
+            web.pages[url] = (meta["format"], (base / meta["file"]).read_bytes())
+        web.queries = {q: list(us) for q, us in index["queries"].items()}
+        web.dead_links = set(index["dead_links"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{base / 'index.json'}: bad mock web index: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return web
 
 

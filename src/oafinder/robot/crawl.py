@@ -18,12 +18,7 @@ from typing import Optional, Protocol
 from ..records import ArticleRecord, DetectionEvidence, Verdict
 from . import urls as urlmod
 from .extract import ExternalConverter, ExtractionError, extract_text
-from .match import (
-    NotFoundReason,
-    contains_title,
-    extract_candidate_links,
-    match_full_text,
-)
+from .match import NotFoundReason, extract_candidate_links, match_full_text
 
 
 class DetectionError(RuntimeError):
@@ -69,6 +64,12 @@ class CrawlConfig:
             raise ValueError("tail_fraction must be in (0, 0.5]")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
+        if self.max_links_followed_per_page < 0:
+            raise ValueError("max_links_followed_per_page must be >= 0")
+        if not (0.0 < self.title_similarity_threshold <= 1.0):
+            raise ValueError("title_similarity_threshold must be in (0, 1]")
+        if self.per_host_rate < 0:
+            raise ValueError("per_host_rate must be >= 0")
 
 
 class Clock:
@@ -189,7 +190,8 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
         if not result.ok:
             continue
         try:
-            text = extract_text(result.data, result.format_tag, converter)
+            text, anchors = extract_text(result.data, result.format_tag,
+                                         converter)
         except ExtractionError:
             continue
 
@@ -206,17 +208,10 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
                 match_tail_marker=verdict.tail_evidence,
                 depth=depth, timestamp=clock.now(),
                 low_confidence=low_confidence)
-        # Title present but no full text in an HTML page: follow links.
-        title_present = (
-            verdict.reason is NotFoundReason.NO_REFERENCES_SECTION
-            or (verdict.reason is NotFoundReason.NO_TITLE_MATCH
-                and contains_title(
-                    text, record,
-                    title_similarity_threshold=config.title_similarity_threshold)))
-        if (title_present and result.format_tag in ("html", "xml")
-                and depth < config.max_depth):
+        # Title present but no full text: follow the page's links.
+        if verdict.title_seen and depth < config.max_depth:
             links = extract_candidate_links(
-                result.data.decode("utf-8", errors="replace"), url, record,
+                anchors, url, record,
                 max_links=config.max_links_followed_per_page)
             links = urlmod.prioritize_urls(urlmod.dedup_urls(links))
             frontier.extend(

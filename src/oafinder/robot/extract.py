@@ -123,21 +123,22 @@ class ExternalConverter:
 
 
 def extract_text(data: bytes, format_tag: str,
-                 converter: Optional[ExternalConverter] = None) -> str:
-    """Plain text for a fetched document. See module docstring for routing."""
+                 converter: Optional[ExternalConverter] = None,
+                 ) -> tuple[str, list[tuple[str, str]]]:
+    """Text and (href, anchor text) pairs for a fetched document; only
+    HTML/XML have anchors. See module docstring for routing."""
     tag = format_tag.lower()
     if tag in TEXT_FORMATS:
         try:
-            return data.decode("utf-8")
+            return data.decode("utf-8"), []
         except UnicodeDecodeError as exc:
             raise ExtractionError(f"undecodable text bytes: {exc}") from exc
     if tag in HTML_FORMATS:
-        text, _ = parse_html(data.decode("utf-8", errors="replace"))
-        return text
+        return parse_html(data.decode("utf-8", errors="replace"))
     if tag in CONVERTER_FORMATS:
         if converter is None:
             raise ConverterUnavailableError(
                 f"CONVERTER_UNAVAILABLE: no external converter configured "
                 f"for format {tag!r}")
-        return converter.convert(data, tag)
+        return converter.convert(data, tag), []
     raise ExtractionError(f"unknown format tag {format_tag!r}")

@@ -13,6 +13,8 @@ from difflib import SequenceMatcher
 from typing import Optional
 from urllib.parse import urljoin
 
+from .urls import url_extension
+
 REFERENCE_HEADINGS = ("references", "bibliography", "works cited",
                       "literature cited")
 FULLTEXT_ANCHOR_PHRASES = ("full text", "fulltext", "pdf", "download",
@@ -40,6 +42,8 @@ class MatchVerdict:
     head_offset: Optional[int] = None  # char offset of title match in the text
     tail_evidence: Optional[str] = None
     low_confidence: bool = False
+    # title anywhere in the text; link following keys on this weaker test
+    title_seen: bool = False
 
 
 def tokenize(text: str) -> list[str]:
@@ -101,55 +105,45 @@ def match_full_text(text: str, record, *, title_similarity_threshold=0.90,
     title_tokens = tokenize(record.title)
     low_confidence = len(title_tokens) < MIN_CONFIDENT_TITLE_TOKENS
     head_len = max(1, int(len(text) * head_fraction))
-    head_tokens = [(t, off) for t, off in tokenize_with_offsets(text)
-                   if off < head_len]
+    doc_tokens = tokenize_with_offsets(text)
+    head_tokens = [(t, off) for t, off in doc_tokens if off < head_len]
 
     offset, score = _best_title_match(title_tokens, head_tokens,
                                       title_similarity_threshold)
     surname_tokens = set(tokenize(record.first_author_surname))
     surname_in_head = surname_tokens and surname_tokens <= {t for t, _ in head_tokens}
     if offset is None or score < title_similarity_threshold or not surname_in_head:
+        # a landing page can mention the title outside the head window
+        _, score = _best_title_match(title_tokens, doc_tokens,
+                                     title_similarity_threshold)
         return MatchVerdict(False, NotFoundReason.NO_TITLE_MATCH,
-                            low_confidence=low_confidence)
+                            low_confidence=low_confidence,
+                            title_seen=score >= title_similarity_threshold)
 
     tail = text[len(text) - max(1, int(len(text) * tail_fraction)):]
     evidence = _has_references_tail(tail)
     if evidence is None:
         return MatchVerdict(False, NotFoundReason.NO_REFERENCES_SECTION,
-                            head_offset=offset, low_confidence=low_confidence)
+                            head_offset=offset, low_confidence=low_confidence,
+                            title_seen=True)
     return MatchVerdict(True, head_offset=offset, tail_evidence=evidence,
-                        low_confidence=low_confidence)
+                        low_confidence=low_confidence, title_seen=True)
 
 
-def contains_title(text: str, record, *,
-                   title_similarity_threshold: float = 0.90) -> bool:
-    """Whether the title occurs anywhere in the text (fuzzy, normalized).
-
-    Link following keys on this weaker test: a landing page can mention the
-    title outside the head window a full text would put it in.
-    """
-    title_tokens = tokenize(record.title)
-    doc_tokens = tokenize_with_offsets(text)
-    _, score = _best_title_match(title_tokens, doc_tokens,
-                                 title_similarity_threshold)
-    return score >= title_similarity_threshold
-
-
-def extract_candidate_links(html: str, base_url: str, record, *,
+def extract_candidate_links(anchors, base_url: str, record, *,
                             max_links: int = 20) -> list[str]:
     """Absolute URLs of anchors plausibly leading to the full text.
 
     An anchor qualifies when its text or URL shares >= 2 title tokens, its
     URL ends in .pdf/.ps, or its text names a full-text action ("full text",
-    "pdf", "download", "postscript"). Document order, capped at max_links.
+    "pdf", "download", "postscript"). ``anchors`` are the (href, anchor
+    text) pairs ``extract_text`` returns. Document order, capped at max_links.
     """
-    from .extract import parse_html
-    from .urls import url_extension
-
-    _, anchors = parse_html(html)
     title_tokens = set(tokenize(record.title))
     out = []
     for href, anchor_text in anchors:
+        if len(out) >= max_links:
+            break
         url = urljoin(base_url, href)
         text_tokens = set(tokenize(anchor_text))
         url_tokens = set(tokenize(url))
@@ -159,6 +153,4 @@ def extract_candidate_links(html: str, base_url: str, record, *,
                 or url_extension(url) in (".pdf", ".ps")
                 or any(p in norm_text for p in FULLTEXT_ANCHOR_PHRASES)):
             out.append(url)
-            if len(out) >= max_links:
-                break
     return out

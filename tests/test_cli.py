@@ -122,15 +122,46 @@ class TestExitCodes:
         cfg = write_report_config(tmp_path, corpus_dir, detections, line)
         assert main([cmd, "--config", str(cfg)]) == 2
 
-    def test_bad_crawl_config_value(self, corpus_dir, tmp_path):
+    @pytest.mark.parametrize("line", [
+        "max_depth = banana",
+        "max_links_followed_per_page = -1",
+        "title_similarity_threshold = 1.5",
+        "title_similarity_threshold = 0",
+        "per_host_rate = -2",
+    ])
+    def test_bad_crawl_config_value(self, line, corpus_dir, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"""
 records = {corpus_dir / 'records.jsonl'}
 detections = {tmp_path / 'd.jsonl'}
 mock_web = {corpus_dir / 'mockweb'}
-max_depth = banana
+{line}
 """)
         assert main(["detect", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("line", ["years = 1992", "years = 1992-1995-1999"])
+    def test_bad_spec_years(self, line, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"n_articles = 20\n{line}\n")
+        assert main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "c")]) == 2
+        assert "years" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        '{"pages": {}}',
+        '[]',
+        '{"pages": {"http://h.example/": {"file": "p.html"}},'
+        ' "queries": {}, "dead_links": []}',
+    ])
+    def test_malformed_mock_web_index(self, body, corpus_dir, tmp_path,
+                                      capsys):
+        web = tmp_path / "mockweb"
+        web.mkdir()
+        (web / "index.json").write_text(body)
+        assert main(["detect", "--records", str(corpus_dir / "records.jsonl"),
+                     "--detections", str(tmp_path / "d.jsonl"),
+                     "--mock-web", str(web)]) == 2
+        assert "index.json" in capsys.readouterr().err
 
 
 class TestDetect:

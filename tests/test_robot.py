@@ -5,6 +5,7 @@ import pytest
 
 from oafinder.corpus import MockFetcher, MockSearchProvider, MockWeb
 from oafinder.records import ArticleRecord, OAStatus, Verdict
+from oafinder.robot import extract, match
 from oafinder.robot.crawl import (
     Clock,
     CrawlConfig,
@@ -250,4 +251,37 @@ class TestCrawlConfig:
             CrawlConfig(tail_fraction=0.0).validate()
         with pytest.raises(ValueError):
             CrawlConfig(max_depth=-1).validate()
+        with pytest.raises(ValueError):
+            CrawlConfig(max_links_followed_per_page=-1).validate()
+        with pytest.raises(ValueError):
+            CrawlConfig(title_similarity_threshold=1.5).validate()
+        with pytest.raises(ValueError):
+            CrawlConfig(title_similarity_threshold=0).validate()
+        with pytest.raises(ValueError):
+            CrawlConfig(per_host_rate=-2).validate()
         CrawlConfig().validate()
+        CrawlConfig(max_links_followed_per_page=0,
+                    title_similarity_threshold=1.0).validate()
+
+
+class TestOnePass:
+    def test_each_page_parsed_and_tokenized_once(self, monkeypatch):
+        counts = {"parse_html": 0, "tokenize_with_offsets": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(extract, "parse_html")
+        counting(match, "tokenize_with_offsets")
+        web = make_web(3)
+        observer = CrawlObserver()
+        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
+                       observer=observer)
+        assert ev.verdict is Verdict.OA
+        assert len(observer.fetch_log) == 4  # three landing pages, full text
+        assert counts == {"parse_html": 3, "tokenize_with_offsets": 4}

@@ -13,7 +13,6 @@ from oafinder.robot.extract import (
 )
 from oafinder.robot.match import (
     NotFoundReason,
-    contains_title,
     extract_candidate_links,
     match_full_text,
 )
@@ -40,14 +39,14 @@ def fulltext(title=TITLE, surname=SURNAME, refs_heading="References",
 
 class TestExtractText:
     def test_html_stripped(self):
-        assert extract_text(b"<p>Hello</p>", "html") == "Hello"
+        assert extract_text(b"<p>Hello</p>", "html") == ("Hello", [])
 
     def test_plain_text_identity(self):
-        assert extract_text("some text\n".encode(), "text") == "some text\n"
+        assert extract_text("some text\n".encode(), "text") == ("some text\n", [])
 
     def test_scripts_and_styles_dropped(self):
         html = b"<script>var x=1;</script><style>p{}</style><p>Body</p>"
-        assert extract_text(html, "html") == "Body"
+        assert extract_text(html, "html") == ("Body", [])
 
     def test_pdf_without_converter(self):
         with pytest.raises(ConverterUnavailableError, match="CONVERTER_UNAVAILABLE"):
@@ -59,7 +58,8 @@ class TestExtractText:
 
     def test_external_converter_runs_command(self):
         conv = ExternalConverter("cat {in}")
-        assert extract_text(b"converted body", "pdf", conv) == "converted body"
+        assert extract_text(b"converted body", "pdf", conv) == \
+            ("converted body", [])
 
     def test_external_converter_failure(self):
         conv = ExternalConverter("false")
@@ -77,7 +77,7 @@ class TestMatchFullText:
     def test_full_text_found(self):
         text = fulltext()
         verdict = match_full_text(text, RECORD)
-        assert verdict.found
+        assert verdict.found and verdict.title_seen
         assert verdict.head_offset is not None
         assert verdict.head_offset < 0.2 * len(text)
         assert verdict.tail_evidence.startswith("heading:")
@@ -90,10 +90,12 @@ class TestMatchFullText:
         verdict = match_full_text(text, RECORD)
         assert not verdict.found
         assert verdict.reason is NotFoundReason.NO_REFERENCES_SECTION
+        assert verdict.title_seen
 
     def test_empty_text(self):
         verdict = match_full_text("   \n", RECORD)
         assert verdict.reason is NotFoundReason.EMPTY_TEXT
+        assert not verdict.title_seen
 
     def test_wrong_title(self):
         text = fulltext(title="A completely different subject entirely")
@@ -147,34 +149,43 @@ class TestMatchFullText:
         text = fulltext()
         assert match_full_text(text, RECORD) == match_full_text(text, RECORD)
 
-    def test_contains_title_anywhere(self):
+    def test_title_seen_anywhere(self):
         text = FILLER * 10 + TITLE + FILLER * 2
-        assert contains_title(text, RECORD)
-        assert not contains_title(FILLER * 12, RECORD)
+        assert match_full_text(text, RECORD).title_seen
+        assert not match_full_text(FILLER * 12, RECORD).title_seen
+
+
+def anchors_of(html):
+    return parse_html(html)[1]
 
 
 class TestCandidateLinks:
     def test_fulltext_anchor(self):
         html = "<a href='/p/doc.pdf'>Full Text (PDF)</a>"
-        assert extract_candidate_links(html, "http://h.example/x", RECORD) == \
+        assert extract_candidate_links(
+            anchors_of(html), "http://h.example/x", RECORD) == \
             ["http://h.example/p/doc.pdf"]
 
-    def test_cap_in_document_order(self):
+    @pytest.mark.parametrize("max_links", [0, 1, 20])
+    def test_cap_in_document_order(self, max_links):
         html = "".join(f"<a href='/d{i}.pdf'>item</a>" for i in range(100))
-        links = extract_candidate_links(html, "http://h.example/", RECORD,
-                                        max_links=20)
-        assert links == [f"http://h.example/d{i}.pdf" for i in range(20)]
+        links = extract_candidate_links(anchors_of(html), "http://h.example/",
+                                        RECORD, max_links=max_links)
+        assert links == [f"http://h.example/d{i}.pdf" for i in range(max_links)]
 
     def test_navigation_anchors_ignored(self):
         html = "<a href='/'>Home</a><a href='/login'>Login</a>"
-        assert extract_candidate_links(html, "http://h.example/", RECORD) == []
+        assert extract_candidate_links(
+            anchors_of(html), "http://h.example/", RECORD) == []
 
     def test_title_tokens_in_anchor_text(self):
         html = "<a href='/view?id=9'>market regulation working paper</a>"
-        assert extract_candidate_links(html, "http://h.example/", RECORD) == \
+        assert extract_candidate_links(
+            anchors_of(html), "http://h.example/", RECORD) == \
             ["http://h.example/view?id=9"]
 
     def test_title_tokens_in_url(self):
         html = "<a href='/market/regulation/9'>click</a>"
-        assert extract_candidate_links(html, "http://h.example/", RECORD) == \
+        assert extract_candidate_links(
+            anchors_of(html), "http://h.example/", RECORD) == \
             ["http://h.example/market/regulation/9"]
