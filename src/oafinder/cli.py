@@ -53,12 +53,11 @@ def read_config(path) -> dict[str, str]:
 
 def _merged_config(args) -> dict[str, str]:
     cfg = read_config(args.config) if getattr(args, "config", None) else {}
-    for key in ("records", "detections", "out", "mock_web", "ground_truth"):
+    for key in ("records", "detections", "out", "mock_web", "ground_truth",
+                "spec", "seed", "sample_size"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = str(args.seed)
     if getattr(args, "allow_unknown", False):
         cfg["allow_unknown"] = "true"
     return cfg
@@ -108,10 +107,14 @@ def _load(cfg: dict, key: str, loader):
         raise CliError(f"bad {key} file: {exc}")
 
 
-def _resolved_records(cfg: dict):
-    merged = records.apply_detections(
-        _load(cfg, "records", load_records),
-        _load(cfg, "detections", load_detections))
+def _resolved_records(cfg: dict, recs=None, detections=None):
+    """recs with the detections' verdicts applied, each loaded from cfg when
+    not given. UNKNOWN records are an error unless allow_unknown drops them."""
+    if recs is None:
+        recs = _load(cfg, "records", load_records)
+    if detections is None:
+        detections = _load(cfg, "detections", load_detections)
+    merged = records.apply_detections(recs, detections)
     unknown = [r for r in merged if r.oa_status is OAStatus.UNKNOWN]
     if unknown:
         if cfg.get("allow_unknown", "").lower() in ("true", "1", "yes"):
@@ -163,11 +166,15 @@ def _replay_journal(path) -> list:
     return load_detections(path)
 
 
-def cmd_detect(args) -> int:
-    cfg = _merged_config(args)
-    recs = _load(cfg, "records", load_records)
+def cmd_detect(cfg: dict, recs=None, web=None) -> list:
+    """Detect every record not already in the journal; returns the
+    detections in records order. recs and web are loaded from cfg when not
+    given."""
+    if recs is None:
+        recs = _load(cfg, "records", load_records)
     det_path = Path(_require(cfg, "detections"))
-    web = _load(cfg, "mock_web", corpusmod.load_mock_web)
+    if web is None:
+        web = _load(cfg, "mock_web", corpusmod.load_mock_web)
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
     config = _crawl_config(cfg)
@@ -205,22 +212,25 @@ def cmd_detect(args) -> int:
     n_noa = len(final) - n_oa
     print(f"detect: {len(recs)} records, OA={n_oa} NOA={n_noa} "
           f"UNKNOWN={n_unknown}")
-    return EXIT_OK
+    return final
 
 
-def cmd_analyze(args) -> int:
-    cfg = _merged_config(args)
-    merged = _resolved_records(cfg)
+def cmd_analyze(cfg: dict, merged=None) -> dict:
+    """Write the exclusion log and the %OA and advantage tables; returns the
+    advantage reports by dimension."""
+    if merged is None:
+        merged = _resolved_records(cfg)
     out = _out_dir(cfg)
     kept, log = metrics.apply_exclusions(merged)
     metrics.write_exclusions_csv(log, out / "exclusions.csv")
     weighting = cfg.get("weighting", "unweighted")
+    advantage = {}
     for dim in ("discipline", "country", "year"):
         metrics.write_oa_share_csv(
             metrics.percent_oa(kept, dim), out / f"oa_share_by_{dim}.csv")
-        metrics.write_advantage_csv(
-            metrics.aggregate_advantage(kept, dim, weighting),
-            out / f"advantage_by_{dim}.csv")
+        advantage[dim] = metrics.aggregate_advantage(kept, dim, weighting)
+        metrics.write_advantage_csv(advantage[dim],
+                                    out / f"advantage_by_{dim}.csv")
     shares = [rep.percent_oa for rep in metrics.percent_oa(kept, "discipline")]
     if len(shares) > 1:
         summary = metrics.summary_stats(shares)
@@ -230,19 +240,18 @@ def cmd_analyze(args) -> int:
               f"sd {100 * summary['sd']:.2f}")
     else:
         print(f"analyze: kept {len(kept)}/{len(merged)} records")
-    return EXIT_OK
+    return advantage
 
 
-def cmd_cohorts(args) -> int:
-    cfg = _merged_config(args)
-    merged = _resolved_records(cfg)
+def cmd_cohorts(cfg: dict, merged=None) -> None:
+    if merged is None:
+        merged = _resolved_records(cfg)
     out = _out_dir(cfg)
     metrics.write_cohort_csv(metrics.cohort_table(merged, per_year=True),
                              out / "cohorts_yearly.csv")
     metrics.write_cohort_csv(metrics.cohort_table(merged, per_year=False),
                              out / "cohorts_pooled.csv")
     print(f"cohorts: {len(merged)} records")
-    return EXIT_OK
 
 
 def _correlation_rows(merged, weighting="unweighted"):
@@ -286,21 +295,23 @@ def _correlation_rows(merged, weighting="unweighted"):
     return rows
 
 
-def cmd_correlate(args) -> int:
-    cfg = _merged_config(args)
-    merged = _resolved_records(cfg)
+def cmd_correlate(cfg: dict, merged=None) -> None:
+    if merged is None:
+        merged = _resolved_records(cfg)
     out = _out_dir(cfg)
     rows = _correlation_rows(merged, cfg.get("weighting", "unweighted"))
     metrics.write_correlations_csv(rows, out / "correlations.csv")
     print(f"correlate: {sum(1 for _, r in rows if r is not None)} pairs")
-    return EXIT_OK
 
 
-def _audit(cfg: dict):
+def cmd_audit(cfg: dict, detections=None, truth=None):
     """Score a seeded sample of the detections against ground truth, write
-    sdt.csv and print the audit line; returns (matrix, sdt result)."""
-    detections = _load(cfg, "detections", load_detections)
-    truth = _load(cfg, "ground_truth", corpusmod.load_ground_truth)
+    sdt.csv and print the audit line; returns (matrix, sdt result).
+    detections and truth are loaded from cfg when not given."""
+    if detections is None:
+        detections = _load(cfg, "detections", load_detections)
+    if truth is None:
+        truth = _load(cfg, "ground_truth", corpusmod.load_ground_truth)
     values = _cast_values(cfg, {"sample_size": int, "seed": int})
     sample_size = values.get("sample_size", 100)
     if sample_size < 1:
@@ -319,12 +330,7 @@ def _audit(cfg: dict):
     return matrix, result
 
 
-def cmd_audit(args) -> int:
-    _audit(_merged_config(args))
-    return EXIT_OK
-
-
-def _corpus_spec_from_config(cfg: dict, seed_override=None) -> corpusmod.CorpusSpec:
+def _corpus_spec_from_config(cfg: dict) -> corpusmod.CorpusSpec:
     def parse_dist(text):
         pairs = []
         for part in text.split(","):
@@ -356,8 +362,6 @@ def _corpus_spec_from_config(cfg: dict, seed_override=None) -> corpusmod.CorpusS
         "issues_per_year": int,
         "seed": int,
     })
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
     spec = corpusmod.CorpusSpec(**kwargs)
     try:
         spec.validate()
@@ -366,51 +370,52 @@ def _corpus_spec_from_config(cfg: dict, seed_override=None) -> corpusmod.CorpusS
     return spec
 
 
-def cmd_synth(args) -> int:
-    cfg = read_config(args.spec) if args.spec else {}
-    spec = _corpus_spec_from_config(cfg, args.seed)
-    corp = corpusmod.generate_corpus(spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_synth(cfg: dict) -> corpusmod.Corpus:
+    """Generate the corpus the spec file describes (its seed overridden by
+    cfg's) and export it; returns the corpus."""
+    spec_cfg = read_config(cfg["spec"]) if cfg.get("spec") else {}
+    if "seed" in cfg:
+        spec_cfg["seed"] = cfg["seed"]
+    corp = corpusmod.generate_corpus(_corpus_spec_from_config(spec_cfg))
+    out = _out_dir(cfg)
     corpusmod.export_corpus(corp, out)
     n_oa = sum(1 for gt in corp.ground_truth.values() if gt.oa)
     print(f"synth: {len(corp.records)} records, {n_oa} reachable full texts, "
           f"{len(corp.web.pages)} pages -> {out}")
-    return EXIT_OK
+    return corp
 
 
-def cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_evaluate(cfg: dict) -> None:
+    """synth, detect, the reports and the audit, each stage handed what the
+    one before it returned."""
+    out = _out_dir(cfg)
+    corp = cmd_synth(dict(cfg, out=str(out / "corpus")))
 
-    ns = argparse.Namespace(spec=args.spec, out=out / "corpus", seed=args.seed)
-    cmd_synth(ns)
-
+    # run.cfg lets a user rerun any one stage by hand on this run's files.
     base = {
         "records": str(out / "corpus" / "records.jsonl"),
         "detections": str(out / "detections.jsonl"),
         "mock_web": str(out / "corpus" / "mockweb"),
         "ground_truth": str(out / "corpus" / "ground_truth.jsonl"),
         "out": str(out / "reports"),
-        "sample_size": str(args.sample_size),
-        "seed": str(args.seed if args.seed is not None else 0),
+        "sample_size": cfg["sample_size"],
+        "seed": cfg.get("seed", "0"),
     }
-    run_cfg = out / "run.cfg"
-    run_cfg.write_text(
+    (out / "run.cfg").write_text(
         "".join(f"{k} = {v}\n" for k, v in base.items()), encoding="utf-8")
-    run_args = argparse.Namespace(
-        config=str(run_cfg), records=None, detections=None, out=None,
-        mock_web=None, ground_truth=None, seed=None, allow_unknown=False)
 
-    for step in (cmd_detect, cmd_analyze, cmd_cohorts, cmd_correlate):
-        step(run_args)
-    matrix, sdt = _audit(base)
+    # The corpus was just regenerated: an older journal belongs to another.
+    (out / "detections.jsonl").unlink(missing_ok=True)
+    detections = cmd_detect(base, corp.records, corp.web)
+    merged = _resolved_records(base, corp.records, detections)
+    advantage = cmd_analyze(base, merged)
+    cmd_cohorts(base, merged)
+    cmd_correlate(base, merged)
+    matrix, sdt = cmd_audit(base, detections, corp.ground_truth)
 
-    merged = _resolved_records(base)
-    kept, _ = metrics.apply_exclusions(merged)
     n_oa = sum(1 for r in merged if r.oa_status is OAStatus.OA)
-    overall = metrics.aggregate_advantage(kept, "discipline")
-    advs = [rep.advantage for rep in overall if rep.advantage is not None]
+    advs = [rep.advantage for rep in advantage["discipline"]
+            if rep.advantage is not None]
     print("evaluate summary")
     print(f"  articles: {len(merged)}  percent OA: "
           f"{100.0 * n_oa / len(merged):.1f}%")
@@ -420,7 +425,6 @@ def cmd_evaluate(args) -> int:
     print(f"  audit d'={sdt.d_prime:.3f} beta={sdt.beta:.3f} "
           f"(hits={matrix.hits} misses={matrix.misses} "
           f"fa={matrix.false_alarms} cr={matrix.correct_rejections})")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -433,29 +437,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Open-access detection robot and citation-impact reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, needs_out=True):
+    def common(p, func, *keys):
+        """--config, then a flag for each config key the command reads."""
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--records")
-        p.add_argument("--detections")
-        p.add_argument("--seed", type=int)
-        if needs_out:
-            p.add_argument("--out")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"))
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("detect", help="classify each record OA/NOA")
-    common(p, needs_out=False)
-    p.add_argument("--mock-web", dest="mock_web")
+    common(sub.add_parser("detect", help="classify each record OA/NOA"),
+           cmd_detect, "records", "detections", "mock_web")
 
     for name, fn in (("analyze", cmd_analyze), ("cohorts", cmd_cohorts),
                      ("correlate", cmd_correlate)):
         p = sub.add_parser(name)
-        common(p)
+        common(p, fn, "records", "detections", "out")
         p.add_argument("--allow-unknown", action="store_true")
-        p.set_defaults(func=fn)
 
     p = sub.add_parser("audit", help="signal-detection audit vs ground truth")
-    common(p)
-    p.add_argument("--ground-truth", dest="ground_truth")
-    p.set_defaults(func=cmd_audit)
+    common(p, cmd_audit, "detections", "out", "ground_truth")
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus + mock web")
     p.add_argument("--spec", help="corpus spec file (key=value)")
@@ -469,16 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--sample-size", dest="sample_size", type=int, default=50)
     p.set_defaults(func=cmd_evaluate)
-
-    sub.choices["detect"].set_defaults(func=cmd_detect)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(_merged_config(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -488,6 +485,7 @@ def main(argv=None) -> int:
     except metrics.MetricsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

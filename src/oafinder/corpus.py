@@ -85,8 +85,10 @@ class CorpusSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_articles < 1:
-            raise CorpusError("n_articles must be >= 1")
+        for name in ("n_articles", "journals_per_discipline", "issues_per_year"):
+            v = getattr(self, name)
+            if v < 1:
+                raise CorpusError(f"{name} must be >= 1, got {v}")
         if len(self.years) != 2:
             raise CorpusError("years must be FIRST-LAST, got "
                               + "-".join(map(str, self.years)))
@@ -96,8 +98,16 @@ class CorpusSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise CorpusError(f"{name} must be in [0, 1], got {v}")
-        if self.oa_citation_multiplier < 0:
-            raise CorpusError("oa_citation_multiplier must be >= 0")
+        oa = self.oa_probability
+        for v in oa.values() if isinstance(oa, dict) else (oa,):
+            if not 0.0 <= v <= 1.0:
+                raise CorpusError(f"oa_probability must be in [0, 1], got {v}")
+        for name in ("mean_cited", "oa_citation_multiplier"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise CorpusError(f"{name} must be >= 0, got {v}")
+        if any(p < 0 for _, p in self.chain_depth_distribution):
+            raise CorpusError("chain_depth_distribution probabilities must be >= 0")
         total = sum(p for _, p in self.chain_depth_distribution)
         if abs(total - 1.0) > 1e-9:
             raise CorpusError("chain_depth_distribution must sum to 1")

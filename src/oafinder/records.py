@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 
@@ -194,8 +194,7 @@ def load_records(path) -> list[ArticleRecord]:
 def save_records(records: Iterable[ArticleRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            obj = asdict(rec)
-            obj["oa_status"] = rec.oa_status.value
+            obj = dict(vars(rec), oa_status=rec.oa_status.value)
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
 
 
@@ -206,9 +205,8 @@ def save_detections(evidence: Iterable[DetectionEvidence], path) -> None:
 
 
 def detection_to_json(ev: DetectionEvidence) -> str:
-    obj = asdict(ev)
-    obj["verdict"] = ev.verdict.value
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return json.dumps(dict(vars(ev), verdict=ev.verdict.value),
+                      ensure_ascii=False, sort_keys=True)
 
 
 def detection_from_dict(obj: dict) -> DetectionEvidence:

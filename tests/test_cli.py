@@ -1,10 +1,12 @@
 """End-to-end command-line tests: exit codes, config handling, resumable
 detection, and byte-identical reruns."""
 
+import hashlib
 import json
 
 import pytest
 
+from oafinder import cli, corpus
 from oafinder.cli import main
 from oafinder.corpus import CorpusSpec, export_corpus, generate_corpus
 from oafinder.records import (
@@ -139,13 +141,34 @@ mock_web = {corpus_dir / 'mockweb'}
 """)
         assert main(["detect", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("line", ["years = 1992", "years = 1992-1995-1999"])
-    def test_bad_spec_years(self, line, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [
+        "years = 1992",
+        "years = 1992-1995-1999",
+        "journals_per_discipline = 0",
+        "issues_per_year = 0",
+        "oa_probability = 1.5",
+        "oa_probability = biology:2",
+        "mean_cited = -3",
+        "chain_depth_distribution = 0:1.5,1:-0.5",
+    ])
+    def test_bad_spec_value(self, line, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text(f"n_articles = 20\n{line}\n")
         assert main(["synth", "--spec", str(spec),
                      "--out", str(tmp_path / "c")]) == 2
-        assert "years" in capsys.readouterr().err
+        assert line.split(" =")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--seed", "1"],
+        ["analyze", "--seed", "1"],
+        ["cohorts", "--seed", "1"],
+        ["correlate", "--seed", "1"],
+        ["audit", "--records", "r.jsonl"],
+    ], ids=" ".join)
+    def test_unread_flag_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("body", [
         '{"pages": {}}',
@@ -235,6 +258,25 @@ class TestReports:
         assert "d_prime" in body
 
 
+# sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
+# that alters outputs on purpose updates it and says so.
+GOLDEN_EVALUATE_SHA256 = (
+    "9c7291fb8e585e96ea280f52b588d449ac74990719cb0fbb4805f12b8fab1b41")
+
+
+def run_digest(out, stdout: str) -> str:
+    """sha256 over every file of a run directory but run.cfg, each as its
+    relative path and bytes in sorted path order, then stdout with the run
+    directory replaced by a placeholder."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file() and p != out / "run.cfg"):
+        data = (out / rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode() + data)
+    h.update(stdout.replace(str(out), "<run>").encode())
+    return h.hexdigest()
+
+
 class TestSynthAndEvaluate:
     def test_synth_writes_corpus(self, tmp_path):
         spec = tmp_path / "spec.cfg"
@@ -285,6 +327,45 @@ class TestSynthAndEvaluate:
         for p in files1:
             rel = p.relative_to(outs[0])
             assert (outs[1] / rel).read_bytes() == p.read_bytes(), str(rel)
+
+    def test_evaluate_reads_nothing_back(self, tmp_path, monkeypatch):
+        # Each stage gets what the one before it returned, so evaluate
+        # loads none of the files it writes.
+        calls = {}
+        for mod, name in ((cli, "load_records"), (cli, "load_detections"),
+                          (corpus, "load_mock_web"),
+                          (corpus, "load_ground_truth")):
+            def counted(*args, _load=getattr(mod, name), _name=name):
+                calls[_name] += 1
+                return _load(*args)
+            calls[name] = 0
+            monkeypatch.setattr(mod, name, counted)
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_articles = 60\noa_probability = 0.3\n")
+        assert main(["evaluate", "--spec", str(spec), "--out",
+                     str(tmp_path / "run"), "--seed", "4",
+                     "--sample-size", "10"]) == 0
+        assert calls == {"load_records": 0, "load_detections": 0,
+                         "load_mock_web": 0, "load_ground_truth": 0}
+
+    def test_evaluate_rerun_other_seed(self, tmp_path):
+        # Article ids repeat across seeds, so a journal left by another
+        # seed's run must not be resumed.
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_articles = 60\noa_probability = 0.3\n")
+        again, fresh = tmp_path / "again", tmp_path / "fresh"
+        for out, seed in ((again, "4"), (again, "5"), (fresh, "5")):
+            assert main(["evaluate", "--spec", str(spec), "--out", str(out),
+                         "--seed", seed, "--sample-size", "10"]) == 0
+        assert (again / "detections.jsonl").read_bytes() == \
+            (fresh / "detections.jsonl").read_bytes()
+
+    def test_evaluate_golden(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["evaluate", "--out", str(out), "--seed", "4",
+                     "--sample-size", "50"]) == 0
+        assert run_digest(out, capsys.readouterr().out) == \
+            GOLDEN_EVALUATE_SHA256
 
 
 class TestConfigParsing:
