@@ -33,8 +33,9 @@ class CliError(Exception):
         self.code = code
 
 
-def read_config(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and #-comments ignored."""
+def read_config(path, known=None) -> dict[str, str]:
+    """Flat key=value file; blank lines and #-comments ignored. When known
+    is given, a key outside it is a CliError naming the file and line."""
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -47,12 +48,16 @@ def read_config(path) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if known is not None and key not in known:
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+        cfg[key] = value.strip()
     return cfg
 
 
 def _merged_config(args) -> dict[str, str]:
-    cfg = read_config(args.config) if getattr(args, "config", None) else {}
+    cfg = (read_config(args.config, KNOWN_KEYS)
+           if getattr(args, "config", None) else {})
     for key in ("records", "detections", "out", "mock_web", "ground_truth",
                 "spec", "seed", "sample_size"):
         value = getattr(args, key, None)
@@ -82,12 +87,57 @@ def _cast_values(cfg: dict, casts: dict) -> dict:
     return out
 
 
+def _parse_dist(text):
+    pairs = []
+    for part in text.split(","):
+        k, _, v = part.partition(":")
+        pairs.append((int(k), float(v)))
+    return tuple(pairs)
+
+
+def _parse_prob(text):
+    if ":" in text:
+        out = {}
+        for part in text.split(","):
+            k, _, v = part.partition(":")
+            out[k.strip()] = float(v)
+        return out
+    return float(text)
+
+
+# The keys each stage reads through _cast_values, with their casts.
+_CRAWL_CASTS = {
+    "max_depth": int, "per_host_rate": float,
+    "max_links_followed_per_page": int,
+    "title_similarity_threshold": float,
+    "head_fraction": float, "tail_fraction": float}
+_AUDIT_CASTS = {"sample_size": int, "seed": int}
+_SPEC_CASTS = {
+    "n_articles": int,
+    "disciplines": lambda s: tuple(x.strip() for x in s.split(",")),
+    "years": lambda s: tuple(int(x) for x in s.split("-")),
+    "oa_probability": _parse_prob,
+    "uncited_mass": float,
+    "mean_cited": float,
+    "oa_citation_multiplier": float,
+    "abstract_page_prob": float,
+    "dead_link_prob": float,
+    "chain_depth_distribution": _parse_dist,
+    "journals_per_discipline": int,
+    "issues_per_year": int,
+    "seed": int,
+}
+# Keys commands read as plain strings.
+_PLAIN_KEYS = ("records", "detections", "mock_web", "ground_truth", "out",
+               "allow_unknown", "weighting", "converter")
+# A config or spec file may set any key some command reads (run.cfg serves
+# every stage); any other key is a typo or a stale setting.
+KNOWN_KEYS = frozenset(_PLAIN_KEYS).union(_CRAWL_CASTS, _AUDIT_CASTS,
+                                          _SPEC_CASTS)
+
+
 def _crawl_config(cfg: dict) -> CrawlConfig:
-    config = CrawlConfig(**_cast_values(cfg, {
-        "max_depth": int, "per_host_rate": float,
-        "max_links_followed_per_page": int,
-        "title_similarity_threshold": float,
-        "head_fraction": float, "tail_fraction": float}))
+    config = CrawlConfig(**_cast_values(cfg, _CRAWL_CASTS))
     try:
         config.validate()
     except ValueError as exc:
@@ -183,9 +233,11 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
 
     # Resumable append-only journal: replay keeps the last entry per id.
     done: dict[str, records.DetectionEvidence] = {}
+    replayed = False
     if det_path.exists():
         for ev in _load(cfg, "detections", _replay_journal):
             done[ev.article_id] = ev
+        replayed = det_path.stat().st_size > 0
 
     n_unknown = 0
     with open(det_path, "a", encoding="utf-8") as journal:
@@ -205,9 +257,11 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
             journal.write(records.detection_to_json(ev) + "\n")
             journal.flush()
 
-    # Compact the journal into records order for stable final output.
     final = [done[r.id] for r in recs if r.id in done]
-    records.save_detections(final, det_path)
+    # Record ids are unique, so a journal this run started is already in
+    # records order; one that held lines before it is compacted into it.
+    if replayed:
+        records.save_detections(final, det_path)
     n_oa = sum(1 for ev in final if ev.verdict is records.Verdict.OA)
     n_noa = len(final) - n_oa
     print(f"detect: {len(recs)} records, OA={n_oa} NOA={n_noa} "
@@ -312,7 +366,7 @@ def cmd_audit(cfg: dict, detections=None, truth=None):
         detections = _load(cfg, "detections", load_detections)
     if truth is None:
         truth = _load(cfg, "ground_truth", corpusmod.load_ground_truth)
-    values = _cast_values(cfg, {"sample_size": int, "seed": int})
+    values = _cast_values(cfg, _AUDIT_CASTS)
     sample_size = values.get("sample_size", 100)
     if sample_size < 1:
         raise CliError(f"sample_size must be >= 1, got {sample_size}")
@@ -331,38 +385,7 @@ def cmd_audit(cfg: dict, detections=None, truth=None):
 
 
 def _corpus_spec_from_config(cfg: dict) -> corpusmod.CorpusSpec:
-    def parse_dist(text):
-        pairs = []
-        for part in text.split(","):
-            k, _, v = part.partition(":")
-            pairs.append((int(k), float(v)))
-        return tuple(pairs)
-
-    def parse_prob(text):
-        if ":" in text:
-            out = {}
-            for part in text.split(","):
-                k, _, v = part.partition(":")
-                out[k.strip()] = float(v)
-            return out
-        return float(text)
-
-    kwargs = _cast_values(cfg, {
-        "n_articles": int,
-        "disciplines": lambda s: tuple(x.strip() for x in s.split(",")),
-        "years": lambda s: tuple(int(x) for x in s.split("-")),
-        "oa_probability": parse_prob,
-        "uncited_mass": float,
-        "mean_cited": float,
-        "oa_citation_multiplier": float,
-        "abstract_page_prob": float,
-        "dead_link_prob": float,
-        "chain_depth_distribution": parse_dist,
-        "journals_per_discipline": int,
-        "issues_per_year": int,
-        "seed": int,
-    })
-    spec = corpusmod.CorpusSpec(**kwargs)
+    spec = corpusmod.CorpusSpec(**_cast_values(cfg, _SPEC_CASTS))
     try:
         spec.validate()
     except corpusmod.CorpusError as exc:
@@ -373,7 +396,7 @@ def _corpus_spec_from_config(cfg: dict) -> corpusmod.CorpusSpec:
 def cmd_synth(cfg: dict) -> corpusmod.Corpus:
     """Generate the corpus the spec file describes (its seed overridden by
     cfg's) and export it; returns the corpus."""
-    spec_cfg = read_config(cfg["spec"]) if cfg.get("spec") else {}
+    spec_cfg = read_config(cfg["spec"], KNOWN_KEYS) if cfg.get("spec") else {}
     if "seed" in cfg:
         spec_cfg["seed"] = cfg["seed"]
     corp = corpusmod.generate_corpus(_corpus_spec_from_config(spec_cfg))

@@ -500,4 +500,4 @@ def _ground_truth_from_dict(obj: dict) -> GroundTruth:
 
 def load_ground_truth(path) -> dict[str, GroundTruth]:
     return {gt.article_id: gt
-            for gt in _read_jsonl(path, _ground_truth_from_dict)}
+            for _, gt in _read_jsonl(path, _ground_truth_from_dict)}

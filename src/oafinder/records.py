@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class OAStatus(enum.Enum):
@@ -164,12 +164,12 @@ def _record_from_dict(obj: dict) -> ArticleRecord:
     return rec
 
 
-def _read_jsonl(path, from_dict) -> list:
-    """from_dict of each non-blank line of a JSONL file, in file order.
+def _read_jsonl(path, from_dict) -> Iterator[tuple[int, object]]:
+    """(1-based line number, from_dict of the line) for each non-blank line
+    of a JSONL file, in file order.
 
-    Errors carry the file and the 1-based line number of the offending line.
+    Errors carry the file and the line number of the offending line.
     """
-    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -180,15 +180,23 @@ def _read_jsonl(path, from_dict) -> list:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             try:
-                out.append(from_dict(obj))
+                item = from_dict(obj)
             except (ParseError, ValidationError) as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-    return out
+            yield lineno, item
 
 
 def load_records(path) -> list[ArticleRecord]:
-    """Load and validate a JSONL records file, one object per line."""
-    return _read_jsonl(path, _record_from_dict)
+    """Load and validate a JSONL records file, one object per line. Ids are
+    unique: a repeated id is a ParseError naming both lines."""
+    recs, first_line = [], {}
+    for lineno, rec in _read_jsonl(path, _record_from_dict):
+        if rec.id in first_line:
+            raise ParseError(f"{path}:{lineno}: duplicate record id "
+                             f"{rec.id!r}, first on line {first_line[rec.id]}")
+        first_line[rec.id] = lineno
+        recs.append(rec)
+    return recs
 
 
 def save_records(records: Iterable[ArticleRecord], path) -> None:
@@ -229,7 +237,9 @@ def detection_from_dict(obj: dict) -> DetectionEvidence:
 
 
 def load_detections(path) -> list[DetectionEvidence]:
-    return _read_jsonl(path, detection_from_dict)
+    """Detections in file order. An id may repeat (a resumed journal); the
+    reader that keys them by id keeps the last."""
+    return [ev for _, ev in _read_jsonl(path, detection_from_dict)]
 
 
 def apply_detections(

@@ -10,10 +10,10 @@ import enum
 import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import Optional
+from typing import Iterator, Optional
 from urllib.parse import urljoin
 
-from .urls import url_extension
+from .urls import FULLTEXT_EXTENSIONS, url_extension
 
 REFERENCE_HEADINGS = ("references", "bibliography", "works cited",
                       "literature cited")
@@ -50,17 +50,20 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def tokenize_with_offsets(text: str) -> list[tuple[str, int]]:
-    return [(m.group(0).lower(), m.start()) for m in _TOKEN_RE.finditer(text)]
+def tokenize_with_offsets(text: str) -> Iterator[tuple[str, int]]:
+    """(lowercased token, char offset) pairs in text order, produced lazily
+    so a caller can stop reading where its window ends."""
+    return ((m.group(0).lower(), m.start()) for m in _TOKEN_RE.finditer(text))
 
 
 def _best_title_match(title_tokens, doc_tokens, threshold):
-    """Best fuzzy occurrence of the title token sequence; (offset, score)."""
+    """Best fuzzy occurrence of the title token sequence; (offset, score).
+    A title with no tokens occurs nowhere."""
     target = " ".join(title_tokens)
     width = len(title_tokens)
     best = (None, 0.0)
     n = len(doc_tokens)
-    if n < 1:
+    if n < 1 or width < 1:
         return best
     for start in range(0, max(1, n - width + 1)):
         window = doc_tokens[start:start + width]
@@ -68,7 +71,9 @@ def _best_title_match(title_tokens, doc_tokens, threshold):
         # cheap length screen before the quadratic ratio
         if abs(len(cand) - len(target)) > (1.0 - threshold) * 2 * len(target):
             continue
-        score = SequenceMatcher(None, cand, target).ratio()
+        # ratio() of equal strings is 1.0; most windows that pass are exact
+        score = (1.0 if cand == target
+                 else SequenceMatcher(None, cand, target).ratio())
         if score > best[1]:
             best = (window[0][1], score)
             if score == 1.0:
@@ -105,8 +110,15 @@ def match_full_text(text: str, record, *, title_similarity_threshold=0.90,
     title_tokens = tokenize(record.title)
     low_confidence = len(title_tokens) < MIN_CONFIDENT_TITLE_TOKENS
     head_len = max(1, int(len(text) * head_fraction))
-    doc_tokens = tokenize_with_offsets(text)
-    head_tokens = [(t, off) for t, off in doc_tokens if off < head_len]
+    # Read tokens only up to the first one starting past the head; the rest
+    # of the document is tokenized only if the whole-text search needs it.
+    tokens = tokenize_with_offsets(text)
+    head_tokens, past_head = [], []
+    for tok in tokens:
+        if tok[1] >= head_len:
+            past_head.append(tok)
+            break
+        head_tokens.append(tok)
 
     offset, score = _best_title_match(title_tokens, head_tokens,
                                       title_similarity_threshold)
@@ -114,6 +126,7 @@ def match_full_text(text: str, record, *, title_similarity_threshold=0.90,
     surname_in_head = surname_tokens and surname_tokens <= {t for t, _ in head_tokens}
     if offset is None or score < title_similarity_threshold or not surname_in_head:
         # a landing page can mention the title outside the head window
+        doc_tokens = head_tokens + past_head + list(tokens)
         _, score = _best_title_match(title_tokens, doc_tokens,
                                      title_similarity_threshold)
         return MatchVerdict(False, NotFoundReason.NO_TITLE_MATCH,
@@ -145,12 +158,11 @@ def extract_candidate_links(anchors, base_url: str, record, *,
         if len(out) >= max_links:
             break
         url = urljoin(base_url, href)
-        text_tokens = set(tokenize(anchor_text))
-        url_tokens = set(tokenize(url))
-        norm_text = " ".join(tokenize(anchor_text))
-        if (len(title_tokens & text_tokens) >= 2
-                or len(title_tokens & url_tokens) >= 2
-                or url_extension(url) in (".pdf", ".ps")
+        text_tokens = tokenize(anchor_text)
+        norm_text = " ".join(text_tokens)
+        if (len(title_tokens.intersection(text_tokens)) >= 2
+                or len(title_tokens.intersection(tokenize(url))) >= 2
+                or url_extension(url) in FULLTEXT_EXTENSIONS
                 or any(p in norm_text for p in FULLTEXT_ANCHOR_PHRASES)):
             out.append(url)
     return out

@@ -81,8 +81,9 @@ def url_extension(url: str) -> str:
 
 def prioritize_urls(urls: list[str]) -> list[str]:
     """Stable partition with probable full-texts (.pdf/.ps paths) first."""
-    first = [u for u in urls if url_extension(u) in FULLTEXT_EXTENSIONS]
-    rest = [u for u in urls if url_extension(u) not in FULLTEXT_EXTENSIONS]
+    first, rest = [], []
+    for u in urls:
+        (first if url_extension(u) in FULLTEXT_EXTENSIONS else rest).append(u)
     return first + rest
 
 

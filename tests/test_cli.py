@@ -3,10 +3,12 @@ detection, and byte-identical reruns."""
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from oafinder import cli, corpus
+from oafinder import cli, corpus, records
 from oafinder.cli import main
 from oafinder.corpus import CorpusSpec, export_corpus, generate_corpus
 from oafinder.records import (
@@ -158,6 +160,55 @@ mock_web = {corpus_dir / 'mockweb'}
                      "--out", str(tmp_path / "c")]) == 2
         assert line.split(" =")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["detect", "analyze", "cohorts",
+                                     "correlate"])
+    def test_duplicate_record_id(self, cmd, corpus_dir, detections, tmp_path,
+                                 capsys):
+        # Four lines, the fourth repeating the first line's id.
+        lines = (corpus_dir / "records.jsonl").read_text().splitlines()
+        recs = tmp_path / "records.jsonl"
+        recs.write_text("\n".join(lines[:3] + [lines[0]]) + "\n")
+        first_id = json.loads(lines[0])["id"]
+        argv = [cmd, "--records", str(recs),
+                "--detections", str(tmp_path / "d.jsonl")]
+        argv += (["--mock-web", str(corpus_dir / "mockweb")]
+                 if cmd == "detect" else ["--out", str(tmp_path / "r")])
+        if cmd != "detect":
+            (tmp_path / "d.jsonl").write_bytes(detections.read_bytes())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{recs}:4" in err and repr(first_id) in err
+        assert "first on line 1" in err
+
+    def test_unknown_spec_key(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("# 20 articles\nn_article = 20\n")
+        assert main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "c")]) == 2
+        assert f"{spec}:2: unknown key 'n_article'" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_unknown_config_key(self, corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"""records = {corpus_dir / 'records.jsonl'}
+detections = {tmp_path / 'd.jsonl'}
+mock_web = {corpus_dir / 'mockweb'}
+max_dept = 0
+""")
+        assert main(["detect", "--config", str(cfg)]) == 2
+        assert f"{cfg}:4: unknown key 'max_dept'" in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg_path = tmp_path / "readme.cfg"
+        cfg_path.write_text(block)
+        cfg = cli.read_config(cfg_path, cli.KNOWN_KEYS)
+        assert cli._crawl_config(cfg).max_depth == int(cfg["max_depth"])
+        assert cli._cast_values(cfg, cli._AUDIT_CASTS) == {
+            "sample_size": 100, "seed": 0}
+
     @pytest.mark.parametrize("argv", [
         ["detect", "--seed", "1"],
         ["analyze", "--seed", "1"],
@@ -211,6 +262,31 @@ class TestDetect:
             assert run_detect(corpus_dir, partial) == 0, cut
             assert partial.read_bytes() == detections.read_bytes(), cut
             assert ("cut-off" in capsys.readouterr().err) == (cut > 0), cut
+
+    def test_fresh_run_serializes_each_article_once(
+            self, corpus_dir, detections, tmp_path, monkeypatch):
+        # A journal this run started is already in records order, so
+        # nothing is serialized a second time to compact it.
+        calls = {"detection_to_json": 0, "save_detections": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(records, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(records, name, counted)
+        fresh = tmp_path / "fresh.jsonl"
+        assert run_detect(corpus_dir, fresh) == 0
+        assert calls == {"detection_to_json": 60, "save_detections": 0}
+        assert fresh.read_bytes() == detections.read_bytes()
+
+    def test_resume_from_out_of_order_journal(self, corpus_dir, detections,
+                                              tmp_path):
+        # Every other record, newest first: the resumed run appends the
+        # rest and compacts the journal into records order.
+        lines = detections.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "resume.jsonl"
+        partial.write_bytes(b"".join(reversed(lines[::2])))
+        assert run_detect(corpus_dir, partial) == 0
+        assert partial.read_bytes() == detections.read_bytes()
 
     def test_flag_overrides_config(self, corpus_dir, detections, tmp_path):
         cfg = tmp_path / "d.cfg"
@@ -327,6 +403,18 @@ class TestSynthAndEvaluate:
         for p in files1:
             rel = p.relative_to(outs[0])
             assert (outs[1] / rel).read_bytes() == p.read_bytes(), str(rel)
+
+    def test_evaluate_run_cfg_reruns_a_stage(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_articles = 60\noa_probability = 0.3\n")
+        out = tmp_path / "run"
+        assert main(["evaluate", "--spec", str(spec), "--out", str(out),
+                     "--seed", "4", "--sample-size", "10"]) == 0
+        assert set(cli.read_config(out / "run.cfg", cli.KNOWN_KEYS)) == {
+            "records", "detections", "mock_web", "ground_truth", "out",
+            "sample_size", "seed"}
+        for cmd in ("analyze", "audit"):
+            assert main([cmd, "--config", str(out / "run.cfg")]) == 0
 
     def test_evaluate_reads_nothing_back(self, tmp_path, monkeypatch):
         # Each stage gets what the one before it returned, so evaluate

@@ -112,6 +112,14 @@ class TestRecordsFile:
         with pytest.raises(ValidationError, match="citation_count"):
             load_records(path)
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        save_records([make_record(id="a1"), make_record(id="a2"),
+                      make_record(id="a1", citation_count=9)], path)
+        with pytest.raises(ParseError,
+                           match=r":3: duplicate record id 'a1', first on line 1"):
+            load_records(path)
+
 
 evidence_strategy = st.builds(
     DetectionEvidence,
@@ -141,6 +149,16 @@ class TestDetectionsFile:
         path = tmp_path / "det.jsonl"
         save_detections([ev], path)
         assert load_detections(path) == [ev]
+
+    def test_repeated_id_kept_in_file_order(self, tmp_path):
+        # A resumed journal may hold an article twice; the last entry wins
+        # where detections are keyed by id.
+        first = DetectionEvidence(article_id="a1", verdict=Verdict.NOA)
+        last = DetectionEvidence(article_id="a1", verdict=Verdict.OA,
+                                 url="http://h.example/p.pdf")
+        path = tmp_path / "det.jsonl"
+        save_detections([first, last], path)
+        assert load_detections(path) == [first, last]
 
     def test_oa_without_url_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,10 @@
 """Text extraction, full-text matching and candidate-link selection."""
 
+import re
+from difflib import SequenceMatcher
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oafinder.records import ArticleRecord, OAStatus
 from oafinder.robot.extract import (
@@ -11,7 +14,9 @@ from oafinder.robot.extract import (
     extract_text,
     parse_html,
 )
+from oafinder.robot import match
 from oafinder.robot.match import (
+    MatchVerdict,
     NotFoundReason,
     extract_candidate_links,
     match_full_text,
@@ -153,6 +158,134 @@ class TestMatchFullText:
         text = FILLER * 10 + TITLE + FILLER * 2
         assert match_full_text(text, RECORD).title_seen
         assert not match_full_text(FILLER * 12, RECORD).title_seen
+
+    def test_token_straddling_head_end_is_whole(self):
+        # head_len is 12, inside "Fontaine" (offsets 9-16): the surname
+        # token is a head token whole, not cut at the window's end.
+        text = "On mice\n\n" + SURNAME + "\n" + FILLER * 3
+        rec = ArticleRecord(
+            id="a3", first_author_surname=SURNAME, title="On mice",
+            journal_id="j", issue_key="j|2000|1", year=2000,
+            discipline="biology", country="US", citation_count=0)
+        head_fraction = 12.5 / len(text)
+        verdict = match_full_text(text, rec, head_fraction=head_fraction)
+        assert verdict.reason is NotFoundReason.NO_REFERENCES_SECTION
+        assert verdict.head_offset == 0
+
+    @pytest.mark.parametrize("title", ["?!", "--", "—"])
+    def test_title_without_tokens_matches_nowhere(self, title):
+        rec = ArticleRecord(
+            id="a4", first_author_surname=SURNAME, title=title,
+            journal_id="j", issue_key="j|2000|1", year=2000,
+            discipline="biology", country="US", citation_count=0)
+        rec.validate()
+        verdict = match_full_text(fulltext(title=title), rec)
+        assert verdict.reason is NotFoundReason.NO_TITLE_MATCH
+        assert not verdict.title_seen
+
+
+_REF_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def eager_match_full_text(text, record, threshold, head_fraction,
+                          tail_fraction):
+    """Reference for match_full_text: the whole document is tokenized up
+    front and difflib scores every window that passes the length screen,
+    equal strings included."""
+    if not text.strip():
+        return MatchVerdict(False, NotFoundReason.EMPTY_TEXT)
+
+    def tokens(s):
+        return [(m.group(0).lower(), m.start())
+                for m in _REF_TOKEN_RE.finditer(s)]
+
+    def best(title, doc):
+        target, width = " ".join(title), len(title)
+        found = (None, 0.0)
+        if not doc or not width:
+            return found
+        for start in range(max(1, len(doc) - width + 1)):
+            window = doc[start:start + width]
+            cand = " ".join(t for t, _ in window)
+            if abs(len(cand) - len(target)) > (1.0 - threshold) * 2 * len(target):
+                continue
+            score = SequenceMatcher(None, cand, target).ratio()
+            if score > found[1]:
+                found = (window[0][1], score)
+                if score == 1.0:
+                    break
+        return found
+
+    title = [t for t, _ in tokens(record.title)]
+    low_confidence = len(title) < match.MIN_CONFIDENT_TITLE_TOKENS
+    head_len = max(1, int(len(text) * head_fraction))
+    doc = tokens(text)
+    head = [(t, off) for t, off in doc if off < head_len]
+    offset, score = best(title, head)
+    surname = {t for t, _ in tokens(record.first_author_surname)}
+    if (offset is None or score < threshold or not surname
+            or not surname <= {t for t, _ in head}):
+        _, score = best(title, doc)
+        return MatchVerdict(False, NotFoundReason.NO_TITLE_MATCH,
+                            low_confidence=low_confidence,
+                            title_seen=score >= threshold)
+    tail = text[len(text) - max(1, int(len(text) * tail_fraction)):]
+    evidence = match._has_references_tail(tail)
+    if evidence is None:
+        return MatchVerdict(False, NotFoundReason.NO_REFERENCES_SECTION,
+                            head_offset=offset, low_confidence=low_confidence,
+                            title_seen=True)
+    return MatchVerdict(True, head_offset=offset, tail_evidence=evidence,
+                        low_confidence=low_confidence, title_seen=True)
+
+
+_WORDS = ("market", "regulation", "outcomes", "analysis", "of", "Fontaine")
+_PIECES = ("TITLE", "NEAR", "SURNAME", "References", "[1] Weiss (1999) x",
+           "filler", "Fontaine_x", "—", "") + _WORDS
+
+
+def _near(title):
+    """title with one letter changed, so it scores in [threshold, 1)."""
+    i = len(title) // 2
+    return title[:i] + ("x" if title[i:i + 1] != "x" else "y") + title[i + 1:]
+
+
+class TestLazyMatchEqualsEager:
+    @settings(max_examples=300, deadline=None)
+    @given(title_words=st.lists(st.sampled_from(_WORDS), max_size=5),
+           pieces=st.lists(st.tuples(st.sampled_from(_PIECES),
+                                     st.sampled_from((" ", "\n", "_", ", ",
+                                                      "", "-"))),
+                           max_size=30),
+           threshold=st.floats(0.5, 1.0),
+           head_fraction=st.floats(0.01, 0.5),
+           tail_fraction=st.floats(0.01, 0.5))
+    @example(title_words=[], pieces=[], threshold=0.9, head_fraction=0.2,
+             tail_fraction=0.2)
+    @example(title_words=[], pieces=[("SURNAME", " "), ("filler", " ")],
+             threshold=0.9, head_fraction=0.2, tail_fraction=0.2)
+    @example(title_words=["market", "regulation", "outcomes"],
+             pieces=[("NEAR", "\n"), ("SURNAME", "\n")]
+             + [("filler", " ")] * 8 + [("References", "\n")],
+             threshold=0.9, head_fraction=0.3, tail_fraction=0.2)
+    @example(title_words=["of", "market"],
+             pieces=[("TITLE", " "), ("Fontaine_x", " ")]
+             + [("filler", " ")] * 20, threshold=1.0, head_fraction=0.12,
+             tail_fraction=0.5)
+    def test_same_verdict(self, title_words, pieces, threshold,
+                          head_fraction, tail_fraction):
+        title = " ".join(title_words)
+        words = {"TITLE": title, "NEAR": _near(title), "SURNAME": SURNAME}
+        text = "".join(words.get(p, p) + sep for p, sep in pieces)
+        rec = ArticleRecord(
+            id="p", first_author_surname=SURNAME, title=title,
+            journal_id="j", issue_key="j|2000|1", year=2000,
+            discipline="economics", country="FR", citation_count=0)
+        assert match_full_text(
+            text, rec, title_similarity_threshold=threshold,
+            head_fraction=head_fraction, tail_fraction=tail_fraction) == \
+            eager_match_full_text(text, rec, threshold, head_fraction,
+                                  tail_fraction)
 
 
 def anchors_of(html):
