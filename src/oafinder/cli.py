@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import corpus as corpusmod
 from . import metrics, records, stats
-from .records import OAStatus, load_detections, load_records
-from .robot.crawl import Clock, CrawlConfig, DetectionError, detect_oa
+from .records import ALL_RANGES, OAStatus, load_detections, load_records
+from .robot.crawl import CrawlConfig, DetectionError, detect_oa
 from .robot.extract import ExternalConverter
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def _parse_prob(text):
 
 # The keys each stage reads through _cast_values, with their casts.
 _CRAWL_CASTS = {
-    "max_depth": int, "per_host_rate": float,
+    "max_depth": int,
     "max_links_followed_per_page": int,
     "title_similarity_threshold": float,
     "head_fraction": float, "tail_fraction": float}
@@ -184,20 +184,6 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-class _FixedClock(Clock):
-    """Deterministic clock for offline runs, so reruns are byte-identical."""
-
-    def __init__(self):
-        self._t = 0.0
-
-    def now(self) -> float:
-        self._t += 1.0
-        return self._t
-
-    def sleep(self, seconds: float) -> None:
-        self._t += seconds
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -245,10 +231,8 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
             if rec.id in done:
                 continue
             try:
-                # Fresh clock per article: resumed runs then produce the
-                # same timestamps as uninterrupted ones.
                 ev = detect_oa(rec, [provider], fetcher, config,
-                               converter=converter, clock=_FixedClock())
+                               converter=converter)
             except DetectionError as exc:
                 print(f"warning: {exc}", file=sys.stderr)
                 n_unknown += 1
@@ -309,8 +293,6 @@ def cmd_cohorts(cfg: dict, merged=None) -> None:
 
 
 def _correlation_rows(merged, weighting="unweighted"):
-    from .records import ALL_RANGES
-
     years = sorted({r.year for r in merged})
     shares = {rep.group: rep for rep in metrics.percent_oa(merged, "year")}
     kept, _ = metrics.apply_exclusions(merged)

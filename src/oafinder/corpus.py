@@ -10,10 +10,12 @@ that stands in for the search engines. Everything is a pure function of
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
+from urllib.parse import urljoin
 
 from .records import (
     ArticleRecord,
@@ -23,6 +25,7 @@ from .records import (
     Verdict,
     _read_jsonl,
     make_issue_key,
+    save_records,
 )
 from .robot.crawl import FetchResult, format_query
 from .robot.extract import EXTENSION_FORMATS, parse_html
@@ -264,8 +267,6 @@ def _sample_citations(spec: CorpusSpec, rng: random.Random, is_oa: bool) -> int:
     if mean <= 1.0:
         return 1
     p = 1.0 / mean
-    import math
-
     u = rng.random()
     return 1 + int(math.log(1.0 - u) / math.log(1.0 - p))
 
@@ -379,8 +380,6 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord,
     anchor of every HTML page (no candidate heuristics, no caps) from the
     search results, and report whether any page within max_depth satisfies
     the full-text matcher."""
-    from urllib.parse import urljoin
-
     start = web.queries.get(format_query(record.first_author_surname,
                                          record.title), [])
     frontier = [(u, 0) for u in filter_irrelevant_links(start, blocklist)]
@@ -450,9 +449,6 @@ def export_corpus(corpus: Corpus, out_dir) -> None:
     out = Path(out_dir)
     pages_dir = out / "mockweb" / "pages"
     pages_dir.mkdir(parents=True, exist_ok=True)
-
-    from .records import save_records
-
     save_records(corpus.records, out / "records.jsonl")
     with open(out / "ground_truth.jsonl", "w", encoding="utf-8") as fh:
         for art_id in sorted(corpus.ground_truth):

@@ -132,7 +132,6 @@ class DetectionEvidence:
     match_tail_marker: Optional[str] = None
     reason: Optional[str] = None  # set for NOA verdicts
     depth: int = 0
-    timestamp: float = 0.0
     low_confidence: bool = False
 
     def validate(self) -> None:
@@ -227,7 +226,6 @@ def detection_from_dict(obj: dict) -> DetectionEvidence:
             match_tail_marker=obj.get("match_tail_marker"),
             reason=obj.get("reason"),
             depth=int(obj.get("depth", 0)),
-            timestamp=float(obj.get("timestamp", 0.0)),
             low_confidence=bool(obj.get("low_confidence", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:

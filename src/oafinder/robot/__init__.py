@@ -1,13 +1,10 @@
 """Web robot that hunts for open-access full texts of bibliographic records."""
 
 from .crawl import (
-    Clock,
     CrawlConfig,
     CrawlObserver,
     DetectionError,
     FetchResult,
-    HostRateLimiter,
-    build_query,
     detect_oa,
     format_query,
 )
@@ -34,8 +31,8 @@ from .urls import (
 )
 
 __all__ = [
-    "Clock", "CrawlConfig", "CrawlObserver", "DetectionError", "FetchResult",
-    "HostRateLimiter", "build_query", "format_query", "detect_oa",
+    "CrawlConfig", "CrawlObserver", "DetectionError", "FetchResult",
+    "format_query", "detect_oa",
     "ConverterUnavailableError", "ExternalConverter", "ExtractionError",
     "extract_text", "parse_html",
     "MatchVerdict", "NotFoundReason", "extract_candidate_links",

@@ -11,7 +11,6 @@ Search providers and the fetcher are passed in (see ``SearchProvider`` and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
@@ -51,7 +50,6 @@ class Fetcher(Protocol):
 @dataclass(frozen=True)
 class CrawlConfig:
     max_depth: int = 3
-    per_host_rate: float = 0.0  # requests/second; 0 disables throttling
     max_links_followed_per_page: int = 20
     title_similarity_threshold: float = 0.90
     head_fraction: float = 0.20
@@ -68,48 +66,12 @@ class CrawlConfig:
             raise ValueError("max_links_followed_per_page must be >= 0")
         if not (0.0 < self.title_similarity_threshold <= 1.0):
             raise ValueError("title_similarity_threshold must be in (0, 1]")
-        if self.per_host_rate < 0:
-            raise ValueError("per_host_rate must be >= 0")
-
-
-class Clock:
-    """Wall clock; tests substitute a fake with the same surface."""
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
 
 
 @dataclass
 class FetchLogEntry:
-    timestamp: float
     url: str
     status: int
-    host: str
-
-
-class HostRateLimiter:
-    """Token-spacing limiter: consecutive fetches to one host are at least
-    1/rate seconds apart."""
-
-    def __init__(self, rate: float, clock: Clock):
-        self.min_interval = 1.0 / rate if rate > 0 else 0.0
-        self.clock = clock
-        self._last: dict[str, float] = {}
-
-    def wait(self, host: str) -> None:
-        if self.min_interval <= 0:
-            return
-        last = self._last.get(host)
-        now = self.clock.now()
-        if last is not None:
-            wake = last + self.min_interval
-            if now < wake:
-                self.clock.sleep(wake - now)
-                now = wake
-        self._last[host] = now
 
 
 def format_query(surname: str, title: str) -> str:
@@ -118,10 +80,6 @@ def format_query(surname: str, title: str) -> str:
     title = " ".join(title.split())
     surname = " ".join(surname.split())
     return f'{surname} "{title}"'
-
-
-def build_query(record: ArticleRecord) -> str:
-    return format_query(record.first_author_surname, record.title)
 
 
 @dataclass
@@ -151,7 +109,6 @@ def _search_fanout(record, providers) -> list[str]:
 def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
               config: CrawlConfig = CrawlConfig(), *,
               converter: Optional[ExternalConverter] = None,
-              clock: Optional[Clock] = None,
               observer: Optional[CrawlObserver] = None) -> DetectionEvidence:
     """Classify one article OA or NOA with evidence.
 
@@ -164,8 +121,6 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
     if not providers:
         raise DetectionError("no search providers configured")
     config.validate()
-    clock = clock or Clock()
-    limiter = HostRateLimiter(config.per_host_rate, clock)
 
     frontier = [(url, 0) for url in _search_fanout(record, providers)]
     visited: set[str] = set()
@@ -181,12 +136,9 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
         visited.add(url)
         max_depth_seen = max(max_depth_seen, depth)
 
-        host = urlmod.host_of(url)
-        limiter.wait(host)
         result = fetcher.fetch(url)
         if observer is not None:
-            observer.fetch_log.append(
-                FetchLogEntry(clock.now(), url, result.status, host))
+            observer.fetch_log.append(FetchLogEntry(url, result.status))
         if not result.ok:
             continue
         try:
@@ -206,8 +158,7 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
                 article_id=record.id, verdict=Verdict.OA, url=url,
                 match_head_offset=verdict.head_offset,
                 match_tail_marker=verdict.tail_evidence,
-                depth=depth, timestamp=clock.now(),
-                low_confidence=low_confidence)
+                depth=depth, low_confidence=low_confidence)
         # Title present but no full text: follow the page's links.
         if verdict.title_seen and depth < config.max_depth:
             links = extract_candidate_links(
@@ -220,4 +171,4 @@ def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
     return DetectionEvidence(
         article_id=record.id, verdict=Verdict.NOA,
         reason=NotFoundReason.EXHAUSTED.value, depth=max_depth_seen,
-        timestamp=clock.now(), low_confidence=low_confidence)
+        low_confidence=low_confidence)

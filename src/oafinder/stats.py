@@ -23,16 +23,11 @@ class StatsError(ValueError):
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via erfc (accurate in both tails)."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def norm_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 # Acklam's rational approximation coefficients for the initial guess.

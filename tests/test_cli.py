@@ -4,6 +4,7 @@ detection, and byte-identical reruns."""
 import hashlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from oafinder.records import (
     load_detections,
     save_detections,
 )
+from oafinder.robot.crawl import CrawlConfig
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +133,6 @@ class TestExitCodes:
         "max_links_followed_per_page = -1",
         "title_similarity_threshold = 1.5",
         "title_similarity_threshold = 0",
-        "per_host_rate = -2",
     ])
     def test_bad_crawl_config_value(self, line, corpus_dir, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -189,15 +190,23 @@ mock_web = {corpus_dir / 'mockweb'}
         assert not (tmp_path / "c").exists()
 
     def test_unknown_config_key(self, corpus_dir, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"""records = {corpus_dir / 'records.jsonl'}
+        # A typo, and a key that old configs set but nothing reads any more.
+        for key, value in (("max_dept", "0"), ("per_host_rate", "1.0")):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"""records = {corpus_dir / 'records.jsonl'}
 detections = {tmp_path / 'd.jsonl'}
 mock_web = {corpus_dir / 'mockweb'}
-max_dept = 0
+{key} = {value}
 """)
-        assert main(["detect", "--config", str(cfg)]) == 2
-        assert f"{cfg}:4: unknown key 'max_dept'" in capsys.readouterr().err
-        assert not (tmp_path / "d.jsonl").exists()
+            assert main(["detect", "--config", str(cfg)]) == 2
+            assert f"{cfg}:4: unknown key {key!r}" in capsys.readouterr().err
+            assert not (tmp_path / "d.jsonl").exists()
+
+    def test_cast_tables_match_dataclasses(self):
+        # A field deleted with its cast left behind would turn that config
+        # line into a TypeError from the constructor, not exit 2.
+        assert set(cli._CRAWL_CASTS) == {f.name for f in fields(CrawlConfig)}
+        assert set(cli._SPEC_CASTS) == {f.name for f in fields(CorpusSpec)}
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -288,6 +297,20 @@ class TestDetect:
         assert run_detect(corpus_dir, partial) == 0
         assert partial.read_bytes() == detections.read_bytes()
 
+    def test_resume_from_journal_with_timestamps(self, corpus_dir,
+                                                 detections, tmp_path):
+        # An older journal, each line carrying a timestamp, resumes to the
+        # same verdicts; compacting it drops the key.
+        lines = detections.read_text(encoding="utf-8").splitlines()
+        old = [json.dumps(dict(json.loads(line), timestamp=1.0),
+                          ensure_ascii=False, sort_keys=True)
+               for line in lines[:30]]
+        partial = tmp_path / "resume.jsonl"
+        partial.write_text("\n".join(old) + "\n", encoding="utf-8")
+        assert run_detect(corpus_dir, partial) == 0
+        assert partial.read_bytes() == detections.read_bytes()
+        assert b"timestamp" not in partial.read_bytes()
+
     def test_flag_overrides_config(self, corpus_dir, detections, tmp_path):
         cfg = tmp_path / "d.cfg"
         cfg.write_text(f"""
@@ -337,7 +360,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "9c7291fb8e585e96ea280f52b588d449ac74990719cb0fbb4805f12b8fab1b41")
+    "efd0d845eda4a148b330f65daee4d9663a1c93c174506e466ee0ff4086cb8f01")
 
 
 def run_digest(out, stdout: str) -> str:

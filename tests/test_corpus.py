@@ -158,7 +158,7 @@ class TestAudit:
     def detections(tags):
         return [DetectionEvidence(article_id=f"a{i}", verdict=v,
                                   url="http://h.example/p.txt" if v is Verdict.OA else None,
-                                  depth=0, timestamp=0.0)
+                                  depth=0)
                 for i, v in enumerate(tags)]
 
     @staticmethod
@@ -221,8 +221,8 @@ class TestScale:
         evs = [DetectionEvidence(
             article_id=f"a{i}",
             verdict=Verdict.OA if rng.random() < 0.1 else Verdict.NOA,
-            url="http://h.example/p.txt", depth=rng.randrange(4),
-            timestamp=float(i)) for i in range(10_000)]
+            url="http://h.example/p.txt", depth=rng.randrange(4))
+            for i in range(10_000)]
         from oafinder.records import load_detections, save_detections
         path = tmp_path / "det.jsonl"
         save_detections(evs, path)

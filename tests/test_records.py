@@ -130,7 +130,6 @@ evidence_strategy = st.builds(
     match_tail_marker=st.one_of(st.none(), st.text(max_size=20)),
     reason=st.one_of(st.none(), st.just("EXHAUSTED")),
     depth=st.integers(0, 3),
-    timestamp=st.floats(0, 1e9, allow_nan=False),
     low_confidence=st.booleans(),
 )
 
@@ -145,7 +144,7 @@ class TestDetectionsFile:
         ev = DetectionEvidence(
             article_id="a1", verdict=Verdict.OA, url="http://h.example/p.pdf",
             match_head_offset=10, match_tail_marker="heading:references",
-            depth=1, timestamp=2.0)
+            depth=1)
         path = tmp_path / "det.jsonl"
         save_detections([ev], path)
         assert load_detections(path) == [ev]

@@ -1,5 +1,5 @@
 """Crawl orchestration tests on hand-built mock webs: depth limits, visited
-set, rate limiting, query construction, provider failure handling."""
+set, query construction, provider failure handling."""
 
 import pytest
 
@@ -7,12 +7,9 @@ from oafinder.corpus import MockFetcher, MockSearchProvider, MockWeb
 from oafinder.records import ArticleRecord, OAStatus, Verdict
 from oafinder.robot import extract, match
 from oafinder.robot.crawl import (
-    Clock,
     CrawlConfig,
     CrawlObserver,
     DetectionError,
-    HostRateLimiter,
-    build_query,
     detect_oa,
     format_query,
 )
@@ -54,24 +51,14 @@ def make_web(chain_len):
     return web
 
 
-class FakeClock(Clock):
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-    def sleep(self, seconds):
-        self.t += seconds
-
-
 class TestBuildQuery:
     def test_surname_plus_quoted_title(self):
         rec = ArticleRecord(
             id="q", first_author_surname="Lawrence",
             title="Online or Invisible?", journal_id="n", issue_key="n|2001|1",
             year=2001, discipline="cs", country="US", citation_count=0)
-        assert build_query(rec) == 'Lawrence "Online or Invisible?"'
+        assert format_query(rec.first_author_surname, rec.title) == \
+            'Lawrence "Online or Invisible?"'
 
     def test_internal_quotes_escaped_single_line(self):
         rec = ArticleRecord(
@@ -79,7 +66,7 @@ class TestBuildQuery:
             title='The "hidden" web\nof science', journal_id="n",
             issue_key="n|2001|1", year=2001, discipline="cs", country="US",
             citation_count=0)
-        q = build_query(rec)
+        q = format_query(rec.first_author_surname, rec.title)
         assert "\n" not in q
         assert '\\"hidden\\"' in q
 
@@ -88,7 +75,8 @@ class TestBuildQuery:
             id="q", first_author_surname="Gérard", title="Étude des réseaux",
             journal_id="n", issue_key="n|2001|1", year=2001, discipline="s",
             country="FR", citation_count=0)
-        assert build_query(rec) == 'Gérard "Étude des réseaux"'
+        assert format_query(rec.first_author_surname, rec.title) == \
+            'Gérard "Étude des réseaux"'
 
 
 class TestDetectOa:
@@ -212,37 +200,6 @@ class TestDetectOa:
         assert ev.verdict is Verdict.NOA
 
 
-class TestRateLimiting:
-    def test_limiter_spaces_same_host(self):
-        clock = FakeClock()
-        limiter = HostRateLimiter(rate=2.0, clock=clock)
-        for _ in range(5):
-            limiter.wait("h.example")
-        assert clock.t == pytest.approx(2.0)  # 4 gaps of 0.5s
-
-    def test_distinct_hosts_not_throttled(self):
-        clock = FakeClock()
-        limiter = HostRateLimiter(rate=1.0, clock=clock)
-        limiter.wait("a.example")
-        limiter.wait("b.example")
-        assert clock.t == 0.0
-
-    def test_crawl_respects_per_host_rate(self):
-        web = make_web(3)
-        clock = FakeClock()
-        observer = CrawlObserver()
-        detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
-                  CrawlConfig(per_host_rate=1.0), clock=clock,
-                  observer=observer)
-        by_host = {}
-        for entry in observer.fetch_log:
-            by_host.setdefault(entry.host, []).append(entry.timestamp)
-        for times in by_host.values():
-            # no 1-second window holds more than per_host_rate fetches
-            for a, b in zip(times, times[1:]):
-                assert b - a >= 1.0 - 1e-9
-
-
 class TestCrawlConfig:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
@@ -257,8 +214,6 @@ class TestCrawlConfig:
             CrawlConfig(title_similarity_threshold=1.5).validate()
         with pytest.raises(ValueError):
             CrawlConfig(title_similarity_threshold=0).validate()
-        with pytest.raises(ValueError):
-            CrawlConfig(per_host_rate=-2).validate()
         CrawlConfig().validate()
         CrawlConfig(max_links_followed_per_page=0,
                     title_similarity_threshold=1.0).validate()
