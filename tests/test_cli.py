@@ -133,6 +133,8 @@ class TestExitCodes:
         "max_links_followed_per_page = -1",
         "title_similarity_threshold = 1.5",
         "title_similarity_threshold = 0",
+        # No longer a crawl key: an old config that sets it exits 2.
+        "per_host_rate = -2",
     ])
     def test_bad_crawl_config_value(self, line, corpus_dir, tmp_path):
         cfg = tmp_path / "c.cfg"
