@@ -9,7 +9,6 @@ or input error, 3 incomplete detections, 4 audit infeasible.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -23,8 +22,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INCOMPLETE = 3
 EXIT_AUDIT = 4
-
-CONVERTER_ENV = "OAFINDER_CONVERTER"
 
 
 class CliError(Exception):
@@ -129,7 +126,7 @@ _SPEC_CASTS = {
 }
 # Keys commands read as plain strings.
 _PLAIN_KEYS = ("records", "detections", "mock_web", "ground_truth", "out",
-               "allow_unknown", "weighting", "converter")
+               "allow_unknown", "converter")
 # A config or spec file may set any key some command reads (run.cfg serves
 # every stage); any other key is a typo or a stale setting.
 KNOWN_KEYS = frozenset(_PLAIN_KEYS).union(_CRAWL_CASTS, _AUDIT_CASTS,
@@ -214,7 +211,7 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
     config = _crawl_config(cfg)
-    converter_cmd = cfg.get("converter") or os.environ.get(CONVERTER_ENV)
+    converter_cmd = cfg.get("converter")
     converter = ExternalConverter(converter_cmd) if converter_cmd else None
 
     # Resumable append-only journal: replay keeps the last entry per id.
@@ -231,7 +228,7 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
             if rec.id in done:
                 continue
             try:
-                ev = detect_oa(rec, [provider], fetcher, config,
+                ev = detect_oa(rec, provider, fetcher, config,
                                converter=converter)
             except DetectionError as exc:
                 print(f"warning: {exc}", file=sys.stderr)
@@ -261,17 +258,16 @@ def cmd_analyze(cfg: dict, merged=None) -> dict:
     out = _out_dir(cfg)
     kept, log = metrics.apply_exclusions(merged)
     metrics.write_exclusions_csv(log, out / "exclusions.csv")
-    weighting = cfg.get("weighting", "unweighted")
-    advantage = {}
+    shares, advantage = {}, {}
     for dim in ("discipline", "country", "year"):
-        metrics.write_oa_share_csv(
-            metrics.percent_oa(kept, dim), out / f"oa_share_by_{dim}.csv")
-        advantage[dim] = metrics.aggregate_advantage(kept, dim, weighting)
+        shares[dim] = metrics.percent_oa(kept, dim)
+        metrics.write_oa_share_csv(shares[dim], out / f"oa_share_by_{dim}.csv")
+        advantage[dim] = metrics.aggregate_advantage(kept, dim)
         metrics.write_advantage_csv(advantage[dim],
                                     out / f"advantage_by_{dim}.csv")
-    shares = [rep.percent_oa for rep in metrics.percent_oa(kept, "discipline")]
-    if len(shares) > 1:
-        summary = metrics.summary_stats(shares)
+    pct = [rep.percent_oa for rep in shares["discipline"]]
+    if len(pct) > 1:
+        summary = metrics.summary_stats(pct)
         print(f"analyze: kept {len(kept)}/{len(merged)} records; "
               f"%OA by discipline mean {100 * summary['mean']:.1f} "
               f"median {100 * summary['median']:.1f} "
@@ -292,12 +288,12 @@ def cmd_cohorts(cfg: dict, merged=None) -> None:
     print(f"cohorts: {len(merged)} records")
 
 
-def _correlation_rows(merged, weighting="unweighted"):
+def _correlation_rows(merged):
     years = sorted({r.year for r in merged})
     shares = {rep.group: rep for rep in metrics.percent_oa(merged, "year")}
     kept, _ = metrics.apply_exclusions(merged)
     adv = {rep.group: rep.advantage
-           for rep in metrics.aggregate_advantage(kept, "year", weighting)}
+           for rep in metrics.aggregate_advantage(kept, "year")}
     table = metrics.cohort_table(merged, per_year=True)
 
     def series(pairs):
@@ -335,7 +331,7 @@ def cmd_correlate(cfg: dict, merged=None) -> None:
     if merged is None:
         merged = _resolved_records(cfg)
     out = _out_dir(cfg)
-    rows = _correlation_rows(merged, cfg.get("weighting", "unweighted"))
+    rows = _correlation_rows(merged)
     metrics.write_correlations_csv(rows, out / "correlations.csv")
     print(f"correlate: {sum(1 for _, r in rows if r is not None)} pairs")
 

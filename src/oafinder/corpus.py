@@ -27,7 +27,7 @@ from .records import (
     make_issue_key,
     save_records,
 )
-from .robot.crawl import FetchResult, format_query
+from .robot.crawl import CrawlConfig, FetchResult, format_query
 from .robot.extract import EXTENSION_FORMATS, parse_html
 from .robot.match import match_full_text
 from .robot.urls import filter_irrelevant_links, host_of, normalize_url
@@ -140,7 +140,7 @@ class MockWeb:
 @dataclass(frozen=True)
 class GroundTruth:
     article_id: str
-    oa: bool  # a full text is reachable within depth 3
+    oa: bool  # a full text is reachable within the crawl's max_depth
     kind: str  # fulltext / deep-chain / abstract-decoy / dead-link / offline
     chain_depth: int
 
@@ -156,7 +156,6 @@ class Corpus:
 class MockSearchProvider:
     """Directory-backed provider: exact query string to URL list."""
 
-    name = "mock"
     blocklist = DEFAULT_BLOCKLIST
 
     def __init__(self, web: MockWeb):
@@ -339,9 +338,10 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
                     next_url = url
                 entry = next_url
             web.queries[query] = [entry, ad_url, entry + "#utm"]
+            reachable = depth <= CrawlConfig.max_depth
             truth[art_id] = GroundTruth(
-                art_id, oa=depth <= 3,
-                kind="fulltext" if depth <= 3 else "deep-chain",
+                art_id, oa=reachable,
+                kind="fulltext" if reachable else "deep-chain",
                 chain_depth=depth)
         else:
             u = rng.random()
@@ -374,7 +374,7 @@ def resolved_records(corpus: Corpus) -> list[ArticleRecord]:
 # ---------------------------------------------------------------------------
 
 def reachable_within_depth(web: MockWeb, record: ArticleRecord,
-                           max_depth: int = 3, *,
+                           max_depth: int = CrawlConfig.max_depth, *,
                            blocklist=DEFAULT_BLOCKLIST) -> bool:
     """Exhaustive breadth-first check, independent of the robot: follow every
     anchor of every HTML page (no candidate heuristics, no caps) from the

@@ -127,30 +127,6 @@ def percent_oa(records: list[ArticleRecord], group_by: str) -> list[OAShareRepor
 # Within-issue citation advantage
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IssueStats:
-    issue_key: str
-    n_oa: int
-    n_noa: int
-    mean_cit_oa: float
-    mean_cit_noa: float
-
-
-def issue_stats(issue_records: list[ArticleRecord]) -> IssueStats:
-    if not issue_records:
-        raise MetricsError("empty issue")
-    key = issue_records[0].issue_key
-    oa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.OA]
-    noa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.NOA]
-    return IssueStats(
-        issue_key=key,
-        n_oa=len(oa),
-        n_noa=len(noa),
-        mean_cit_oa=sum(oa) / len(oa) if oa else 0.0,
-        mean_cit_noa=sum(noa) / len(noa) if noa else 0.0,
-    )
-
-
 def issue_advantage(issue_records: list[ArticleRecord]
                     ) -> tuple[Optional[float], Optional[str]]:
     """(mean_cit_oa - mean_cit_noa) / mean_cit_noa for one issue.
@@ -159,14 +135,18 @@ def issue_advantage(issue_records: list[ArticleRecord]
     issues that are 100% or 0% OA, or whose NOA members are all uncited, have
     no defined ratio.
     """
-    st = issue_stats(issue_records)
-    if st.n_oa == 0:
+    if not issue_records:
+        raise MetricsError("empty issue")
+    oa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.OA]
+    noa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.NOA]
+    if not oa:
         return None, ALL_NOA_ISSUE
-    if st.n_noa == 0:
+    if not noa:
         return None, ALL_OA_ISSUE
-    if st.mean_cit_noa == 0.0:
+    mean_noa = sum(noa) / len(noa)
+    if mean_noa == 0.0:
         return None, ZERO_NOA_CITATIONS
-    return (st.mean_cit_oa - st.mean_cit_noa) / st.mean_cit_noa, None
+    return (sum(oa) / len(oa) - mean_noa) / mean_noa, None
 
 
 @dataclass(frozen=True)
@@ -178,23 +158,18 @@ class AdvantageReport:
     exclusion_reasons: tuple[str, ...]
 
 
-def aggregate_advantage(records: list[ArticleRecord], group_by: str,
-                        weighting: str = "unweighted") -> list[AdvantageReport]:
-    """Per-issue ratios averaged to journal, then journals averaged to group.
-
-    weighting="unweighted" (default) averages issues and journals with equal
-    weight; "articles" weights each issue/journal by its article count.
-    """
+def aggregate_advantage(records: list[ArticleRecord], group_by: str
+                        ) -> list[AdvantageReport]:
+    """Per-issue ratios averaged to journal, then journals averaged to group,
+    each with equal weight (the within-issue ratio of Lawrence 2001)."""
     _require_resolved(records)
-    if weighting not in ("unweighted", "articles"):
-        raise MetricsError(f"unknown weighting {weighting!r}")
 
     by_issue = defaultdict(list)
     for rec in records:
         by_issue[rec.issue_key].append(rec)
 
-    # (group, journal) -> list of (issue ratio, issue size); a journal spans
-    # groups when grouping by year, so the journal level is keyed per group.
+    # (group, journal) -> issue ratios; a journal spans groups when grouping
+    # by year, so the journal level is keyed per group.
     journal_ratios = defaultdict(list)
     excluded = defaultdict(list)
     for issue_key in sorted(by_issue):
@@ -204,36 +179,25 @@ def aggregate_advantage(records: list[ArticleRecord], group_by: str,
         if ratio is None:
             excluded[group].append(reason)
         else:
-            journal_ratios[(group, members[0].journal_id)].append(
-                (ratio, len(members)))
+            journal_ratios[(group, members[0].journal_id)].append(ratio)
 
-    # journal-level means, then group-level means
+    # group -> (journal mean, issues in it)
     group_journals = defaultdict(list)
     for group, journal_id in sorted(journal_ratios, key=lambda k: (str(k[0]), k[1])):
-        pairs = journal_ratios[(group, journal_id)]
-        total = sum(n for _, n in pairs)
-        if weighting == "articles":
-            jmean = sum(r * n for r, n in pairs) / total
-        else:
-            jmean = sum(r for r, _ in pairs) / len(pairs)
-        group_journals[group].append((jmean, total, len(pairs)))
+        ratios = journal_ratios[(group, journal_id)]
+        group_journals[group].append((sum(ratios) / len(ratios), len(ratios)))
 
     reports = []
     for group in sorted(set(group_journals) | set(excluded), key=str):
         entries = group_journals.get(group, [])
-        n_inc = sum(n_issues for _, _, n_issues in entries)
-        n_exc = len(excluded.get(group, []))
-        if not entries:
-            adv = None
-        elif weighting == "articles":
-            total = sum(n for _, n, _ in entries)
-            adv = sum(m * n for m, n, _ in entries) / total
-        else:
-            adv = sum(m for m, _, _ in entries) / len(entries)
+        reasons = excluded.get(group, [])
         reports.append(AdvantageReport(
-            group=group, advantage=adv, n_issues_included=n_inc,
-            n_issues_excluded=n_exc,
-            exclusion_reasons=tuple(sorted(set(excluded.get(group, [])))),
+            group=group,
+            advantage=(sum(m for m, _ in entries) / len(entries)
+                       if entries else None),
+            n_issues_included=sum(n for _, n in entries),
+            n_issues_excluded=len(reasons),
+            exclusion_reasons=tuple(sorted(set(reasons))),
         ))
     return reports
 

@@ -1,12 +1,12 @@
-"""The detection robot: query construction, search fan-out, breadth-first
+"""The detection robot: query construction, one search, breadth-first
 depth-limited link following, and the OA/NOA verdict for one article.
 
 The crawl is deterministic: frontier order is (priority, discovery order)
 within each depth level, a visited set over canonical URLs guarantees each
 URL is fetched at most once, and the first full-text hit in that order wins.
 
-Search providers and the fetcher are passed in (see ``SearchProvider`` and
-``Fetcher``); the mock web in ``oafinder.corpus`` implements both.
+The search provider and the fetcher are passed in (see ``SearchProvider``
+and ``Fetcher``); the mock web in ``oafinder.corpus`` implements both.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .match import NotFoundReason, extract_candidate_links, match_full_text
 
 
 class DetectionError(RuntimeError):
-    """Every search provider failed; the article's status stays UNKNOWN."""
+    """The search provider failed; the article's status stays UNKNOWN."""
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class FetchResult:
 
 
 class SearchProvider(Protocol):
-    name: str
     blocklist: tuple[str, ...]
 
     def query(self, author: str, title: str) -> list[str]: ...
@@ -89,40 +88,27 @@ class CrawlObserver:
     fetch_log: list[FetchLogEntry] = field(default_factory=list)
 
 
-def _search_fanout(record, providers) -> list[str]:
-    results: list[str] = []
-    n_failed = 0
-    for provider in providers:
-        try:
-            urls = provider.query(record.first_author_surname, record.title)
-        except Exception:
-            n_failed += 1
-            continue
-        results.extend(
-            urlmod.filter_irrelevant_links(urls, getattr(provider, "blocklist", ())))
-    if n_failed == len(providers):
-        raise DetectionError(
-            f"all {len(providers)} search providers failed for {record.id}")
-    return urlmod.prioritize_urls(urlmod.dedup_urls(results))
-
-
-def detect_oa(record: ArticleRecord, providers, fetcher: Fetcher,
-              config: CrawlConfig = CrawlConfig(), *,
+def detect_oa(record: ArticleRecord, provider: SearchProvider,
+              fetcher: Fetcher, config: CrawlConfig = CrawlConfig(), *,
               converter: Optional[ExternalConverter] = None,
               observer: Optional[CrawlObserver] = None) -> DetectionEvidence:
     """Classify one article OA or NOA with evidence.
 
     Breadth-first over search results and candidate links, PDF/PS-first
     within each page's contribution, visited set on canonical URLs, depth
-    capped at config.max_depth. Raises DetectionError when every provider
-    fails (status stays UNKNOWN); provider responses that are merely empty
-    yield NOA{EXHAUSTED}.
+    capped at config.max_depth. Raises DetectionError when the provider
+    fails with an OSError (status stays UNKNOWN); a provider response that
+    is merely empty yields NOA{EXHAUSTED}.
     """
-    if not providers:
-        raise DetectionError("no search providers configured")
     config.validate()
-
-    frontier = [(url, 0) for url in _search_fanout(record, providers)]
+    try:
+        results = provider.query(record.first_author_surname, record.title)
+    except OSError as exc:
+        raise DetectionError(
+            f"search provider failed for {record.id}: {exc}") from exc
+    results = urlmod.filter_irrelevant_links(results, provider.blocklist)
+    frontier = [(url, 0) for url in
+                urlmod.prioritize_urls(urlmod.dedup_urls(results))]
     visited: set[str] = set()
     max_depth_seen = 0
     low_confidence = False

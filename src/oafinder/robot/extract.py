@@ -18,6 +18,7 @@ from typing import Optional
 HTML_FORMATS = {"html", "xml"}
 TEXT_FORMATS = {"text", "txt", "plain"}
 CONVERTER_FORMATS = {"pdf", "ps", "rtf", "doc", "word", "latex", "tex"}
+CONVERTER_TIMEOUT_S = 30.0
 
 EXTENSION_FORMATS = {
     ".html": "html", ".htm": "html", ".xml": "xml",
@@ -97,9 +98,8 @@ class ExternalConverter:
     UTF-8 text on stdout and exit 0.
     """
 
-    def __init__(self, command_template: str, timeout: float = 30.0):
+    def __init__(self, command_template: str):
         self.command_template = command_template
-        self.timeout = timeout
 
     def convert(self, data: bytes, format_tag: str) -> str:
         with tempfile.NamedTemporaryFile(suffix=f".{format_tag}", delete=False) as tf:
@@ -109,10 +109,10 @@ class ExternalConverter:
             cmd = self.command_template.format(**{"in": tmp, "format": format_tag})
             try:
                 proc = subprocess.run(
-                    cmd, shell=True, capture_output=True, timeout=self.timeout)
+                    cmd, shell=True, capture_output=True, timeout=CONVERTER_TIMEOUT_S)
             except subprocess.TimeoutExpired as exc:
                 raise ExtractionError(
-                    f"converter timed out after {self.timeout}s") from exc
+                    f"converter timed out after {CONVERTER_TIMEOUT_S}s") from exc
             if proc.returncode != 0:
                 raise ExtractionError(
                     f"converter failed (exit {proc.returncode}): "

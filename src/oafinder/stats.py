@@ -158,6 +158,20 @@ class CorrelationResult:
     at_machine_floor: bool = False  # |r| == 1: p below machine resolution
 
 
+def _centered(vs) -> list[float]:
+    """Deviations from the mean, corrected two-pass and scaled to a largest
+    magnitude of 1. The rounded mean leaves residuals whose own mean is taken
+    out again, so a near-constant series such as [1, 1, 1, 1 + 2**-52] keeps
+    the shape of its deviations; the scaling keeps tiny deviations from
+    underflowing when squared. Pearson's r is blind to both steps."""
+    m = sum(vs) / len(vs)
+    d = [v - m for v in vs]
+    c = sum(d) / len(d)
+    d = [v - c for v in d]
+    scale = max(abs(v) for v in d)
+    return [v / scale for v in d] if scale else d
+
+
 def pearson_r(xs, ys) -> float:
     """Product-moment correlation; errors on length mismatch or zero variance."""
     if len(xs) != len(ys):
@@ -165,13 +179,13 @@ def pearson_r(xs, ys) -> float:
     n = len(xs)
     if n < 3:
         raise StatsError(f"need at least 3 points, got {n}")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    dx = _centered(xs)
+    dy = _centered(ys)
+    sxx = sum(d * d for d in dx)
+    syy = sum(d * d for d in dy)
     if sxx == 0.0 or syy == 0.0:
         raise StatsError("ZERO_VARIANCE: an input series is constant")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = sum(a * b for a, b in zip(dx, dy))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 

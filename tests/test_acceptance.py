@@ -111,7 +111,7 @@ def test_c4_end_to_end_mock_web_detection():
     fetcher = MockFetcher(corpus.web)
     cells = [0, 0, 0, 0]  # hits, misses, false alarms, correct rejections
     for rec in corpus.records:
-        robot_oa = detect_oa(rec, [provider], fetcher).verdict is Verdict.OA
+        robot_oa = detect_oa(rec, provider, fetcher).verdict is Verdict.OA
         truly_oa = reachable_within_depth(corpus.web, rec)
         assert truly_oa == corpus.ground_truth[rec.id].oa
         if truly_oa:
@@ -128,10 +128,10 @@ def test_c4_end_to_end_mock_web_detection():
 def test_c5_depth_cutoff():
     from test_robot import RECORD, make_web
 
-    ev3 = detect_oa(RECORD, [MockSearchProvider(make_web(3))],
+    ev3 = detect_oa(RECORD, MockSearchProvider(make_web(3)),
                     MockFetcher(make_web(3)))
     assert ev3.verdict is Verdict.OA and ev3.depth == 3
-    ev4 = detect_oa(RECORD, [MockSearchProvider(make_web(4))],
+    ev4 = detect_oa(RECORD, MockSearchProvider(make_web(4)),
                     MockFetcher(make_web(4)))
     assert ev4.verdict is Verdict.NOA and ev4.reason == "EXHAUSTED"
     ok(5, "3-link chain -> OA at depth 3; 4-link chain -> NOA{EXHAUSTED}")

@@ -191,8 +191,9 @@ mock_web = {corpus_dir / 'mockweb'}
         assert f"{spec}:2: unknown key 'n_article'" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    def test_unknown_config_key(self, corpus_dir, tmp_path, capsys):
-        # A typo, and a key that old configs set but nothing reads any more.
+    def test_unknown_config_key(self, corpus_dir, detections, tmp_path,
+                                capsys):
+        # A typo, and keys that old configs set but nothing reads any more.
         for key, value in (("max_dept", "0"), ("per_host_rate", "1.0")):
             cfg = tmp_path / "c.cfg"
             cfg.write_text(f"""records = {corpus_dir / 'records.jsonl'}
@@ -203,6 +204,12 @@ mock_web = {corpus_dir / 'mockweb'}
             assert main(["detect", "--config", str(cfg)]) == 2
             assert f"{cfg}:4: unknown key {key!r}" in capsys.readouterr().err
             assert not (tmp_path / "d.jsonl").exists()
+        for cmd in ("analyze", "correlate"):
+            cfg = write_report_config(tmp_path, corpus_dir, detections,
+                                      "weighting = bogus")
+            assert main([cmd, "--config", str(cfg)]) == 2
+            assert f"{cfg}:7: unknown key 'weighting'" in \
+                capsys.readouterr().err
 
     def test_cast_tables_match_dataclasses(self):
         # A field deleted with its cast left behind would turn that config

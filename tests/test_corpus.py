@@ -132,7 +132,7 @@ class TestGroundTruthSoundness:
         provider = MockSearchProvider(corpus.web)
         fetcher = MockFetcher(corpus.web)
         for rec in corpus.records:
-            ev = detect_oa(rec, [provider], fetcher)
+            ev = detect_oa(rec, provider, fetcher)
             assert (ev.verdict is Verdict.OA) == corpus.ground_truth[rec.id].oa
 
     def test_depth4_only_corpus_unreachable(self):

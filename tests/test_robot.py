@@ -1,5 +1,5 @@
 """Crawl orchestration tests on hand-built mock webs: depth limits, visited
-set, query construction, provider failure handling."""
+set, query construction, search provider failure."""
 
 import pytest
 
@@ -84,7 +84,7 @@ class TestDetectOa:
         (0, True), (1, True), (2, True), (3, True), (4, False), (5, False)])
     def test_depth_cutoff(self, chain_len, expect_oa):
         web = make_web(chain_len)
-        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web))
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
         if expect_oa:
             assert ev.verdict is Verdict.OA
             assert ev.depth == chain_len
@@ -98,7 +98,7 @@ class TestDetectOa:
     def test_max_depth_zero_fetches_only_search_results(self):
         web = make_web(2)
         observer = CrawlObserver()
-        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
                        CrawlConfig(max_depth=0), observer=observer)
         assert ev.verdict is Verdict.NOA
         assert [e.url for e in observer.fetch_log] == \
@@ -114,7 +114,7 @@ class TestDetectOa:
                     b"</body>",
                     b"<a href='/landing0.html'>Full Text</a></body>"))
         observer = CrawlObserver()
-        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
                        observer=observer)
         assert ev.verdict is Verdict.OA
         urls = [e.url for e in observer.fetch_log]
@@ -124,7 +124,7 @@ class TestDetectOa:
         for chain_len in range(6):
             web = make_web(chain_len)
             observer = CrawlObserver()
-            detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
+            detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
                       observer=observer)
             # fetch log covers at most depths 0..3: entry + 3 hops
             assert len(observer.fetch_log) <= 4
@@ -132,46 +132,26 @@ class TestDetectOa:
     def test_empty_provider_response_is_noa(self):
         web = MockWeb()
         web.queries[format_query(SURNAME, TITLE)] = []
-        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web))
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
         assert ev.verdict is Verdict.NOA
         assert ev.reason == "EXHAUSTED"
 
-    def test_all_providers_failed_raises(self):
+    def test_provider_connection_error_raises(self):
         class FailingProvider:
-            name = "down"
             blocklist = ()
 
             def query(self, author, title):
                 raise ConnectionError("boom")
 
-        web = MockWeb()
-        with pytest.raises(DetectionError):
-            detect_oa(RECORD, [FailingProvider(), FailingProvider()],
-                      MockFetcher(web))
-
-    def test_one_provider_down_other_wins(self):
-        class FailingProvider:
-            name = "down"
-            blocklist = ()
-
-            def query(self, author, title):
-                raise ConnectionError("boom")
-
-        web = make_web(0)
-        ev = detect_oa(RECORD, [FailingProvider(), MockSearchProvider(web)],
-                       MockFetcher(web))
-        assert ev.verdict is Verdict.OA
-
-    def test_no_providers_raises(self):
-        with pytest.raises(DetectionError):
-            detect_oa(RECORD, [], MockFetcher(MockWeb()))
+        with pytest.raises(DetectionError, match="boom"):
+            detect_oa(RECORD, FailingProvider(), MockFetcher(MockWeb()))
 
     def test_blocklisted_ad_urls_never_fetched(self):
         web = make_web(0)
         q = format_query(SURNAME, TITLE)
         web.queries[q] = ["http://ads.mock-search.example/click?x"] + web.queries[q]
         observer = CrawlObserver()
-        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
                        observer=observer)
         assert ev.verdict is Verdict.OA
         assert all("ads.mock-search" not in e.url for e in observer.fetch_log)
@@ -185,7 +165,7 @@ class TestDetectOa:
                          "http://www.site.example/fulltext.txt",
                          "http://www.site.example/decoy.pdf"]
         observer = CrawlObserver()
-        detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
+        detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
                   observer=observer)
         assert observer.fetch_log[0].url == "http://www.site.example/decoy.pdf"
 
@@ -196,7 +176,7 @@ class TestDetectOa:
         web.pages["http://www.site.example/abs.html"] = ("html", page.encode())
         web.queries[format_query(SURNAME, TITLE)] = \
             ["http://www.site.example/abs.html"]
-        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web))
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
         assert ev.verdict is Verdict.NOA
 
 
@@ -235,7 +215,7 @@ class TestOnePass:
         counting(match, "tokenize_with_offsets")
         web = make_web(3)
         observer = CrawlObserver()
-        ev = detect_oa(RECORD, [MockSearchProvider(web)], MockFetcher(web),
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
                        observer=observer)
         assert ev.verdict is Verdict.OA
         assert len(observer.fetch_log) == 4  # three landing pages, full text
