@@ -212,7 +212,10 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
     fetcher = corpusmod.MockFetcher(web)
     config = _crawl_config(cfg)
     converter_cmd = cfg.get("converter")
-    converter = ExternalConverter(converter_cmd) if converter_cmd else None
+    try:
+        converter = ExternalConverter(converter_cmd) if converter_cmd else None
+    except ValueError as exc:
+        raise CliError(f"bad value for converter: {exc}")
 
     # Resumable append-only journal: replay keeps the last entry per id.
     done: dict[str, records.DetectionEvidence] = {}
@@ -222,8 +225,12 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
             done[ev.article_id] = ev
         replayed = det_path.stat().st_size > 0
 
+    try:
+        journal = open(det_path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write detections: {exc}")
     n_unknown = 0
-    with open(det_path, "a", encoding="utf-8") as journal:
+    with journal:
         for rec in recs:
             if rec.id in done:
                 continue

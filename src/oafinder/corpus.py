@@ -28,7 +28,7 @@ from .records import (
     save_records,
 )
 from .robot.crawl import CrawlConfig, FetchResult, format_query
-from .robot.extract import EXTENSION_FORMATS, parse_html
+from .robot.extract import EXTENSION_FORMATS, _parse_html_reference
 from .robot.match import match_full_text
 from .robot.urls import filter_irrelevant_links, host_of, normalize_url
 from .stats import ConfusionMatrix, build_confusion_from_audit
@@ -379,7 +379,8 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord,
     """Exhaustive breadth-first check, independent of the robot: follow every
     anchor of every HTML page (no candidate heuristics, no caps) from the
     search results, and report whether any page within max_depth satisfies
-    the full-text matcher."""
+    the full-text matcher. Pages are parsed by html.parser (the reference
+    parse_html is tested against), not by the robot's scanner."""
     start = web.queries.get(format_query(record.first_author_surname,
                                          record.title), [])
     frontier = [(u, 0) for u in filter_irrelevant_links(start, blocklist)]
@@ -398,14 +399,18 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord,
             continue
         fmt, data = page
         if fmt in ("html", "xml"):
-            text, anchors = parse_html(data.decode("utf-8", errors="replace"))
+            text, anchors = _parse_html_reference(
+                data.decode("utf-8", errors="replace"))
         else:
             text, anchors = data.decode("utf-8", errors="replace"), []
         if match_full_text(text, record).found:
             return True
         if depth < max_depth:
-            frontier.extend((urljoin(canon, href), depth + 1)
-                            for href, _ in anchors)
+            for href, _ in anchors:
+                try:
+                    frontier.append((urljoin(canon, href), depth + 1))
+                except ValueError:
+                    continue
     return False
 
 

@@ -1,16 +1,23 @@
 """Document-to-text extraction.
 
 HTML/XML are linearized in-process (tags stripped, scripts and styles
-dropped, anchor targets kept separately for link following); plain text
-passes through; every other format (PDF, PS, RTF, Word, LaTeX) goes through
-a pluggable external converter command. With no converter configured those
+dropped, anchor targets kept separately for link following). A page is
+scanned in one regex pass over text runs and start/end tags; a page with
+markup outside that grammar (comments, declarations, processing
+instructions, script/style raw text, a stray ``<``) is parsed whole by
+html.parser instead, which gives the same result for in-grammar pages and
+serves as the reference the scanner is tested against. Plain text passes
+through; every other format (PDF, PS, RTF, Word, LaTeX) goes through a
+pluggable external converter command. With no converter configured those
 formats yield a distinct CONVERTER_UNAVAILABLE error.
 """
 
 from __future__ import annotations
 
+import re
 import subprocess
 import tempfile
+from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Optional
@@ -37,6 +44,9 @@ class ConverterUnavailableError(ExtractionError):
 
 
 class _TextAndLinks(HTMLParser):
+    """The html.parser reading of a page: the fallback for markup the
+    scanner does not model and the reference it is tested against."""
+
     _SKIP = {"script", "style", "noscript"}
 
     def __init__(self):
@@ -75,19 +85,102 @@ class _TextAndLinks(HTMLParser):
             self._anchor_text.append(data)
 
 
-def parse_html(html: str) -> tuple[str, list[tuple[str, str]]]:
-    """Linearized text plus the (href, anchor text) pairs in document order."""
-    parser = _TextAndLinks()
-    parser.feed(html)
-    parser.close()
-    text = "".join(parser.chunks)
-    # collapse runs of blank lines left by block tags
+def _collapse(text: str) -> str:
+    """Strip each line and collapse runs of blank lines left by block tags."""
     lines = [ln.strip() for ln in text.splitlines()]
     out = []
     for ln in lines:
         if ln or (out and out[-1]):
             out.append(ln)
-    return "\n".join(out).strip(), parser.anchors
+    return "\n".join(out).strip()
+
+
+def _parse_html_reference(html: str) -> tuple[str, list[tuple[str, str]]]:
+    """parse_html's result computed by html.parser."""
+    parser = _TextAndLinks()
+    parser.feed(html)
+    parser.close()
+    return _collapse("".join(parser.chunks)), parser.anchors
+
+
+# The scanner's grammar. Whitespace is the ASCII set html.parser ends a tag
+# name on; names and unquoted values are narrower than html.parser accepts,
+# so that wherever a token matches, html.parser reads the same token.
+_WS = r"[ \t\n\r\f]"
+# One attribute: (name, "=value" part, value with its quotes). Every group
+# in it is capturing, so that _TOKEN_RE can embed it with none.
+_ATTR = (r"{ws}+([a-zA-Z_:][-.a-zA-Z0-9_:]*)"
+         r"""({ws}*={ws}*("[^">]*"|'[^'>]*'|[^\s"'=<>`]+))?""").format(ws=_WS)
+_ATTR_RE = re.compile(_ATTR)
+_TOKEN_RE = re.compile(
+    r"([^<]+)"                                  # 1 text run
+    r"|<([a-zA-Z][a-zA-Z0-9]*)"                 # 2 start tag name
+    r"((?:{attr})*){ws}*(/?)>"                  # 3 attributes, 4 "/"
+    r"|</([a-zA-Z][a-zA-Z0-9]*){ws}*>"          # 5 end tag name
+    r"|(<)"                                     # 6 anything else
+    .format(attr=_ATTR.replace("(", "(?:"), ws=_WS))
+# Start tags after which html.parser stops reading markup (script, style,
+# and whatever else the running Python's html.parser treats as raw text).
+_RAW_TEXT = frozenset(HTMLParser.CDATA_CONTENT_ELEMENTS).union(
+    getattr(HTMLParser, "RCDATA_CONTENT_ELEMENTS", ()))
+# The tags _TextAndLinks acts on, restated so the scanner stays independent
+# of the reference it is tested against.
+_SKIP = frozenset({"script", "style", "noscript"})
+_BLOCK_END = frozenset({"p", "div", "li", "tr", "h1", "h2", "h3", "h4"})
+_BLOCK_START = _BLOCK_END | {"br"}
+
+
+def _href(attrs: str) -> Optional[str]:
+    """The last href of a start tag's attributes, as html.parser gives it."""
+    href = None
+    for name, _, value in _ATTR_RE.findall(attrs):
+        if name.lower() == "href":
+            href = value[1:-1] if value[:1] in ("'", '"') else value
+    return href and unescape(href)
+
+
+def parse_html(html: str) -> tuple[str, list[tuple[str, str]]]:
+    """Linearized text plus the (href, anchor text) pairs in document order."""
+    chunks: list[str] = []
+    anchors: list[tuple[str, str]] = []
+    skip_depth = 0
+    anchor_href: Optional[str] = None
+    anchor_text: list[str] = []
+    for text, start, attrs, slash, end, other in _TOKEN_RE.findall(html):
+        if text:
+            if not skip_depth:
+                text = unescape(text)
+                chunks.append(text)
+                if anchor_href is not None:
+                    anchor_text.append(text)
+            continue
+        if start:
+            tag = start.lower()
+            if tag in _RAW_TEXT:
+                return _parse_html_reference(html)
+            if tag in _SKIP:
+                skip_depth += 1
+            elif tag == "a":
+                href = _href(attrs)
+                if href:
+                    anchor_href = href
+                    anchor_text = []
+            elif tag in _BLOCK_START:
+                chunks.append("\n")
+            if not slash:
+                continue
+            end = tag
+        elif other:
+            return _parse_html_reference(html)
+        tag = end.lower()
+        if tag in _SKIP and skip_depth > 0:
+            skip_depth -= 1
+        elif tag == "a" and anchor_href is not None:
+            anchors.append((anchor_href, "".join(anchor_text)))
+            anchor_href = None
+        elif tag in _BLOCK_END:
+            chunks.append("\n")
+    return _collapse("".join(chunks)), anchors
 
 
 class ExternalConverter:
@@ -95,10 +188,19 @@ class ExternalConverter:
 
     The template gets the input written to a temp file substituted for
     ``{in}`` (and ``{format}`` for the format tag); the command must print
-    UTF-8 text on stdout and exit 0.
+    UTF-8 text on stdout and exit 0. A template that names any other field,
+    or does not parse as a format string, is a ValueError here, before any
+    document needs it.
     """
 
     def __init__(self, command_template: str):
+        try:
+            command_template.format(**{"in": "in", "format": "pdf"})
+        except (KeyError, IndexError, AttributeError, ValueError) as exc:
+            raise ValueError(
+                f"bad command template {command_template!r} "
+                f"({type(exc).__name__}: {exc}); it may use {{in}} and "
+                f"{{format}}") from exc
         self.command_template = command_template
 
     def convert(self, data: bytes, format_tag: str) -> str:

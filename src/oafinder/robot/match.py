@@ -151,13 +151,17 @@ def extract_candidate_links(anchors, base_url: str, record, *,
     URL ends in .pdf/.ps, or its text names a full-text action ("full text",
     "pdf", "download", "postscript"). ``anchors`` are the (href, anchor
     text) pairs ``extract_text`` returns. Document order, capped at max_links.
+    An href urljoin cannot read is dropped.
     """
     title_tokens = set(tokenize(record.title))
     out = []
     for href, anchor_text in anchors:
         if len(out) >= max_links:
             break
-        url = urljoin(base_url, href)
+        try:
+            url = urljoin(base_url, href)
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            continue
         text_tokens = tokenize(anchor_text)
         norm_text = " ".join(text_tokens)
         if (len(title_tokens.intersection(text_tokens)) >= 2

@@ -27,9 +27,15 @@ def normalize_url(url: str) -> str:
     stripped, dot-segments resolved, percent-encodings uppercased.
 
     Query string is preserved as-is, parameter order included (reordering
-    can change semantics on some hosts). Idempotent.
+    can change semantics on some hosts). Idempotent. A URL urlsplit cannot
+    read (an unclosed IPv6 bracket, a port that is not a number in range)
+    is a UrlError.
     """
-    parts = urlsplit(url)
+    try:
+        parts = urlsplit(url)
+        port = parts.port
+    except ValueError as exc:
+        raise UrlError(f"unparseable URL {url!r}: {exc}") from exc
     if not parts.scheme or not parts.netloc:
         raise UrlError(f"not an absolute URL: {url!r}")
     scheme = parts.scheme.lower()
@@ -37,8 +43,8 @@ def normalize_url(url: str) -> str:
     if host is None:
         raise UrlError(f"URL has no host: {url!r}")
     netloc = host.lower()
-    if parts.port is not None and str(parts.port) != _DEFAULT_PORTS.get(scheme):
-        netloc = f"{netloc}:{parts.port}"
+    if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
+        netloc = f"{netloc}:{port}"
     if parts.username:
         cred = parts.username
         if parts.password:
@@ -80,10 +86,15 @@ def url_extension(url: str) -> str:
 
 
 def prioritize_urls(urls: list[str]) -> list[str]:
-    """Stable partition with probable full-texts (.pdf/.ps paths) first."""
+    """Stable partition with probable full-texts (.pdf/.ps paths) first.
+    Unparseable URLs are dropped."""
     first, rest = [], []
     for u in urls:
-        (first if url_extension(u) in FULLTEXT_EXTENSIONS else rest).append(u)
+        try:
+            ext = url_extension(u)
+        except ValueError:
+            continue
+        (first if ext in FULLTEXT_EXTENSIONS else rest).append(u)
     return first + rest
 
 
@@ -96,11 +107,15 @@ def filter_irrelevant_links(urls: list[str], blocklist) -> list[str]:
     navigation/ad/redirect hosts); survivor order preserved.
 
     A pattern matches the host exactly or as a parent domain suffix.
+    Unparseable URLs are dropped.
     """
     patterns = [p.lower().lstrip(".") for p in blocklist]
-
-    def blocked(url: str) -> bool:
-        host = host_of(url)
-        return any(host == p or host.endswith("." + p) for p in patterns)
-
-    return [u for u in urls if not blocked(u)]
+    out = []
+    for url in urls:
+        try:
+            host = host_of(url)
+        except ValueError:
+            continue
+        if not any(host == p or host.endswith("." + p) for p in patterns):
+            out.append(url)
+    return out

@@ -42,8 +42,8 @@ def detections(corpus_dir, tmp_path_factory):
 
 
 def write_report_config(tmp_path, corpus_dir, detections, extra):
-    """A config for the report and audit commands, with one extra line that
-    may override a key."""
+    """A config for the report, audit and detect commands, with one extra
+    line (line 7) that may override a key before it."""
     cfg = tmp_path / "reports.cfg"
     cfg.write_text(f"""
 records = {corpus_dir / 'records.jsonl'}
@@ -52,6 +52,7 @@ ground_truth = {corpus_dir / 'ground_truth.jsonl'}
 out = {tmp_path / 'r'}
 sample_size = 5
 {extra}
+mock_web = {corpus_dir / 'mockweb'}
 """)
     return cfg
 
@@ -123,10 +124,23 @@ class TestExitCodes:
         ("audit", "sample_size = 0"),
         ("analyze", "weighting = bogus"),
         ("correlate", "weighting = bogus"),
+        # checked at start-up, though no page of this corpus needs it
+        ("detect", "converter = cat {input}"),
+        ("detect", "converter = cat {}"),
+        ("detect", "converter = cat {in"),
     ])
-    def test_bad_value(self, cmd, line, corpus_dir, detections, tmp_path):
+    def test_bad_value(self, cmd, line, corpus_dir, detections, tmp_path,
+                       capsys):
         cfg = write_report_config(tmp_path, corpus_dir, detections, line)
         assert main([cmd, "--config", str(cfg)]) == 2
+        if line.startswith("converter"):
+            assert "bad value for converter" in capsys.readouterr().err
+
+    def test_detections_in_missing_directory(self, corpus_dir, tmp_path,
+                                             capsys):
+        path = tmp_path / "no-such-dir" / "d.jsonl"
+        assert run_detect(corpus_dir, path) == 2
+        assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         "max_depth = banana",

@@ -1,9 +1,17 @@
 """Crawl orchestration tests on hand-built mock webs: depth limits, visited
-set, query construction, search provider failure."""
+set, query construction, search provider failure; and malformed URLs planted
+in a generated one."""
 
 import pytest
 
-from oafinder.corpus import MockFetcher, MockSearchProvider, MockWeb
+from oafinder.corpus import (
+    CorpusSpec,
+    MockFetcher,
+    MockSearchProvider,
+    MockWeb,
+    generate_corpus,
+    reachable_within_depth,
+)
 from oafinder.records import ArticleRecord, OAStatus, Verdict
 from oafinder.robot import extract, match
 from oafinder.robot.crawl import (
@@ -178,6 +186,38 @@ class TestDetectOa:
             ["http://www.site.example/abs.html"]
         ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
         assert ev.verdict is Verdict.NOA
+
+
+class TestMalformedUrls:
+    # urlsplit raises ValueError on the first, .port on the second
+    BAD_URLS = ("http://[x/full.pdf", "http://host:abc/x.pdf")
+
+    def verdicts(self, corpus):
+        provider = MockSearchProvider(corpus.web)
+        fetcher = MockFetcher(corpus.web)
+        return [detect_oa(rec, provider, fetcher) for rec in corpus.records]
+
+    def test_planted_urls_change_no_verdict(self):
+        spec = CorpusSpec(n_articles=40, seed=3, oa_probability=0.6,
+                          abstract_page_prob=0.8)
+        clean = self.verdicts(generate_corpus(spec))
+        corpus = generate_corpus(spec)
+        anchors = "".join(f"<a href='{u}'>Full Text PDF</a>"
+                          for u in self.BAD_URLS).encode()
+        n_pages = 0
+        for url, (fmt, data) in corpus.web.pages.items():
+            if fmt == "html" and b"Landing page" in data:
+                corpus.web.pages[url] = (
+                    fmt, data.replace(b"</body>", anchors + b"</body>"))
+                n_pages += 1
+        for urls in corpus.web.queries.values():
+            urls[:0] = self.BAD_URLS
+        assert n_pages > 0
+        assert self.verdicts(corpus) == clean
+        # the reachability oracle skips them too
+        assert [reachable_within_depth(corpus.web, rec)
+                for rec in corpus.records] == \
+            [corpus.ground_truth[rec.id].oa for rec in corpus.records]
 
 
 class TestCrawlConfig:

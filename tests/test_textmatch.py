@@ -306,6 +306,12 @@ class TestCandidateLinks:
                                         RECORD, max_links=max_links)
         assert links == [f"http://h.example/d{i}.pdf" for i in range(max_links)]
 
+    def test_unjoinable_href_dropped(self):
+        html = "<a href='http://[x/full.pdf'>PDF</a><a href='/d.pdf'>PDF</a>"
+        assert extract_candidate_links(
+            anchors_of(html), "http://h.example/", RECORD) == \
+            ["http://h.example/d.pdf"]
+
     def test_navigation_anchors_ignored(self):
         html = "<a href='/'>Home</a><a href='/login'>Login</a>"
         assert extract_candidate_links(

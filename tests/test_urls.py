@@ -34,6 +34,12 @@ class TestNormalize:
         with pytest.raises(UrlError):
             normalize_url("/just/a/path")
 
+    @pytest.mark.parametrize("url", [
+        "http://[x/full.pdf", "http://host:abc/x.pdf", "http://h:99999/x"])
+    def test_unparseable_is_url_error(self, url):
+        with pytest.raises(UrlError, match="unparseable"):
+            normalize_url(url)
+
     @given(st.sampled_from([
         "http://a.example/x", "https://b.example:444/y?q=1",
         "http://c.example/a/b/../c#f", "ftp://d.example/z",
@@ -57,6 +63,10 @@ class TestDedup:
     def test_unparseable_dropped(self):
         assert dedup_urls(["nonsense", "http://h/a"]) == ["http://h/a"]
 
+    def test_bad_bracket_and_port_dropped(self):
+        assert dedup_urls(["http://[x/full.pdf", "http://host:abc/x.pdf",
+                           "http://h/a"]) == ["http://h/a"]
+
 
 class TestPrioritize:
     def test_pdf_and_ps_first(self):
@@ -77,6 +87,11 @@ class TestPrioritize:
     def test_extension_case_insensitive(self):
         assert prioritize_urls(["http://h/a.txt", "http://h/b.PDF"])[0] == \
             "http://h/b.PDF"
+
+    def test_unparseable_dropped(self):
+        assert prioritize_urls(["http://h/a.html", "http://[x/full.pdf",
+                                "http://h/b.pdf"]) == \
+            ["http://h/b.pdf", "http://h/a.html"]
 
     @given(st.lists(st.sampled_from(
         ["http://h/1.pdf", "http://h/2.ps", "http://h/3.html", "http://h/4",
@@ -106,3 +121,8 @@ class TestBlocklistFilter:
     def test_no_match_identity(self):
         urls = ["http://a.example/1", "http://b.example/2"]
         assert filter_irrelevant_links(urls, {"c.example"}) == urls
+
+    def test_unparseable_dropped(self):
+        urls = ["http://[x/full.pdf", "http://a.example/1"]
+        assert filter_irrelevant_links(urls, {"c.example"}) == \
+            ["http://a.example/1"]
