@@ -30,7 +30,12 @@ from .records import (
 from .robot.crawl import CrawlConfig, FetchResult, format_query
 from .robot.extract import EXTENSION_FORMATS, _parse_html_reference
 from .robot.match import match_full_text
-from .robot.urls import filter_irrelevant_links, host_of, normalize_url
+from .robot.urls import (
+    _canonicalize,
+    filter_irrelevant_links,
+    host_of,
+    normalize_url,
+)
 from .stats import ConfusionMatrix, build_confusion_from_audit
 
 AD_HOST = "ads.mock-search.example"
@@ -380,7 +385,9 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord,
     anchor of every HTML page (no candidate heuristics, no caps) from the
     search results, and report whether any page within max_depth satisfies
     the full-text matcher. Pages are parsed by html.parser (the reference
-    parse_html is tested against), not by the robot's scanner."""
+    parse_html is tested against), not by the robot's scanner, and URLs are
+    canonicalized and joined by urllib.parse alone, not by the robot's
+    canonical-URL fast path."""
     start = web.queries.get(format_query(record.first_author_surname,
                                          record.title), [])
     frontier = [(u, 0) for u in filter_irrelevant_links(start, blocklist)]
@@ -388,7 +395,7 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord,
     while frontier:
         url, depth = frontier.pop(0)
         try:
-            canon = normalize_url(url)
+            canon = _canonicalize(url)
         except ValueError:
             continue
         if canon in seen:

@@ -11,9 +11,8 @@ import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import Iterator, Optional
-from urllib.parse import urljoin
 
-from .urls import FULLTEXT_EXTENSIONS, url_extension
+from .urls import FULLTEXT_EXTENSIONS, join_url, url_extension
 
 REFERENCE_HEADINGS = ("references", "bibliography", "works cited",
                       "literature cited")
@@ -159,7 +158,7 @@ def extract_candidate_links(anchors, base_url: str, record, *,
         if len(out) >= max_links:
             break
         try:
-            url = urljoin(base_url, href)
+            url = join_url(base_url, href)
         except ValueError:  # e.g. an unclosed IPv6 bracket
             continue
         text_tokens = tokenize(anchor_text)

@@ -6,10 +6,26 @@ from __future__ import annotations
 
 import posixpath
 import re
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urljoin, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443", "ftp": "21"}
 _PCT_RE = re.compile(r"%[0-9a-fA-F]{2}")
+
+# A path of non-empty segments, none "." or "..", with an optional trailing
+# slash, then an optional non-empty query. Neither part holds "%", "#",
+# whitespace or anything else outside RFC 3986's characters; ";" is kept out
+# of the path because urljoin splits it off as a parameter.
+_SEGMENT = r"/(?!\.\.?(?:[/?]|\Z))[A-Za-z0-9._~!$&'()*+,=:@-]+"
+_PATH_QUERY = (rf"(?P<path>(?:{_SEGMENT})*/?)"
+               r"(?:\?[A-Za-z0-9._~!$&'()*+,;=:@/?-]+)?\Z")
+# An absolute URL that _canonicalize returns unchanged when its path is not
+# empty: lower-case http(s), a lower-case ASCII host with no userinfo or
+# port, and no fragment. urlsplit reads its host and path as these groups.
+_CANONICAL_RE = re.compile(
+    r"(?P<scheme>https?)://(?P<host>[a-z0-9-]+(?:\.[a-z0-9-]+)*)" + _PATH_QUERY)
+# A root-relative href ("/...", not "//") that urljoin appends to the
+# scheme and host of a canonical base as it is.
+_ROOT_RELATIVE_RE = re.compile(r"(?=/)" + _PATH_QUERY)
 
 FULLTEXT_EXTENSIONS = (".pdf", ".ps")
 
@@ -29,8 +45,17 @@ def normalize_url(url: str) -> str:
     Query string is preserved as-is, parameter order included (reordering
     can change semantics on some hosts). Idempotent. A URL urlsplit cannot
     read (an unclosed IPv6 bracket, a port that is not a number in range)
-    is a UrlError.
+    is a UrlError. A URL already in canonical form is recognized by one
+    pattern and returned as it is.
     """
+    m = _CANONICAL_RE.match(url)
+    if m is not None and m.group("path"):
+        return url
+    return _canonicalize(url)
+
+
+def _canonicalize(url: str) -> str:
+    """normalize_url through urllib.parse alone, for any URL."""
     try:
         parts = urlsplit(url)
         port = parts.port
@@ -43,6 +68,8 @@ def normalize_url(url: str) -> str:
     if host is None:
         raise UrlError(f"URL has no host: {url!r}")
     netloc = host.lower()
+    if ":" in netloc:  # IPv6 literal
+        netloc = f"[{netloc}]"
     if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
         netloc = f"{netloc}:{port}"
     if parts.username:
@@ -81,8 +108,21 @@ def dedup_urls(urls: list[str]) -> list[str]:
 
 
 def url_extension(url: str) -> str:
-    path = urlsplit(url).path
+    m = _CANONICAL_RE.match(url)
+    path = m.group("path") if m is not None else urlsplit(url).path
     return posixpath.splitext(path)[1].lower()
+
+
+def join_url(base: str, href: str) -> str:
+    """urljoin(base, href). Against a canonical base, a canonical href or a
+    plain root-relative one is joined without parsing."""
+    m = _CANONICAL_RE.match(base)
+    if m is not None:
+        if _CANONICAL_RE.match(href) is not None:
+            return href
+        if _ROOT_RELATIVE_RE.match(href) is not None:
+            return f"{m.group('scheme')}://{m.group('host')}{href}"
+    return urljoin(base, href)
 
 
 def prioritize_urls(urls: list[str]) -> list[str]:
@@ -99,6 +139,9 @@ def prioritize_urls(urls: list[str]) -> list[str]:
 
 
 def host_of(url: str) -> str:
+    m = _CANONICAL_RE.match(url)
+    if m is not None:
+        return m.group("host")
     return (urlsplit(url).hostname or "").lower()
 
 

@@ -3,7 +3,10 @@ detection, and byte-identical reruns."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -58,6 +61,17 @@ mock_web = {corpus_dir / 'mockweb'}
 
 
 class TestExitCodes:
+    def test_python_m_help(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "oafinder", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: oafinder" in proc.stdout
+
     def test_missing_records_file(self, tmp_path):
         assert main(["detect", "--records", str(tmp_path / "nope.jsonl"),
                      "--detections", str(tmp_path / "d.jsonl"),

@@ -12,6 +12,7 @@ from oafinder.corpus import (
     GroundTruth,
     MockFetcher,
     MockSearchProvider,
+    MockWeb,
     export_corpus,
     generate_corpus,
     load_ground_truth,
@@ -151,6 +152,19 @@ class TestGroundTruthSoundness:
                 # else must resolve inside the generated web
                 assert host_of(u) in known_hosts \
                     or host_of(u) == "ads.mock-search.example"
+
+
+class TestMockFetcher:
+    def test_ipv6_page_served(self):
+        url = "http://[2001:db8::1]:8080/a.pdf"
+        web = MockWeb(pages={url: ("text", b"full text")})
+        result = MockFetcher(web).fetch(url)
+        assert (result.status, result.data) == (200, b"full text")
+
+    def test_unknown_and_unparseable(self):
+        fetcher = MockFetcher(MockWeb())
+        assert fetcher.fetch("http://h.example/x").status == 404
+        assert fetcher.fetch("http://[x/full.pdf").status == 400
 
 
 class TestAudit:

@@ -1,13 +1,113 @@
-import pytest
-from hypothesis import given, strategies as st
+import posixpath
+from urllib.parse import urljoin, urlsplit
 
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from oafinder.corpus import CorpusSpec, generate_corpus
+from oafinder.robot.extract import parse_html
 from oafinder.robot.urls import (
+    _CANONICAL_RE,
+    _ROOT_RELATIVE_RE,
     UrlError,
+    _canonicalize,
     dedup_urls,
     filter_irrelevant_links,
+    host_of,
+    join_url,
     normalize_url,
     prioritize_urls,
+    url_extension,
 )
+
+# Characters a canonical path segment and query may hold.
+_SEGMENT_CHARS = ("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                  "0123456789-._~!$&'()*+,=:@")
+_QUERY_CHARS = _SEGMENT_CHARS + ";/?"
+
+_hosts = st.lists(st.text("abcdefghijklmnopqrstuvwxyz0123456789-",
+                          min_size=1, max_size=6),
+                  min_size=1, max_size=3).map(".".join)
+_segments = st.one_of(
+    st.sampled_from(["a000001", "fulltext.html", "gone.pdf", "paper.PS",
+                     "landing0.html", "..."]),
+    st.text(_SEGMENT_CHARS, min_size=1, max_size=6)).filter(
+        lambda seg: seg not in (".", ".."))
+_paths = st.builds(
+    lambda segs, slash: "/" + "/".join(segs) + ("/" if segs and slash else ""),
+    st.lists(_segments, max_size=4), st.booleans())
+_queries = st.one_of(
+    st.just(""), st.text(_QUERY_CHARS, min_size=1, max_size=8).map("?{}".format))
+
+# (part, values): each replaces or corrupts one part of a canonical URL. A
+# part may appear twice, so each kind of corruption is drawn often enough.
+_HOSTILE_PARTS = [
+    ("scheme", st.sampled_from(["HTTP", "Https", "ftp", "mailto"])),
+    ("userinfo", st.sampled_from(["user@", "u:p@", ":p@", "u:@"])),
+    ("host", st.one_of(_hosts.map("Www.{}".format),
+                       _hosts.map("{}.EXAMPLE".format))),
+    ("host", st.sampled_from(["[2001:db8::1]", "[::1]", "[2001:DB8::1]", "[x",
+                              "x]", "", "h..example", "h.example.",
+                              "h_x.example", "h\u00e9.example"])),
+    ("port", st.sampled_from([":80", ":443", ":21", ":8080", ":", ":0",
+                              ":abc", ":99999"])),
+    ("segment", st.sampled_from([".", ".."])),
+    ("segment", st.sampled_from(["", "%2f", "a%2Fb", "%zz", "a;", ";", "a;p",
+                                 "a b", "\u00e9", "a\\b", '"'])),
+    ("path", st.sampled_from(["", "//", "//x", "/.", "/..", "/a/./",
+                              "/a/../"])),
+    ("query", st.sampled_from(["?", "?a=%2f", "?%41", "?q=1#", "?a b"])),
+    ("fragment", st.sampled_from(["#", "#frag", "#utm"])),
+    ("whitespace", st.sampled_from(["\t", "\n", "\r", " ", "\x00"])),
+]
+
+
+@st.composite
+def _urls(draw):
+    """A canonical URL with zero to two of its parts made hostile."""
+    parts = {"scheme": draw(st.sampled_from(["http", "https"])),
+             "userinfo": "", "host": draw(_hosts), "port": "",
+             "path": draw(_paths), "query": draw(_queries), "fragment": ""}
+    whitespace = []
+    for part, values in draw(st.lists(st.sampled_from(_HOSTILE_PARTS),
+                                      max_size=2)):
+        value = draw(values)
+        if part == "segment":
+            segs = parts["path"].split("/")
+            at = draw(st.integers(1, len(segs)))
+            parts["path"] = "/".join(segs[:at] + [value] + segs[at:])
+        elif part == "whitespace":
+            whitespace.append(value)
+        else:
+            parts[part] = value
+    url = "{scheme}://{userinfo}{host}{port}{path}{query}{fragment}".format(
+        **parts)
+    for char in whitespace:
+        at = draw(st.integers(0, len(url)))
+        url = url[:at] + char + url[at:]
+    return url
+
+
+_root_relative = st.builds("{}{}".format, _paths, _queries)
+_hrefs = st.one_of(
+    _urls(),
+    _root_relative,
+    st.builds("{}{}".format, _root_relative,
+              st.sampled_from(["#f", "?", "/./", "/../x", "//", ";", ";p",
+                               "\t"])),
+    st.builds("/{}".format, _urls()),  # "//host..." protocol-relative
+    st.sampled_from(["", "a/b.pdf", "../x", "./y", ".", "..", "?q=1", "#f",
+                     "//h.example/x", "mailto:a@b", "http:x", "/\tx", "/a;",
+                     "http://h.example/a;"]),
+)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the ValueError subclass it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
 
 
 class TestNormalize:
@@ -40,13 +140,81 @@ class TestNormalize:
         with pytest.raises(UrlError, match="unparseable"):
             normalize_url(url)
 
-    @given(st.sampled_from([
-        "http://a.example/x", "https://b.example:444/y?q=1",
-        "http://c.example/a/b/../c#f", "ftp://d.example/z",
-    ]))
+    @given(_urls())
     def test_idempotence_property(self, url):
-        once = normalize_url(url)
+        try:
+            once = normalize_url(url)
+        except UrlError:
+            assume(False)
         assert normalize_url(once) == once
+
+    def test_ipv6_brackets_kept(self):
+        url = "http://[2001:db8::1]:8080/a.pdf"
+        assert normalize_url(url) == url
+        assert normalize_url(normalize_url(url)) == url
+        assert host_of(url) == "2001:db8::1"
+
+    def test_ipv6_host_lowercased_in_brackets(self):
+        assert normalize_url("HTTP://[2001:DB8::1]:80/x") == \
+            "http://[2001:db8::1]/x"
+
+
+class TestCanonicalFastPath:
+    """Each helper with a canonical-URL fast path gives what urllib.parse
+    alone gives, in value or in the ValueError raised."""
+
+    @settings(max_examples=500)
+    @given(_urls())
+    # one near-canonical URL per way the pattern could be too loose
+    @example("http://h.example/a/../b.pdf")
+    @example("http://H.example/a")
+    @example("http://h.example:80/a")
+    @example("http://h.example/a?")
+    @example("http://h.example/a%2fb")
+    def test_normalize_equals_urllib(self, url):
+        assert _outcome(normalize_url, url) == _outcome(_canonicalize, url)
+
+    @settings(max_examples=500)
+    @given(_urls())
+    def test_host_of_equals_urlsplit(self, url):
+        assert _outcome(host_of, url) == _outcome(
+            lambda u: (urlsplit(u).hostname or "").lower(), url)
+
+    @settings(max_examples=500)
+    @given(_urls())
+    def test_url_extension_equals_urlsplit(self, url):
+        assert _outcome(url_extension, url) == _outcome(
+            lambda u: posixpath.splitext(urlsplit(u).path)[1].lower(), url)
+
+    @settings(max_examples=500)
+    @given(st.one_of(_urls(), _urls().filter(_CANONICAL_RE.match)), _hrefs)
+    @example("http://h.example/x", "/a;")
+    @example("http://h.example/x", "//g.example/a")
+    def test_join_url_equals_urljoin(self, base, href):
+        assert _outcome(join_url, base, href) == _outcome(urljoin, base, href)
+
+    @pytest.mark.parametrize("spec", [
+        CorpusSpec(n_articles=200, seed=3),
+        CorpusSpec(n_articles=200, seed=5, oa_probability=0.8,
+                   chain_depth_distribution=((1, 0.2), (2, 0.2), (3, 0.2),
+                                             (4, 0.2), (5, 0.2))),
+    ], ids=["default", "deep-chains"])
+    def test_generated_web_is_canonical(self, spec):
+        """The mock web's URLs take the fast paths, so a pattern that
+        silently sent them to urllib would show here."""
+        web = generate_corpus(spec).web
+        results = [u for us in web.queries.values() for u in us]
+        assert results and web.pages
+        for url in list(web.pages) + sorted(web.dead_links) + results:
+            if url.endswith("#utm"):
+                continue
+            assert _CANONICAL_RE.match(url), url
+            assert normalize_url(url) == url
+        for url, (fmt, data) in web.pages.items():
+            if fmt == "html":
+                for href, _ in parse_html(data.decode())[1]:
+                    assert (_CANONICAL_RE.match(href)
+                            or _ROOT_RELATIVE_RE.match(href)), (url, href)
 
 
 class TestDedup:
