@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
 from urllib.parse import urljoin
 
 from .records import (
@@ -29,17 +28,10 @@ from .records import (
 )
 from .robot.crawl import CrawlConfig, FetchResult, format_query
 from .robot.extract import EXTENSION_FORMATS, _parse_html_reference
-from .robot.match import match_full_text
-from .robot.urls import (
-    _canonicalize,
-    filter_irrelevant_links,
-    host_of,
-    normalize_url,
-)
+from .robot.urls import _canonicalize, normalize_url
 from .stats import ConfusionMatrix, build_confusion_from_audit
 
 AD_HOST = "ads.mock-search.example"
-DEFAULT_BLOCKLIST = (AD_HOST,)
 
 _SURNAMES = [
     "Archer", "Bellamy", "Cardoso", "Dietrich", "Egwu", "Fontaine", "Grieg",
@@ -138,9 +130,6 @@ class MockWeb:
     queries: dict[str, list[str]] = field(default_factory=dict)
     dead_links: set[str] = field(default_factory=set)
 
-    def hosts(self) -> set[str]:
-        return {host_of(u) for u in self.pages} | {host_of(u) for u in self.dead_links}
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -148,6 +137,8 @@ class GroundTruth:
     oa: bool  # a full text is reachable within the crawl's max_depth
     kind: str  # fulltext / deep-chain / abstract-decoy / dead-link / offline
     chain_depth: int
+    # where the planter put the full text (fulltext and deep-chain), else ""
+    fulltext_url: str = ""
 
 
 @dataclass
@@ -161,7 +152,7 @@ class Corpus:
 class MockSearchProvider:
     """Directory-backed provider: exact query string to URL list."""
 
-    blocklist = DEFAULT_BLOCKLIST
+    blocklist = (AD_HOST,)
 
     def __init__(self, web: MockWeb):
         self.web = web
@@ -282,88 +273,116 @@ def _make_title(i: int, rng: random.Random) -> str:
             f"cohort {i}")
 
 
+def _draw_record(spec: CorpusSpec, rng: random.Random,
+                 i: int) -> tuple[ArticleRecord, bool]:
+    """Draw article i's record and whether a full text is planted for it."""
+    discipline = spec.disciplines[rng.randrange(len(spec.disciplines))]
+    journal_no = rng.randrange(spec.journals_per_discipline)
+    journal_id = f"{discipline[:4]}-j{journal_no}"
+    year = spec.years[0] + rng.randrange(spec.years[1] - spec.years[0] + 1)
+    issue = 1 + rng.randrange(spec.issues_per_year)
+    surname = _SURNAMES[rng.randrange(len(_SURNAMES))]
+    title = _make_title(i, rng)
+    country = _COUNTRIES[rng.randrange(len(_COUNTRIES))]
+
+    intended_oa = rng.random() < spec.oa_prob_for(discipline, year)
+    record = ArticleRecord(
+        id=f"a{i:06d}",
+        first_author_surname=surname,
+        title=title,
+        journal_id=journal_id,
+        issue_key=make_issue_key(journal_id, year, issue),
+        year=year,
+        discipline=discipline,
+        country=country,
+        citation_count=_sample_citations(spec, rng, intended_oa),
+        oa_status=OAStatus.UNKNOWN,
+    )
+    record.validate()
+    return record, intended_oa
+
+
+def _article_base(record: ArticleRecord) -> str:
+    return f"http://www.{record.journal_id}.example/{record.id}"
+
+
+def _ad_url(record: ArticleRecord) -> str:
+    # A search result the robot's blocklist drops; no page is planted there.
+    return f"http://{AD_HOST}/click?id={record.id}"
+
+
+def _list_results(web: MockWeb, record: ArticleRecord, urls: list[str]) -> None:
+    web.queries[format_query(record.first_author_surname, record.title)] = urls
+
+
+def _plant_fulltext(spec: CorpusSpec, record: ArticleRecord,
+                    rng: random.Random, web: MockWeb) -> GroundTruth:
+    """A full text behind a chain of `depth` landing pages; past the crawl's
+    default max_depth it is a deep-chain, which the robot must not reach."""
+    depth = _sample_depth(spec, rng)
+    as_html = rng.random() < 0.5
+    text = _fulltext_doc(record, rng)
+    base = _article_base(record)
+    if as_html:
+        ft_url = f"{base}/fulltext.html"
+        web.pages[ft_url] = ("html", _html_fulltext(text).encode())
+    else:
+        ft_url = f"{base}/fulltext.txt"
+        web.pages[ft_url] = ("text", text.encode())
+    entry = ft_url
+    for hop in range(depth - 1, -1, -1):
+        url = f"{base}/landing{hop}.html"
+        web.pages[url] = ("html", _chain_doc(record, entry, hop).encode())
+        entry = url
+    _list_results(web, record, [entry, _ad_url(record), entry + "#utm"])
+    reachable = depth <= CrawlConfig.max_depth
+    return GroundTruth(record.id, oa=reachable,
+                       kind="fulltext" if reachable else "deep-chain",
+                       chain_depth=depth, fulltext_url=ft_url)
+
+
+def _plant_abstract_decoy(record: ArticleRecord, web: MockWeb) -> GroundTruth:
+    url = f"{_article_base(record)}/abstract.html"
+    web.pages[url] = ("html", _abstract_doc(record).encode())
+    _list_results(web, record, [url, _ad_url(record)])
+    return GroundTruth(record.id, False, "abstract-decoy", 0)
+
+
+def _plant_dead_link(record: ArticleRecord, web: MockWeb) -> GroundTruth:
+    url = f"{_article_base(record)}/gone.pdf"
+    web.dead_links.add(url)
+    _list_results(web, record, [url])
+    return GroundTruth(record.id, False, "dead-link", 0)
+
+
+def _plant_offline(record: ArticleRecord, web: MockWeb) -> GroundTruth:
+    _list_results(web, record, [])
+    return GroundTruth(record.id, False, "offline", 0)
+
+
 def generate_corpus(spec: CorpusSpec) -> Corpus:
-    """Build records, ground truth and the mock web; pure in (spec, seed)."""
+    """Build records, ground truth and the mock web; pure in (spec, seed).
+    Each article's record is drawn, then the planter of its kind writes its
+    pages and search results and returns its ground truth."""
     spec.validate()
     rng = random.Random(spec.seed)
     web = MockWeb()
     records: list[ArticleRecord] = []
     truth: dict[str, GroundTruth] = {}
-    years = list(range(spec.years[0], spec.years[1] + 1))
-
     for i in range(spec.n_articles):
-        art_id = f"a{i:06d}"
-        discipline = spec.disciplines[rng.randrange(len(spec.disciplines))]
-        journal_no = rng.randrange(spec.journals_per_discipline)
-        journal_id = f"{discipline[:4]}-j{journal_no}"
-        year = years[rng.randrange(len(years))]
-        issue = 1 + rng.randrange(spec.issues_per_year)
-        surname = _SURNAMES[rng.randrange(len(_SURNAMES))]
-        title = _make_title(i, rng)
-        country = _COUNTRIES[rng.randrange(len(_COUNTRIES))]
-
-        intended_oa = rng.random() < spec.oa_prob_for(discipline, year)
-        record = ArticleRecord(
-            id=art_id,
-            first_author_surname=surname,
-            title=title,
-            journal_id=journal_id,
-            issue_key=make_issue_key(journal_id, year, issue),
-            year=year,
-            discipline=discipline,
-            country=country,
-            citation_count=_sample_citations(spec, rng, intended_oa),
-            oa_status=OAStatus.UNKNOWN,
-        )
-        record.validate()
+        record, intended_oa = _draw_record(spec, rng, i)
         records.append(record)
-
-        host = f"www.{journal_id}.example"
-        query = format_query(surname, title)
-        ad_url = f"http://{AD_HOST}/click?id={art_id}"
-
         if intended_oa:
-            depth = _sample_depth(spec, rng)
-            as_html = rng.random() < 0.5
-            text = _fulltext_doc(record, rng)
-            if as_html:
-                ft_url = f"http://{host}/{art_id}/fulltext.html"
-                web.pages[ft_url] = ("html", _html_fulltext(text).encode())
-            else:
-                ft_url = f"http://{host}/{art_id}/fulltext.txt"
-                web.pages[ft_url] = ("text", text.encode())
-            if depth == 0:
-                entry = ft_url
-            else:
-                next_url = ft_url
-                for hop in range(depth - 1, -1, -1):
-                    url = f"http://{host}/{art_id}/landing{hop}.html"
-                    web.pages[url] = (
-                        "html", _chain_doc(record, next_url, hop).encode())
-                    next_url = url
-                entry = next_url
-            web.queries[query] = [entry, ad_url, entry + "#utm"]
-            reachable = depth <= CrawlConfig.max_depth
-            truth[art_id] = GroundTruth(
-                art_id, oa=reachable,
-                kind="fulltext" if reachable else "deep-chain",
-                chain_depth=depth)
+            gt = _plant_fulltext(spec, record, rng, web)
         else:
             u = rng.random()
             if u < spec.abstract_page_prob:
-                url = f"http://{host}/{art_id}/abstract.html"
-                web.pages[url] = ("html", _abstract_doc(record).encode())
-                web.queries[query] = [url, ad_url]
-                truth[art_id] = GroundTruth(art_id, False, "abstract-decoy", 0)
+                gt = _plant_abstract_decoy(record, web)
             elif u < spec.abstract_page_prob + spec.dead_link_prob:
-                url = f"http://{host}/{art_id}/gone.pdf"
-                web.dead_links.add(url)
-                web.queries[query] = [url]
-                truth[art_id] = GroundTruth(art_id, False, "dead-link", 0)
+                gt = _plant_dead_link(record, web)
             else:
-                web.queries[query] = []
-                truth[art_id] = GroundTruth(art_id, False, "offline", 0)
-
+                gt = _plant_offline(record, web)
+        truth[record.id] = gt
     return Corpus(spec=spec, records=records, ground_truth=truth, web=web)
 
 
@@ -378,19 +397,19 @@ def resolved_records(corpus: Corpus) -> list[ArticleRecord]:
 # Independent reachability checker
 # ---------------------------------------------------------------------------
 
-def reachable_within_depth(web: MockWeb, record: ArticleRecord,
-                           max_depth: int = CrawlConfig.max_depth, *,
-                           blocklist=DEFAULT_BLOCKLIST) -> bool:
+def reachable_within_depth(web: MockWeb, record: ArticleRecord, target: str,
+                           max_depth: int = CrawlConfig.max_depth) -> bool:
     """Exhaustive breadth-first check, independent of the robot: follow every
-    anchor of every HTML page (no candidate heuristics, no caps) from the
-    search results, and report whether any page within max_depth satisfies
-    the full-text matcher. Pages are parsed by html.parser (the reference
-    parse_html is tested against), not by the robot's scanner, and URLs are
-    canonicalized and joined by urllib.parse alone, not by the robot's
-    canonical-URL fast path."""
+    anchor of every HTML page (no candidate heuristics, no caps, no
+    blocklist) from the search results, and report whether the page at
+    target, the web.pages key where the full text was planted, is reached
+    within max_depth. No page's text is judged, so no matcher error leaks
+    in, and "" is never reached. Pages are parsed by html.parser, not by the
+    robot's scanner; URLs are canonicalized and joined by urllib.parse alone,
+    not by the robot's canonical-URL fast path."""
     start = web.queries.get(format_query(record.first_author_surname,
                                          record.title), [])
-    frontier = [(u, 0) for u in filter_irrelevant_links(start, blocklist)]
+    frontier = [(u, 0) for u in start]
     seen: set[str] = set()
     while frontier:
         url, depth = frontier.pop(0)
@@ -404,15 +423,12 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord,
         page = web.pages.get(canon)
         if page is None:
             continue
-        fmt, data = page
-        if fmt in ("html", "xml"):
-            text, anchors = _parse_html_reference(
-                data.decode("utf-8", errors="replace"))
-        else:
-            text, anchors = data.decode("utf-8", errors="replace"), []
-        if match_full_text(text, record).found:
+        if canon == target:
             return True
-        if depth < max_depth:
+        fmt, data = page
+        if fmt in ("html", "xml") and depth < max_depth:
+            _, anchors = _parse_html_reference(
+                data.decode("utf-8", errors="replace"))
             for href, _ in anchors:
                 try:
                     frontier.append((urljoin(canon, href), depth + 1))
@@ -464,10 +480,8 @@ def export_corpus(corpus: Corpus, out_dir) -> None:
     save_records(corpus.records, out / "records.jsonl")
     with open(out / "ground_truth.jsonl", "w", encoding="utf-8") as fh:
         for art_id in sorted(corpus.ground_truth):
-            gt = corpus.ground_truth[art_id]
-            fh.write(json.dumps({
-                "article_id": gt.article_id, "oa": gt.oa, "kind": gt.kind,
-                "chain_depth": gt.chain_depth}, sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(corpus.ground_truth[art_id]),
+                                sort_keys=True) + "\n")
 
     index = {"pages": {}, "queries": corpus.web.queries,
              "dead_links": sorted(corpus.web.dead_links)}
@@ -501,7 +515,8 @@ def load_mock_web(mockweb_dir) -> MockWeb:
 def _ground_truth_from_dict(obj: dict) -> GroundTruth:
     try:
         return GroundTruth(obj["article_id"], bool(obj["oa"]),
-                           obj.get("kind", ""), int(obj.get("chain_depth", 0)))
+                           obj.get("kind", ""), int(obj.get("chain_depth", 0)),
+                           obj.get("fulltext_url", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad ground truth object: {exc}") from exc
 

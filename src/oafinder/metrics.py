@@ -59,6 +59,22 @@ class Exclusion:
     n_records: int
 
 
+def _drop_all_oa(records: list[ArticleRecord], attr: str, kind: str,
+                 reason: str, log: list[Exclusion]) -> list[ArticleRecord]:
+    """records minus the groups by attr whose members are all OA; each
+    dropped group is appended to log in key order."""
+    groups = defaultdict(list)
+    for rec in records:
+        groups[getattr(rec, attr)].append(rec)
+    bad = set()
+    for key in sorted(groups):
+        members = groups[key]
+        if all(r.oa_status is OAStatus.OA for r in members):
+            bad.add(key)
+            log.append(Exclusion(kind, key, reason, len(members)))
+    return [r for r in records if getattr(r, attr) not in bad]
+
+
 def apply_exclusions(records: list[ArticleRecord]
                      ) -> tuple[list[ArticleRecord], list[Exclusion]]:
     """Drop all-OA journals, then all-OA issues among the survivors.
@@ -68,30 +84,8 @@ def apply_exclusions(records: list[ArticleRecord]
     """
     _require_resolved(records)
     log: list[Exclusion] = []
-
-    by_journal = defaultdict(list)
-    for rec in records:
-        by_journal[rec.journal_id].append(rec)
-    bad_journals = set()
-    for journal_id in sorted(by_journal):
-        members = by_journal[journal_id]
-        if all(r.oa_status is OAStatus.OA for r in members):
-            bad_journals.add(journal_id)
-            log.append(Exclusion("journal", journal_id, ALL_OA_JOURNAL, len(members)))
-
-    survivors = [r for r in records if r.journal_id not in bad_journals]
-
-    by_issue = defaultdict(list)
-    for rec in survivors:
-        by_issue[rec.issue_key].append(rec)
-    bad_issues = set()
-    for issue_key in sorted(by_issue):
-        members = by_issue[issue_key]
-        if all(r.oa_status is OAStatus.OA for r in members):
-            bad_issues.add(issue_key)
-            log.append(Exclusion("issue", issue_key, ALL_OA_ISSUE, len(members)))
-
-    kept = [r for r in survivors if r.issue_key not in bad_issues]
+    survivors = _drop_all_oa(records, "journal_id", "journal", ALL_OA_JOURNAL, log)
+    kept = _drop_all_oa(survivors, "issue_key", "issue", ALL_OA_ISSUE, log)
     return kept, log
 
 
@@ -113,13 +107,9 @@ class OAShareReport:
 def percent_oa(records: list[ArticleRecord], group_by: str) -> list[OAShareReport]:
     """Per-group OA share n_oa / (n_oa + n_noa), sorted by group key."""
     _require_resolved(records)
-    counts = defaultdict(lambda: [0, 0])
+    counts = defaultdict(lambda: [0, 0])  # group -> [n_oa, n_noa]
     for rec in records:
-        c = counts[_group_key(rec, group_by)]
-        if rec.oa_status is OAStatus.OA:
-            c[0] += 1
-        else:
-            c[1] += 1
+        counts[_group_key(rec, group_by)][rec.oa_status is not OAStatus.OA] += 1
     return [OAShareReport(g, counts[g][0], counts[g][1]) for g in sorted(counts)]
 
 
@@ -238,13 +228,9 @@ def cohort_table(records: list[ArticleRecord], per_year: bool = True
     totals = defaultdict(lambda: [0, 0])
     for rec in records:
         key = rec.year if per_year else "all"
-        slot = counts[key][rec.citation_range]
-        if rec.oa_status is OAStatus.OA:
-            slot[0] += 1
-            totals[key][0] += 1
-        else:
-            slot[1] += 1
-            totals[key][1] += 1
+        noa = rec.oa_status is not OAStatus.OA  # index 0 counts OA, 1 NOA
+        counts[key][rec.citation_range][noa] += 1
+        totals[key][noa] += 1
     table = {}
     for key in sorted(counts, key=str):
         oa_total, noa_total = totals[key]

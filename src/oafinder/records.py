@@ -31,15 +31,8 @@ class CitationRange(enum.Enum):
     R16_PLUS = "16+"
 
 
-# Ordered for stable report output.
-ALL_RANGES = (
-    CitationRange.R0,
-    CitationRange.R1,
-    CitationRange.R2_3,
-    CitationRange.R4_7,
-    CitationRange.R8_15,
-    CitationRange.R16_PLUS,
-)
+# In definition order, for stable report output.
+ALL_RANGES = tuple(CitationRange)
 
 
 def bin_citations(c: int) -> CitationRange:

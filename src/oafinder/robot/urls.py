@@ -68,7 +68,7 @@ def _canonicalize(url: str) -> str:
     if host is None:
         raise UrlError(f"URL has no host: {url!r}")
     netloc = host.lower()
-    if ":" in netloc:  # IPv6 literal
+    if parts.netloc.rpartition("@")[2].startswith("["):  # IPv6 or IPvFuture
         netloc = f"[{netloc}]"
     if port is not None and str(port) != _DEFAULT_PORTS.get(scheme):
         netloc = f"{netloc}:{port}"

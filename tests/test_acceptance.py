@@ -111,9 +111,13 @@ def test_c4_end_to_end_mock_web_detection():
     fetcher = MockFetcher(corpus.web)
     cells = [0, 0, 0, 0]  # hits, misses, false alarms, correct rejections
     for rec in corpus.records:
-        robot_oa = detect_oa(rec, provider, fetcher).verdict is Verdict.OA
-        truly_oa = reachable_within_depth(corpus.web, rec)
-        assert truly_oa == corpus.ground_truth[rec.id].oa
+        gt = corpus.ground_truth[rec.id]
+        ev = detect_oa(rec, provider, fetcher)
+        robot_oa = ev.verdict is Verdict.OA
+        if robot_oa:
+            assert (ev.url, ev.depth) == (gt.fulltext_url, gt.chain_depth)
+        truly_oa = reachable_within_depth(corpus.web, rec, gt.fulltext_url)
+        assert truly_oa == gt.oa
         if truly_oa:
             cells[0 if robot_oa else 1] += 1
         else:

@@ -397,7 +397,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "efd0d845eda4a148b330f65daee4d9663a1c93c174506e466ee0ff4086cb8f01")
+    "dcbff4809ac4e6aeb080596a1cc9feee194c4afc2663cd14acb8e87f35e1548f")
 
 
 def run_digest(out, stdout: str) -> str:

@@ -1,10 +1,14 @@
 """Synthetic corpus generation: determinism, realized rates, ground-truth
 soundness against an independent reachability check, and the audit sampler."""
 
+import ast
+import inspect
 import random
+from dataclasses import replace
 
 import pytest
 
+from oafinder import corpus as corpus_module
 from oafinder.corpus import (
     Corpus,
     CorpusError,
@@ -21,7 +25,7 @@ from oafinder.corpus import (
     run_audit,
 )
 from oafinder.records import DetectionEvidence, Verdict, load_records
-from oafinder.robot import detect_oa
+from oafinder.robot import detect_oa, format_query
 from oafinder.robot.urls import host_of
 from oafinder.stats import sdt_analysis
 
@@ -119,7 +123,8 @@ class TestGroundTruthSoundness:
     def test_reachability_matches_label(self, corpus):
         for rec in corpus.records:
             gt = corpus.ground_truth[rec.id]
-            assert reachable_within_depth(corpus.web, rec) == gt.oa, rec.id
+            assert reachable_within_depth(
+                corpus.web, rec, gt.fulltext_url) == gt.oa, rec.id
 
     def test_kind_consistent_with_label(self, corpus):
         for gt in corpus.ground_truth.values():
@@ -128,13 +133,20 @@ class TestGroundTruthSoundness:
                 assert 0 <= gt.chain_depth <= 3
             if gt.kind == "deep-chain":
                 assert gt.chain_depth > 3
+            if gt.kind in ("fulltext", "deep-chain"):
+                assert gt.fulltext_url in corpus.web.pages
+            else:
+                assert gt.fulltext_url == ""
 
     def test_robot_agrees_with_ground_truth(self, corpus):
         provider = MockSearchProvider(corpus.web)
         fetcher = MockFetcher(corpus.web)
         for rec in corpus.records:
             ev = detect_oa(rec, provider, fetcher)
-            assert (ev.verdict is Verdict.OA) == corpus.ground_truth[rec.id].oa
+            gt = corpus.ground_truth[rec.id]
+            assert (ev.verdict is Verdict.OA) == gt.oa
+            if ev.verdict is Verdict.OA:
+                assert (ev.url, ev.depth) == (gt.fulltext_url, gt.chain_depth)
 
     def test_depth4_only_corpus_unreachable(self):
         spec = CorpusSpec(n_articles=60, seed=9, oa_probability=1.0,
@@ -142,16 +154,54 @@ class TestGroundTruthSoundness:
         corpus = generate_corpus(spec)
         assert not any(gt.oa for gt in corpus.ground_truth.values())
         for rec in corpus.records[:10]:
-            assert not reachable_within_depth(corpus.web, rec)
+            target = corpus.ground_truth[rec.id].fulltext_url
+            assert not reachable_within_depth(corpus.web, rec, target)
+            # the planted URL is recorded, so the False above is a cut-off
+            assert reachable_within_depth(corpus.web, rec, target, max_depth=4)
+
+    def test_sibling_title_full_text_is_not_reached(self):
+        # The only search result for "... cohort 0" is the full text of
+        # "... cohort 1" by the same author. The matcher accepts that page
+        # for either title; the planted-URL oracle reaches only cohort 1's.
+        corpus = generate_corpus(CorpusSpec(
+            n_articles=2, seed=0, oa_probability=1.0,
+            chain_depth_distribution=((0, 1.0),)))
+        sibling = corpus.records[1]
+        record = replace(sibling, id=corpus.records[0].id,
+                         title=sibling.title.replace("cohort 1", "cohort 0"))
+        own_url = corpus.ground_truth[record.id].fulltext_url
+        sibling_url = corpus.ground_truth[sibling.id].fulltext_url
+        web = replace(corpus.web, queries={
+            format_query(r.first_author_surname, r.title): [sibling_url]
+            for r in (record, sibling)})
+        assert reachable_within_depth(web, sibling, sibling_url)
+        assert not reachable_within_depth(web, record, own_url)
 
     def test_fetches_stay_inside_mock_web(self, corpus):
-        known_hosts = corpus.web.hosts() | {"www.mock-search.example"}
+        known_hosts = {host_of(u) for u in corpus.web.pages} \
+            | {host_of(u) for u in corpus.web.dead_links} \
+            | {"www.mock-search.example"}
         for urls in corpus.web.queries.values():
             for u in urls:
                 # search results may point at blocklisted ad hosts; everything
                 # else must resolve inside the generated web
                 assert host_of(u) in known_hosts \
                     or host_of(u) == "ads.mock-search.example"
+
+
+class TestOracleIndependence:
+    def test_corpus_imports_no_matcher(self):
+        # The reachability oracle must not share the robot's matcher or its
+        # blocklist filter, or it shares their errors.
+        for node in ast.walk(ast.parse(inspect.getsource(corpus_module))):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                assert not module.endswith("robot.match"), ast.unparse(node)
+                names = {alias.name for alias in node.names}
+                assert not names & {"filter_irrelevant_links",
+                                    "match_full_text"}, ast.unparse(node)
+                if module.endswith("robot"):
+                    assert "match" not in names, ast.unparse(node)
 
 
 class TestMockFetcher:

@@ -215,7 +215,8 @@ class TestMalformedUrls:
         assert n_pages > 0
         assert self.verdicts(corpus) == clean
         # the reachability oracle skips them too
-        assert [reachable_within_depth(corpus.web, rec)
+        assert [reachable_within_depth(
+                    corpus.web, rec, corpus.ground_truth[rec.id].fulltext_url)
                 for rec in corpus.records] == \
             [corpus.ground_truth[rec.id].oa for rec in corpus.records]
 

@@ -46,9 +46,9 @@ _HOSTILE_PARTS = [
     ("userinfo", st.sampled_from(["user@", "u:p@", ":p@", "u:@"])),
     ("host", st.one_of(_hosts.map("Www.{}".format),
                        _hosts.map("{}.EXAMPLE".format))),
-    ("host", st.sampled_from(["[2001:db8::1]", "[::1]", "[2001:DB8::1]", "[x",
-                              "x]", "", "h..example", "h.example.",
-                              "h_x.example", "h\u00e9.example"])),
+    ("host", st.sampled_from(["[2001:db8::1]", "[::1]", "[2001:DB8::1]",
+                              "[v1.abc]", "[x", "x]", "", "h..example",
+                              "h.example.", "h_x.example", "h\u00e9.example"])),
     ("port", st.sampled_from([":80", ":443", ":21", ":8080", ":", ":0",
                               ":abc", ":99999"])),
     ("segment", st.sampled_from([".", ".."])),
@@ -157,6 +157,12 @@ class TestNormalize:
     def test_ipv6_host_lowercased_in_brackets(self):
         assert normalize_url("HTTP://[2001:DB8::1]:80/x") == \
             "http://[2001:db8::1]/x"
+
+    def test_ipvfuture_brackets_kept(self):
+        # No ":" in the host, but it is a literal, not a DNS name.
+        url = "http://[v1.abc]/x"
+        assert normalize_url(url) == url
+        assert normalize_url("http://u@[v1.ABC]:80/x") == "http://u@[v1.abc]/x"
 
 
 class TestCanonicalFastPath:
