@@ -2,7 +2,7 @@
 
 Subpackages/modules:
   records  - bibliographic data model, citation bins, JSONL persistence
-  robot    - the web robot (search fan-out, crawl, full-text matching)
+  robot    - the web robot (one search, crawl, full-text matching)
   metrics  - percent-OA, within-issue citation advantage, cohort tables
   stats    - probit, Pearson/Student-t, signal-detection analysis
   corpus   - deterministic synthetic corpus + mock web for offline runs

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import corpus as corpusmod
@@ -30,9 +31,9 @@ class CliError(Exception):
         self.code = code
 
 
-def read_config(path, known=None) -> dict[str, str]:
-    """Flat key=value file; blank lines and #-comments ignored. When known
-    is given, a key outside it is a CliError naming the file and line."""
+def read_config(path) -> dict[str, str]:
+    """Flat key=value file; blank lines and #-comments ignored. A key outside
+    KNOWN_KEYS is a CliError naming the file and line."""
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -46,22 +47,25 @@ def read_config(path, known=None) -> dict[str, str]:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if known is not None and key not in known:
+        if key not in KNOWN_KEYS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         cfg[key] = value.strip()
     return cfg
 
 
 def _merged_config(args) -> dict[str, str]:
-    cfg = (read_config(args.config, KNOWN_KEYS)
-           if getattr(args, "config", None) else {})
-    for key in ("records", "detections", "out", "mock_web", "ground_truth",
-                "spec", "seed", "sample_size"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = str(value)
-    if getattr(args, "allow_unknown", False):
-        cfg["allow_unknown"] = "true"
+    """The --config file's keys, each overridden by the flag of that name
+    when the command line sets it; a switch sets "true"."""
+    flags = dict(vars(args))
+    del flags["command"], flags["func"]  # the subcommand, not settings
+    path = flags.pop("config", None)
+    cfg = read_config(path) if path else {}
+    for key, value in flags.items():
+        # By identity: 0 == False, so "value in (None, False)" would drop
+        # --seed 0.
+        if value is None or value is False:
+            continue
+        cfg[key] = "true" if value is True else str(value)
     return cfg
 
 
@@ -84,46 +88,35 @@ def _cast_values(cfg: dict, casts: dict) -> dict:
     return out
 
 
-def _parse_dist(text):
-    pairs = []
-    for part in text.split(","):
-        k, _, v = part.partition(":")
-        pairs.append((int(k), float(v)))
-    return tuple(pairs)
+def _pairs(text):
+    """The (key, value) texts of a "key:value,key:value" list."""
+    return [part.partition(":")[::2] for part in text.split(",")]
 
 
-def _parse_prob(text):
-    if ":" in text:
-        out = {}
-        for part in text.split(","):
-            k, _, v = part.partition(":")
-            out[k.strip()] = float(v)
-        return out
-    return float(text)
+# The fields of CrawlConfig and CorpusSpec whose text is not read by the
+# type of their default.
+_FIELD_PARSERS = {
+    "disciplines": lambda s: tuple(x.strip() for x in s.split(",")),
+    "years": lambda s: tuple(int(x) for x in s.split("-")),
+    "oa_probability": lambda s: (
+        {k.strip(): float(v) for k, v in _pairs(s)} if ":" in s
+        else float(s)),
+    "chain_depth_distribution": lambda s: tuple(
+        (int(k), float(v)) for k, v in _pairs(s)),
+}
+
+
+def _field_casts(cls) -> dict:
+    """Each field of the dataclass cls with the cast that reads its config
+    text: its parser in _FIELD_PARSERS, else the type of its default."""
+    return {f.name: _FIELD_PARSERS.get(f.name, type(f.default))
+            for f in fields(cls)}
 
 
 # The keys each stage reads through _cast_values, with their casts.
-_CRAWL_CASTS = {
-    "max_depth": int,
-    "max_links_followed_per_page": int,
-    "title_similarity_threshold": float,
-    "head_fraction": float, "tail_fraction": float}
+_CRAWL_CASTS = _field_casts(CrawlConfig)
 _AUDIT_CASTS = {"sample_size": int, "seed": int}
-_SPEC_CASTS = {
-    "n_articles": int,
-    "disciplines": lambda s: tuple(x.strip() for x in s.split(",")),
-    "years": lambda s: tuple(int(x) for x in s.split("-")),
-    "oa_probability": _parse_prob,
-    "uncited_mass": float,
-    "mean_cited": float,
-    "oa_citation_multiplier": float,
-    "abstract_page_prob": float,
-    "dead_link_prob": float,
-    "chain_depth_distribution": _parse_dist,
-    "journals_per_discipline": int,
-    "issues_per_year": int,
-    "seed": int,
-}
+_SPEC_CASTS = _field_casts(corpusmod.CorpusSpec)
 # Keys commands read as plain strings.
 _PLAIN_KEYS = ("records", "detections", "mock_web", "ground_truth", "out",
                "allow_unknown", "converter")
@@ -133,13 +126,13 @@ KNOWN_KEYS = frozenset(_PLAIN_KEYS).union(_CRAWL_CASTS, _AUDIT_CASTS,
                                           _SPEC_CASTS)
 
 
-def _crawl_config(cfg: dict) -> CrawlConfig:
-    config = CrawlConfig(**_cast_values(cfg, _CRAWL_CASTS))
+def _build(cls, casts: dict, cfg: dict):
+    """cls from the keys of casts that cfg sets; a value that its cast or
+    cls rejects is a CliError."""
     try:
-        config.validate()
+        return cls(**_cast_values(cfg, casts))
     except ValueError as exc:
         raise CliError(str(exc))
-    return config
 
 
 def _load(cfg: dict, key: str, loader):
@@ -210,7 +203,7 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
         web = _load(cfg, "mock_web", corpusmod.load_mock_web)
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
-    config = _crawl_config(cfg)
+    config = _build(CrawlConfig, _CRAWL_CASTS, cfg)
     converter_cmd = cfg.get("converter")
     try:
         converter = ExternalConverter(converter_cmd) if converter_cmd else None
@@ -369,22 +362,14 @@ def cmd_audit(cfg: dict, detections=None, truth=None):
     return matrix, result
 
 
-def _corpus_spec_from_config(cfg: dict) -> corpusmod.CorpusSpec:
-    spec = corpusmod.CorpusSpec(**_cast_values(cfg, _SPEC_CASTS))
-    try:
-        spec.validate()
-    except corpusmod.CorpusError as exc:
-        raise CliError(str(exc))
-    return spec
-
-
 def cmd_synth(cfg: dict) -> corpusmod.Corpus:
     """Generate the corpus the spec file describes (its seed overridden by
     cfg's) and export it; returns the corpus."""
-    spec_cfg = read_config(cfg["spec"], KNOWN_KEYS) if cfg.get("spec") else {}
+    spec_cfg = read_config(cfg["spec"]) if cfg.get("spec") else {}
     if "seed" in cfg:
         spec_cfg["seed"] = cfg["seed"]
-    corp = corpusmod.generate_corpus(_corpus_spec_from_config(spec_cfg))
+    corp = corpusmod.generate_corpus(
+        _build(corpusmod.CorpusSpec, _SPEC_CASTS, spec_cfg))
     out = _out_dir(cfg)
     corpusmod.export_corpus(corp, out)
     n_oa = sum(1 for gt in corp.ground_truth.values() if gt.oa)

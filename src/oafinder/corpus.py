@@ -84,7 +84,19 @@ class CorpusSpec:
     issues_per_year: int = 2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # A discipline's first four characters name its journals, and "|"
+        # separates the discipline from the year in oa_probability keys.
+        by_prefix: dict[str, str] = {}
+        for name in self.disciplines:
+            if not name or "|" in name:
+                raise CorpusError("disciplines: each name must be non-empty "
+                                  f"and hold no '|', got {name!r}")
+            if name[:4] in by_prefix:
+                raise CorpusError(
+                    f"disciplines: {by_prefix[name[:4]]!r} and {name!r} share "
+                    f"the first four characters that name their journals")
+            by_prefix[name[:4]] = name
         for name in ("n_articles", "journals_per_discipline", "issues_per_year"):
             v = getattr(self, name)
             if v < 1:
@@ -364,7 +376,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     """Build records, ground truth and the mock web; pure in (spec, seed).
     Each article's record is drawn, then the planter of its kind writes its
     pages and search results and returns its ground truth."""
-    spec.validate()
     rng = random.Random(spec.seed)
     web = MockWeb()
     records: list[ArticleRecord] = []

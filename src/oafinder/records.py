@@ -85,6 +85,9 @@ class ArticleRecord:
     citation_count: int
     oa_status: OAStatus = OAStatus.UNKNOWN
 
+    # Called where records are read or made, not from __post_init__:
+    # apply_detections copies every record with dataclasses.replace in each
+    # stage, which would re-run a __post_init__ on each copy.
     def validate(self) -> None:
         if not self.id:
             raise ValidationError("record has empty id")
@@ -127,6 +130,8 @@ class DetectionEvidence:
     depth: int = 0
     low_confidence: bool = False
 
+    # Called where evidence is read, not from __post_init__: detect_oa
+    # builds each one valid.
     def validate(self) -> None:
         if self.verdict is Verdict.OA and not self.url:
             raise ValidationError(

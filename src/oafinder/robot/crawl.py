@@ -54,7 +54,7 @@ class CrawlConfig:
     head_fraction: float = 0.20
     tail_fraction: float = 0.20
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 < self.head_fraction <= 0.5):
             raise ValueError("head_fraction must be in (0, 0.5]")
         if not (0.0 < self.tail_fraction <= 0.5):
@@ -100,7 +100,6 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
     fails with an OSError (status stays UNKNOWN); a provider response that
     is merely empty yields NOA{EXHAUSTED}.
     """
-    config.validate()
     try:
         results = provider.query(record.first_author_surname, record.title)
     except OSError as exc:

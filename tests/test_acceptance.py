@@ -23,7 +23,7 @@ from oafinder.corpus import (
     resolved_records,
 )
 from oafinder.records import ArticleRecord, OAStatus, Verdict
-from oafinder.robot import detect_oa
+from oafinder.robot.crawl import detect_oa
 from oafinder.stats import (
     ConfusionMatrix,
     build_confusion_from_audit,

@@ -183,6 +183,12 @@ mock_web = {corpus_dir / 'mockweb'}
         "oa_probability = biology:2",
         "mean_cited = -3",
         "chain_depth_distribution = 0:1.5,1:-0.5",
+        # Both names would give the journals econ-j*, mixing their issues.
+        "disciplines = economics, economy",
+        "disciplines =",
+        "disciplines = biology, , chemistry",
+        # "|" separates discipline and year in oa_probability keys.
+        "disciplines = bio|logy, chemistry",
     ])
     def test_bad_spec_value(self, line, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
@@ -244,14 +250,32 @@ mock_web = {corpus_dir / 'mockweb'}
         # line into a TypeError from the constructor, not exit 2.
         assert set(cli._CRAWL_CASTS) == {f.name for f in fields(CrawlConfig)}
         assert set(cli._SPEC_CASTS) == {f.name for f in fields(CorpusSpec)}
+        # Each field read by the type of its default reads back its default
+        # from str(default). bool("false") is True, so a bool field needs
+        # a parser of its own.
+        for cls, casts in ((CrawlConfig, cli._CRAWL_CASTS),
+                           (CorpusSpec, cli._SPEC_CASTS)):
+            for f in fields(cls):
+                if f.name not in cli._FIELD_PARSERS:
+                    assert casts[f.name] in (int, float, str), f.name
+                    assert casts[f.name](str(f.default)) == f.default, f.name
+        # Each parsed field reads back its default from its config text.
+        texts = {"disciplines": "biology, economics, psychology",
+                 "years": "1992-2003",
+                 "oa_probability": "0.12",
+                 "chain_depth_distribution": "0:0.55,1:0.25,2:0.1,3:0.1"}
+        assert set(cli._FIELD_PARSERS) == set(texts)
+        for name, text in texts.items():
+            assert cli._SPEC_CASTS[name](text) == getattr(CorpusSpec(), name)
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         cfg_path = tmp_path / "readme.cfg"
         cfg_path.write_text(block)
-        cfg = cli.read_config(cfg_path, cli.KNOWN_KEYS)
-        assert cli._crawl_config(cfg).max_depth == int(cfg["max_depth"])
+        cfg = cli.read_config(cfg_path)
+        assert cli._build(CrawlConfig, cli._CRAWL_CASTS, cfg).max_depth == \
+            int(cfg["max_depth"])
         assert cli._cast_values(cfg, cli._AUDIT_CASTS) == {
             "sample_size": 100, "seed": 0}
 
@@ -387,6 +411,30 @@ class TestReports:
         for p in sorted(out1.iterdir()):
             assert (out2 / p.name).read_bytes() == p.read_bytes(), p.name
 
+    def test_audit_seed_flag_zero_overrides_config(self, corpus_dir,
+                                                    tmp_path):
+        # Verdicts that ignore the truth, so that the sample the seed draws
+        # shows in sdt.csv.
+        recs = records.load_records(corpus_dir / "records.jsonl")
+        guesses = tmp_path / "guesses.jsonl"
+        save_detections([
+            DetectionEvidence(r.id, Verdict.OA, url="http://x.example/")
+            if i % 2 else DetectionEvidence(r.id, Verdict.NOA,
+                                            reason="EXHAUSTED")
+            for i, r in enumerate(recs)], guesses)
+        sdt = {}
+        for name, seed, argv in (("flag", 5, ["--seed", "0"]),
+                                 ("cfg0", 0, []), ("cfg5", 5, [])):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(
+                f"detections = {guesses}\n"
+                f"ground_truth = {corpus_dir / 'ground_truth.jsonl'}\n"
+                f"out = {tmp_path / name}\nsample_size = 10\n"
+                f"seed = {seed}\n")
+            assert main(["audit", "--config", str(cfg), *argv]) == 0
+            sdt[name] = (tmp_path / name / "sdt.csv").read_bytes()
+        assert sdt["flag"] == sdt["cfg0"] != sdt["cfg5"]
+
     def test_audit_writes_sdt_csv(self, corpus_dir, detections, tmp_path):
         cfg = write_report_config(tmp_path, corpus_dir, detections, "")
         assert main(["audit", "--config", str(cfg)]) == 0
@@ -436,6 +484,20 @@ class TestSynthAndEvaluate:
         assert (a / "records.jsonl").read_bytes() == \
             (tmp_path / "c" / "records.jsonl").read_bytes()
 
+    def test_synth_seed_flag_zero_overrides_spec(self, tmp_path):
+        # 0 == False: the flag copy must not take --seed 0 for an unset flag.
+        outs = {}
+        for name, body, argv in (
+                ("flag", "seed = 2", ["--seed", "0"]),
+                ("spec0", "seed = 0", []),
+                ("spec2", "seed = 2", [])):
+            spec = tmp_path / f"{name}.cfg"
+            spec.write_text(f"n_articles = 30\n{body}\n")
+            assert main(["synth", "--spec", str(spec),
+                         "--out", str(tmp_path / name), *argv]) == 0
+            outs[name] = (tmp_path / name / "records.jsonl").read_bytes()
+        assert outs["flag"] == outs["spec0"] != outs["spec2"]
+
     def test_evaluate_end_to_end(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text("n_articles = 120\noa_probability = 0.3\n")
@@ -470,7 +532,7 @@ class TestSynthAndEvaluate:
         out = tmp_path / "run"
         assert main(["evaluate", "--spec", str(spec), "--out", str(out),
                      "--seed", "4", "--sample-size", "10"]) == 0
-        assert set(cli.read_config(out / "run.cfg", cli.KNOWN_KEYS)) == {
+        assert set(cli.read_config(out / "run.cfg")) == {
             "records", "detections", "mock_web", "ground_truth", "out",
             "sample_size", "seed"}
         for cmd in ("analyze", "audit"):
@@ -520,8 +582,8 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self, tmp_path):
         from oafinder.cli import read_config
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("# comment\n\nkey = value\nother=1\n")
-        assert read_config(cfg) == {"key": "value", "other": "1"}
+        cfg.write_text("# comment\n\nrecords = value\nseed=1\n")
+        assert read_config(cfg) == {"records": "value", "seed": "1"}
 
     def test_detections_output_is_sorted_json(self, detections):
         for line in detections.read_text().splitlines():

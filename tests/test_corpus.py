@@ -25,7 +25,7 @@ from oafinder.corpus import (
     run_audit,
 )
 from oafinder.records import DetectionEvidence, Verdict, load_records
-from oafinder.robot import detect_oa, format_query
+from oafinder.robot.crawl import detect_oa, format_query
 from oafinder.robot.urls import host_of
 from oafinder.stats import sdt_analysis
 
@@ -41,13 +41,13 @@ def tree_bytes(root):
 
 class TestSpecValidation:
     def test_defaults_valid(self):
-        CorpusSpec().validate()
+        CorpusSpec()
 
     def test_bad_depth_distribution(self):
         with pytest.raises(CorpusError):
-            CorpusSpec(chain_depth_distribution=((0, 0.5),)).validate()
+            CorpusSpec(chain_depth_distribution=((0, 0.5),))
         with pytest.raises(CorpusError):
-            CorpusSpec(chain_depth_distribution=((7, 1.0),)).validate()
+            CorpusSpec(chain_depth_distribution=((7, 1.0),))
 
     def test_oa_prob_lookup_precedence(self):
         spec = CorpusSpec(oa_probability={
