@@ -351,7 +351,8 @@ def cmd_audit(cfg: dict, detections=None, truth=None):
     try:
         matrix = corpusmod.run_audit(detections, truth, sample_size,
                                      values.get("seed", 0))
-    except corpusmod.CorpusError as exc:
+    except (corpusmod.CorpusError, stats.StatsError) as exc:
+        # StatsError: the sample lacks a true class, so d' has no value.
         raise CliError(str(exc), EXIT_AUDIT)
     result = stats.sdt_analysis(matrix)
     out = _out_dir(cfg)

@@ -23,6 +23,7 @@ from .records import (
     ParseError,
     Verdict,
     _read_jsonl,
+    _typed,
     make_issue_key,
     save_records,
 )
@@ -87,6 +88,8 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         # A discipline's first four characters name its journals, and "|"
         # separates the discipline from the year in oa_probability keys.
+        if not self.disciplines:
+            raise CorpusError("disciplines must name at least one discipline")
         by_prefix: dict[str, str] = {}
         for name in self.disciplines:
             if not name or "|" in name:
@@ -525,7 +528,7 @@ def load_mock_web(mockweb_dir) -> MockWeb:
 
 def _ground_truth_from_dict(obj: dict) -> GroundTruth:
     try:
-        return GroundTruth(obj["article_id"], bool(obj["oa"]),
+        return GroundTruth(obj["article_id"], _typed(obj["oa"], bool, "oa"),
                            obj.get("kind", ""), int(obj.get("chain_depth", 0)),
                            obj.get("fulltext_url", ""))
     except (KeyError, TypeError, ValueError) as exc:

@@ -271,7 +271,9 @@ def _fmt_pct(x: Optional[float]) -> str:
 
 
 def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else repr(round(x, 12))
+    # + 0.0 turns -0.0 into 0.0, so a zero's sign, which can hang on the
+    # last bit of a probit, does not reach the file.
+    return "" if x is None else repr(round(x, 12) + 0.0)
 
 
 def write_oa_share_csv(reports: list[OAShareReport], path) -> None:

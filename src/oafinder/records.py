@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Optional
 
 
@@ -141,17 +141,21 @@ class DetectionEvidence:
             raise ValidationError(f"evidence for {self.article_id}: negative depth")
 
 
+def _typed(value, kind: type, key: str):
+    """value, if it has the JSON type kind; else a TypeError naming key."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+_STR_FIELDS = tuple(f.name for f in fields(ArticleRecord) if f.type == "str")
+
+
 def _record_from_dict(obj: dict) -> ArticleRecord:
     try:
         rec = ArticleRecord(
-            id=obj["id"],
-            first_author_surname=obj["first_author_surname"],
-            title=obj["title"],
-            journal_id=obj["journal_id"],
-            issue_key=obj["issue_key"],
+            **{key: _typed(obj[key], str, key) for key in _STR_FIELDS},
             year=int(obj["year"]),
-            discipline=obj["discipline"],
-            country=obj["country"],
             citation_count=int(obj["citation_count"]),
             oa_status=OAStatus(obj.get("oa_status", "UNKNOWN")),
         )
@@ -224,7 +228,8 @@ def detection_from_dict(obj: dict) -> DetectionEvidence:
             match_tail_marker=obj.get("match_tail_marker"),
             reason=obj.get("reason"),
             depth=int(obj.get("depth", 0)),
-            low_confidence=bool(obj.get("low_confidence", False)),
+            low_confidence=_typed(obj.get("low_confidence", False), bool,
+                                  "low_confidence"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad detection object: {exc}") from exc

@@ -49,20 +49,11 @@ class Fetcher(Protocol):
 @dataclass(frozen=True)
 class CrawlConfig:
     max_depth: int = 3
-    max_links_followed_per_page: int = 20
     title_similarity_threshold: float = 0.90
-    head_fraction: float = 0.20
-    tail_fraction: float = 0.20
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.head_fraction <= 0.5):
-            raise ValueError("head_fraction must be in (0, 0.5]")
-        if not (0.0 < self.tail_fraction <= 0.5):
-            raise ValueError("tail_fraction must be in (0, 0.5]")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
-        if self.max_links_followed_per_page < 0:
-            raise ValueError("max_links_followed_per_page must be >= 0")
         if not (0.0 < self.title_similarity_threshold <= 1.0):
             raise ValueError("title_similarity_threshold must be in (0, 1]")
 
@@ -105,9 +96,8 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
     except OSError as exc:
         raise DetectionError(
             f"search provider failed for {record.id}: {exc}") from exc
-    results = urlmod.filter_irrelevant_links(results, provider.blocklist)
     frontier = [(url, 0) for url in
-                urlmod.prioritize_urls(urlmod.dedup_urls(results))]
+                urlmod.crawl_order(results, provider.blocklist)]
     visited: set[str] = set()
     max_depth_seen = 0
     low_confidence = False
@@ -134,9 +124,7 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
 
         verdict = match_full_text(
             text, record,
-            title_similarity_threshold=config.title_similarity_threshold,
-            head_fraction=config.head_fraction,
-            tail_fraction=config.tail_fraction)
+            title_similarity_threshold=config.title_similarity_threshold)
         low_confidence = low_confidence or verdict.low_confidence
         if verdict.found:
             return DetectionEvidence(
@@ -146,10 +134,8 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
                 depth=depth, low_confidence=low_confidence)
         # Title present but no full text: follow the page's links.
         if verdict.title_seen and depth < config.max_depth:
-            links = extract_candidate_links(
-                anchors, url, record,
-                max_links=config.max_links_followed_per_page)
-            links = urlmod.prioritize_urls(urlmod.dedup_urls(links))
+            links = urlmod.crawl_order(
+                extract_candidate_links(anchors, url, record))
             frontier.extend(
                 (link, depth + 1) for link in links if link not in visited)
 

@@ -1,5 +1,5 @@
-"""URL canonicalization, deduplication, blocklist filtering and the
-PDF/PS-first priority ordering applied to search results.
+"""URL canonicalization, and the order in which the robot fetches a list of
+URLs: canonical, each once, blocked hosts dropped, PDF/PS first.
 """
 
 from __future__ import annotations
@@ -88,25 +88,6 @@ def _canonicalize(url: str) -> str:
     return urlunsplit((scheme, netloc, path, query, ""))
 
 
-def dedup_urls(urls: list[str]) -> list[str]:
-    """Keep the first occurrence of each URL, equality after normalization.
-
-    Output URLs are the canonical forms; order of first occurrence preserved.
-    Unparseable URLs are dropped.
-    """
-    seen = set()
-    out = []
-    for url in urls:
-        try:
-            canon = normalize_url(url)
-        except UrlError:
-            continue
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
-
-
 def url_extension(url: str) -> str:
     m = _CANONICAL_RE.match(url)
     path = m.group("path") if m is not None else urlsplit(url).path
@@ -125,19 +106,6 @@ def join_url(base: str, href: str) -> str:
     return urljoin(base, href)
 
 
-def prioritize_urls(urls: list[str]) -> list[str]:
-    """Stable partition with probable full-texts (.pdf/.ps paths) first.
-    Unparseable URLs are dropped."""
-    first, rest = [], []
-    for u in urls:
-        try:
-            ext = url_extension(u)
-        except ValueError:
-            continue
-        (first if ext in FULLTEXT_EXTENSIONS else rest).append(u)
-    return first + rest
-
-
 def host_of(url: str) -> str:
     m = _CANONICAL_RE.match(url)
     if m is not None:
@@ -145,20 +113,29 @@ def host_of(url: str) -> str:
     return (urlsplit(url).hostname or "").lower()
 
 
-def filter_irrelevant_links(urls: list[str], blocklist) -> list[str]:
-    """Drop URLs whose host matches a blocklist pattern (a provider's own
-    navigation/ad/redirect hosts); survivor order preserved.
+def crawl_order(urls: list[str], blocklist=()) -> list[str]:
+    """The URLs in the order the robot fetches them, each in canonical form.
 
-    A pattern matches the host exactly or as a parent domain suffix.
-    Unparseable URLs are dropped.
+    Unparseable URLs are dropped, and so is every occurrence of a canonical
+    URL after its first. So is a URL whose host matches a blocklist pattern
+    (a provider's own navigation/ad/redirect hosts) exactly or as a parent
+    domain. Probable full-texts (.pdf/.ps paths) come first; input order is
+    kept within each part.
     """
     patterns = [p.lower().lstrip(".") for p in blocklist]
-    out = []
+    seen = set()
+    first, rest = [], []
     for url in urls:
         try:
-            host = host_of(url)
-        except ValueError:
+            canon = normalize_url(url)
+        except UrlError:
             continue
-        if not any(host == p or host.endswith("." + p) for p in patterns):
-            out.append(url)
-    return out
+        if canon in seen:
+            continue
+        seen.add(canon)
+        host = host_of(canon)
+        if any(host == p or host.endswith("." + p) for p in patterns):
+            continue
+        ext = url_extension(canon)
+        (first if ext in FULLTEXT_EXTENSIONS else rest).append(canon)
+    return first + rest

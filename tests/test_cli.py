@@ -60,6 +60,12 @@ mock_web = {corpus_dir / 'mockweb'}
     return cfg
 
 
+# A records line that loads; each malformed case changes one field.
+GOOD_RECORD = {"id": "a0", "first_author_surname": "Smith", "title": "A title",
+               "journal_id": "j1", "issue_key": "j1|1999|1", "year": 1999,
+               "discipline": "biology", "country": "US", "citation_count": 0}
+
+
 class TestExitCodes:
     def test_python_m_help(self):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -110,6 +116,24 @@ class TestExitCodes:
                                   "sample_size = 10000")
         assert main(["audit", "--config", str(cfg)]) == 4
 
+    @pytest.mark.parametrize("oa", [False, True])
+    def test_audit_sample_lacks_a_true_class(self, oa, tmp_path, capsys):
+        # Every sampled article has the same true class, so d' has no value.
+        det = tmp_path / "d.jsonl"
+        det.write_text("".join(
+            f'{{"article_id": "a{i}", "verdict": "OA", "url": "http://h/{i}"}}\n'
+            if i < 2 else f'{{"article_id": "a{i}", "verdict": "NOA"}}\n'
+            for i in range(4)))
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text("".join(
+            f'{{"article_id": "a{i}", "oa": {str(oa).lower()}}}\n'
+            for i in range(4)))
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"detections = {det}\nground_truth = {gt}\n"
+                       f"out = {tmp_path / 'r'}\nsample_size = 2\n")
+        assert main(["audit", "--config", str(cfg)]) == 4
+        assert "true-" in capsys.readouterr().err
+
     def test_empty_records_detect_ok(self, corpus_dir, tmp_path):
         empty = tmp_path / "records.jsonl"
         empty.write_text("")
@@ -117,16 +141,32 @@ class TestExitCodes:
                      "--detections", str(tmp_path / "d.jsonl"),
                      "--mock-web", str(corpus_dir / "mockweb")]) == 0
 
-    @pytest.mark.parametrize("cmd,key", [
-        ("analyze", "detections"), ("cohorts", "detections"),
-        ("correlate", "detections"), ("audit", "detections"),
-        ("audit", "ground_truth"),
+    @pytest.mark.parametrize("cmd,key,line", [
+        pytest.param(cmd, "detections", {"article_id": "a0"},
+                     id=f"{cmd}-detections")
+        for cmd in ("analyze", "cohorts", "correlate", "audit")
+    ] + [
+        pytest.param("audit", "ground_truth", {"oa": True},
+                     id="audit-ground_truth"),
+        # A JSON string is not a boolean, though bool("false") is True.
+        pytest.param("audit", "ground_truth",
+                     {"article_id": "a0", "oa": "false"},
+                     id="audit-ground_truth-oa-string"),
+        pytest.param("analyze", "detections",
+                     {"article_id": "a0", "verdict": "NOA",
+                      "low_confidence": "false"},
+                     id="analyze-detections-low_confidence-string"),
+    ] + [
+        pytest.param("analyze", "records", dict(GOOD_RECORD, **{field: value}),
+                     id=f"analyze-records-{field}-{value}")
+        for field, value in (("title", 5), ("issue_key", 5),
+                             ("first_author_surname", None),
+                             ("discipline", 5))
     ])
-    def test_malformed_input_file(self, cmd, key, corpus_dir, detections,
+    def test_malformed_input_file(self, cmd, key, line, corpus_dir, detections,
                                   tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text({"detections": '{"article_id": "a0"}\n',
-                        "ground_truth": '{"oa": true}\n'}[key])
+        bad.write_text(json.dumps(line) + "\n")
         cfg = write_report_config(tmp_path, corpus_dir, detections,
                                   f"{key} = {bad}")
         assert main([cmd, "--config", str(cfg)]) == 2
@@ -445,7 +485,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "dcbff4809ac4e6aeb080596a1cc9feee194c4afc2663cd14acb8e87f35e1548f")
+    "79e73f0dbe21e99ccf24b9c28836eeae16468500b35bb591ffd911e02206faec")
 
 
 def run_digest(out, stdout: str) -> str:

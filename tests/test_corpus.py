@@ -49,6 +49,10 @@ class TestSpecValidation:
         with pytest.raises(CorpusError):
             CorpusSpec(chain_depth_distribution=((7, 1.0),))
 
+    def test_no_disciplines(self):
+        with pytest.raises(CorpusError, match="disciplines"):
+            CorpusSpec(disciplines=())
+
     def test_oa_prob_lookup_precedence(self):
         spec = CorpusSpec(oa_probability={
             "biology|1999": 0.4, "1999": 0.3, "biology": 0.2, "default": 0.1})
@@ -198,7 +202,7 @@ class TestOracleIndependence:
                 module = node.module or ""
                 assert not module.endswith("robot.match"), ast.unparse(node)
                 names = {alias.name for alias in node.names}
-                assert not names & {"filter_irrelevant_links",
+                assert not names & {"crawl_order",
                                     "match_full_text"}, ast.unparse(node)
                 if module.endswith("robot"):
                     assert "match" not in names, ast.unparse(node)

@@ -5,6 +5,7 @@ Oracle style: where a spec value is derived, it is recomputed here with
 flat, independent loops over the raw records (no shared pipeline helpers).
 """
 
+import csv
 import math
 import random
 from collections import defaultdict
@@ -29,6 +30,7 @@ from oafinder.metrics import (
     summary_stats,
 )
 from oafinder.records import ALL_RANGES, ArticleRecord, CitationRange, OAStatus
+from oafinder.stats import ConfusionMatrix, sdt_analysis
 
 
 def rec(i, journal="j1", year=2000, issue=1, cites=0, oa=False,
@@ -314,6 +316,14 @@ class TestCsvDeterminism:
         metrics.write_advantage_csv([], path)
         assert path.read_text().strip() == \
             "group,advantage_pct,n_issues_included,n_issues_excluded,exclusion_reasons"
+
+    def test_perfect_audit_criterion_is_unsigned_zero(self, tmp_path):
+        path = tmp_path / "sdt.csv"
+        for n in range(1, 201):
+            m = ConfusionMatrix(n, 0, 0, n)
+            metrics.write_sdt_csv(m, sdt_analysis(m), path)
+            row = dict(zip(*csv.reader(path.read_text().splitlines())))
+            assert row["criterion_c"] == "0.0", n
 
     def test_cohort_golden_shape(self, tmp_path):
         records = [rec(i, cites=i % 20, oa=(i % 2 == 0)) for i in range(40)]

@@ -224,20 +224,13 @@ class TestMalformedUrls:
 class TestCrawlConfig:
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
-            CrawlConfig(head_fraction=0.7)
-        with pytest.raises(ValueError):
-            CrawlConfig(tail_fraction=0.0)
-        with pytest.raises(ValueError):
             CrawlConfig(max_depth=-1)
-        with pytest.raises(ValueError):
-            CrawlConfig(max_links_followed_per_page=-1)
         with pytest.raises(ValueError):
             CrawlConfig(title_similarity_threshold=1.5)
         with pytest.raises(ValueError):
             CrawlConfig(title_similarity_threshold=0)
         CrawlConfig()
-        CrawlConfig(max_links_followed_per_page=0,
-                    title_similarity_threshold=1.0)
+        CrawlConfig(title_similarity_threshold=1.0)
 
 
 class TestOnePass:

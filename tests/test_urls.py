@@ -11,12 +11,10 @@ from oafinder.robot.urls import (
     _ROOT_RELATIVE_RE,
     UrlError,
     _canonicalize,
-    dedup_urls,
-    filter_irrelevant_links,
+    crawl_order,
     host_of,
     join_url,
     normalize_url,
-    prioritize_urls,
     url_extension,
 )
 
@@ -226,45 +224,45 @@ class TestCanonicalFastPath:
 class TestDedup:
     def test_first_occurrence_kept(self):
         a, b = "http://h/a", "http://h/b"
-        assert dedup_urls([a, b, a]) == [a, b]
+        assert crawl_order([a, b, a]) == [a, b]
 
     def test_empty(self):
-        assert dedup_urls([]) == []
+        assert crawl_order([]) == []
 
     def test_fragment_only_difference_collapses(self):
-        assert dedup_urls(["http://h/a#one", "http://h/a#two"]) == ["http://h/a"]
+        assert crawl_order(["http://h/a#one", "http://h/a#two"]) == ["http://h/a"]
 
     def test_unparseable_dropped(self):
-        assert dedup_urls(["nonsense", "http://h/a"]) == ["http://h/a"]
+        assert crawl_order(["nonsense", "http://h/a"]) == ["http://h/a"]
 
     def test_bad_bracket_and_port_dropped(self):
-        assert dedup_urls(["http://[x/full.pdf", "http://host:abc/x.pdf",
-                           "http://h/a"]) == ["http://h/a"]
+        assert crawl_order(["http://[x/full.pdf", "http://host:abc/x.pdf",
+                            "http://h/a"]) == ["http://h/a"]
 
 
 class TestPrioritize:
     def test_pdf_and_ps_first(self):
         urls = ["http://h/a.html", "http://h/b.pdf", "http://h/c.ps",
                 "http://h/d.htm"]
-        assert prioritize_urls(urls) == [
+        assert crawl_order(urls) == [
             "http://h/b.pdf", "http://h/c.ps", "http://h/a.html",
             "http://h/d.htm"]
 
     def test_all_pdf_unchanged(self):
         urls = [f"http://h/{i}.pdf" for i in range(4)]
-        assert prioritize_urls(urls) == urls
+        assert crawl_order(urls) == urls
 
     def test_no_fulltext_extensions_unchanged(self):
         urls = [f"http://h/{i}.html" for i in range(4)]
-        assert prioritize_urls(urls) == urls
+        assert crawl_order(urls) == urls
 
     def test_extension_case_insensitive(self):
-        assert prioritize_urls(["http://h/a.txt", "http://h/b.PDF"])[0] == \
+        assert crawl_order(["http://h/a.txt", "http://h/b.PDF"])[0] == \
             "http://h/b.PDF"
 
     def test_unparseable_dropped(self):
-        assert prioritize_urls(["http://h/a.html", "http://[x/full.pdf",
-                                "http://h/b.pdf"]) == \
+        assert crawl_order(["http://h/a.html", "http://[x/full.pdf",
+                            "http://h/b.pdf"]) == \
             ["http://h/b.pdf", "http://h/a.html"]
 
     @given(st.lists(st.sampled_from(
@@ -274,29 +272,85 @@ class TestPrioritize:
         def is_ft(u):
             return u.split("/")[-1].split("?")[0].endswith((".pdf", ".ps"))
 
-        expected = [u for u in urls if is_ft(u)] + [u for u in urls if not is_ft(u)]
-        assert prioritize_urls(urls) == expected
+        # crawl_order also drops repeats; a canonical repeat is an equal string.
+        once = list(dict.fromkeys(urls))
+        expected = [u for u in once if is_ft(u)] + [u for u in once if not is_ft(u)]
+        assert crawl_order(urls) == expected
 
 
 class TestBlocklistFilter:
     def test_blocked_host_removed(self):
         urls = ["http://site.example/result.pdf",
                 "http://provider-ads.example/click?x"]
-        assert filter_irrelevant_links(urls, {"provider-ads.example"}) == \
+        assert crawl_order(urls, {"provider-ads.example"}) == \
             ["http://site.example/result.pdf"]
 
     def test_subdomain_blocked(self):
         urls = ["http://ads.tracker.example/x"]
-        assert filter_irrelevant_links(urls, {"tracker.example"}) == []
+        assert crawl_order(urls, {"tracker.example"}) == []
 
     def test_empty_list(self):
-        assert filter_irrelevant_links([], {"x.example"}) == []
+        assert crawl_order([], {"x.example"}) == []
 
     def test_no_match_identity(self):
         urls = ["http://a.example/1", "http://b.example/2"]
-        assert filter_irrelevant_links(urls, {"c.example"}) == urls
+        assert crawl_order(urls, {"c.example"}) == urls
 
     def test_unparseable_dropped(self):
         urls = ["http://[x/full.pdf", "http://a.example/1"]
-        assert filter_irrelevant_links(urls, {"c.example"}) == \
+        assert crawl_order(urls, {"c.example"}) == \
             ["http://a.example/1"]
+
+
+def _crawl_order_by_urllib(urls, blocklist):
+    """crawl_order's four rules as one flat loop over urllib.parse alone."""
+    patterns = [p.lower().lstrip(".") for p in blocklist]
+    seen, first, rest = set(), [], []
+    for url in urls:
+        try:
+            canon = _canonicalize(url)
+        except UrlError:
+            continue
+        if canon in seen:
+            continue
+        seen.add(canon)
+        host = (urlsplit(canon).hostname or "").lower()
+        if any(host == p or host.endswith("." + p) for p in patterns):
+            continue
+        ext = posixpath.splitext(urlsplit(canon).path)[1].lower()
+        (first if ext in (".pdf", ".ps") else rest).append(canon)
+    return first + rest
+
+
+def _parent_domains(url):
+    """Each domain the host of url is, or is under; none if unreadable."""
+    try:
+        labels = (urlsplit(url).hostname or "").split(".")
+    except ValueError:
+        return []
+    return [".".join(labels[i:]) for i in range(len(labels))]
+
+
+@st.composite
+def _urls_and_blocklist(draw):
+    """Hostile URLs, some repeated, and up to three blocklist patterns that
+    are often a parent domain of one of them."""
+    urls = draw(st.lists(_urls(), max_size=6))
+    urls += urls[::2]
+    domains = [d for u in urls for d in _parent_domains(u)] or ["example"]
+    blocklist = draw(st.lists(st.one_of(
+        _hosts, st.sampled_from(domains),
+        st.sampled_from([".example", "EXAMPLE", "2001:db8::1"])), max_size=3))
+    return urls, blocklist
+
+
+class TestCrawlOrder:
+    @settings(max_examples=500)
+    @given(_urls_and_blocklist())
+    @example((["HTTP://Ads.Example/a.pdf", "http://h.example/b",
+               "http://ads.example/a.pdf#f", "http://x.ads.example/c.ps"],
+              ["ADS.example"]))
+    def test_equals_urllib_loop(self, urls_and_blocklist):
+        urls, blocklist = urls_and_blocklist
+        assert crawl_order(urls, blocklist) == \
+            _crawl_order_by_urllib(urls, blocklist)
