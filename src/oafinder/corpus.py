@@ -28,7 +28,7 @@ from .records import (
     save_records,
 )
 from .robot.crawl import CrawlConfig, FetchResult, format_query
-from .robot.extract import EXTENSION_FORMATS, _parse_html_reference
+from .robot.extract import _parse_html_reference
 from .robot.urls import _canonicalize, normalize_url
 from .stats import ConfusionMatrix, build_confusion_from_audit
 
@@ -143,7 +143,6 @@ class CorpusSpec:
 class MockWeb:
     pages: dict[str, tuple[str, bytes]] = field(default_factory=dict)  # url -> (format, bytes)
     queries: dict[str, list[str]] = field(default_factory=dict)
-    dead_links: set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -364,9 +363,8 @@ def _plant_abstract_decoy(record: ArticleRecord, web: MockWeb) -> GroundTruth:
 
 
 def _plant_dead_link(record: ArticleRecord, web: MockWeb) -> GroundTruth:
-    url = f"{_article_base(record)}/gone.pdf"
-    web.dead_links.add(url)
-    _list_results(web, record, [url])
+    # No page is planted at the listed URL, so fetching it gets a 404.
+    _list_results(web, record, [f"{_article_base(record)}/gone.pdf"])
     return GroundTruth(record.id, False, "dead-link", 0)
 
 
@@ -486,50 +484,57 @@ def run_audit(detections: list[DetectionEvidence],
 # ---------------------------------------------------------------------------
 
 def export_corpus(corpus: Corpus, out_dir) -> None:
-    """Write records.jsonl, ground_truth.jsonl and a mockweb/ directory with
-    one file per URL plus index.json. Deterministic byte-for-byte."""
+    """Write records.jsonl, ground_truth.jsonl and a mockweb/ directory of
+    index.json (the search results per query) and pages.jsonl (one page per
+    line, in URL order). Deterministic byte-for-byte."""
     out = Path(out_dir)
-    pages_dir = out / "mockweb" / "pages"
-    pages_dir.mkdir(parents=True, exist_ok=True)
+    (out / "mockweb").mkdir(parents=True, exist_ok=True)
     save_records(corpus.records, out / "records.jsonl")
     with open(out / "ground_truth.jsonl", "w", encoding="utf-8") as fh:
         for art_id in sorted(corpus.ground_truth):
             fh.write(json.dumps(vars(corpus.ground_truth[art_id]),
                                 sort_keys=True) + "\n")
-
-    index = {"pages": {}, "queries": corpus.web.queries,
-             "dead_links": sorted(corpus.web.dead_links)}
-    for n, url in enumerate(sorted(corpus.web.pages)):
-        fmt, data = corpus.web.pages[url]
-        ext = next((e for e, f in EXTENSION_FORMATS.items() if f == fmt), ".bin")
-        fname = f"p{n:06d}{ext}"
-        (pages_dir / fname).write_bytes(data)
-        index["pages"][url] = {"file": f"pages/{fname}", "format": fmt}
+    pages = corpus.web.pages
+    with open(out / "mockweb" / "pages.jsonl", "w", encoding="utf-8") as fh:
+        for url in sorted(pages):
+            fmt, data = pages[url]
+            page = {"format": fmt, "text": data.decode("utf-8"), "url": url}
+            fh.write(json.dumps(page, ensure_ascii=False, sort_keys=True) + "\n")
     with open(out / "mockweb" / "index.json", "w", encoding="utf-8") as fh:
-        json.dump(index, fh, sort_keys=True, indent=1)
+        json.dump({"queries": corpus.web.queries}, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
+def _page_from_dict(obj: dict) -> tuple[str, str, bytes]:
+    try:
+        return (_typed(obj["url"], str, "url"),
+                _typed(obj["format"], str, "format"),
+                _typed(obj["text"], str, "text").encode("utf-8"))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad page object: {exc}") from exc
+
+
 def load_mock_web(mockweb_dir) -> MockWeb:
+    """The mock web export_corpus wrote, pages.jsonl read line by line."""
     base = Path(mockweb_dir)
     with open(base / "index.json", encoding="utf-8") as fh:
         index = json.load(fh)
     web = MockWeb()
     try:
-        for url, meta in index["pages"].items():
-            web.pages[url] = (meta["format"], (base / meta["file"]).read_bytes())
         web.queries = {q: list(us) for q, us in index["queries"].items()}
-        web.dead_links = set(index["dead_links"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{base / 'index.json'}: bad mock web index: "
                          f"{type(exc).__name__}: {exc}") from exc
+    for _, (url, fmt, data) in _read_jsonl(base / "pages.jsonl", _page_from_dict):
+        web.pages[url] = (fmt, data)
     return web
 
 
 def _ground_truth_from_dict(obj: dict) -> GroundTruth:
     try:
-        return GroundTruth(obj["article_id"], _typed(obj["oa"], bool, "oa"),
-                           obj.get("kind", ""), int(obj.get("chain_depth", 0)),
+        return GroundTruth(_typed(obj["article_id"], str, "article_id"),
+                           _typed(obj["oa"], bool, "oa"), obj.get("kind", ""),
+                           _typed(obj.get("chain_depth", 0), int, "chain_depth"),
                            obj.get("fulltext_url", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad ground truth object: {exc}") from exc

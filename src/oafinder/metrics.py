@@ -276,72 +276,63 @@ def _fmt(x: Optional[float]) -> str:
     return "" if x is None else repr(round(x, 12) + 0.0)
 
 
-def write_oa_share_csv(reports: list[OAShareReport], path) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["group", "n_oa", "n_noa", "percent_oa"])
-        for rep in reports:
-            w.writerow([rep.group, rep.n_oa, rep.n_noa, _fmt_pct(rep.percent_oa)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_oa_share_csv(reports: list[OAShareReport], path) -> None:
+    _write_csv(path, ["group", "n_oa", "n_noa", "percent_oa"],
+               ([rep.group, rep.n_oa, rep.n_noa, _fmt_pct(rep.percent_oa)]
+                for rep in reports))
 
 
 def write_advantage_csv(reports: list[AdvantageReport], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["group", "advantage_pct", "n_issues_included",
-                    "n_issues_excluded", "exclusion_reasons"])
-        for rep in reports:
-            w.writerow([
-                rep.group,
-                "NO_DATA" if rep.advantage is None else _fmt_pct(rep.advantage),
-                rep.n_issues_included, rep.n_issues_excluded,
-                ";".join(rep.exclusion_reasons),
-            ])
+    _write_csv(path, ["group", "advantage_pct", "n_issues_included",
+                      "n_issues_excluded", "exclusion_reasons"],
+               ([rep.group,
+                 "NO_DATA" if rep.advantage is None else _fmt_pct(rep.advantage),
+                 rep.n_issues_included, rep.n_issues_excluded,
+                 ";".join(rep.exclusion_reasons)] for rep in reports))
 
 
 def write_cohort_csv(table, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["group", "citation_range", "oa_share_pct", "noa_share_pct",
-                    "ratio", "delta_pct"])
-        for key in sorted(table, key=str):
-            for rng in ALL_RANGES:
-                cell = table[key][rng]
-                w.writerow([
-                    key, rng.value, _fmt_pct(cell.oa_share),
-                    _fmt_pct(cell.noa_share),
-                    "undefined" if cell.ratio is None else _fmt(cell.ratio),
-                    "undefined" if cell.delta is None else _fmt_pct(cell.delta),
-                ])
+    def row(key, rng):
+        cell = table[key][rng]
+        return [key, rng.value, _fmt_pct(cell.oa_share),
+                _fmt_pct(cell.noa_share),
+                "undefined" if cell.ratio is None else _fmt(cell.ratio),
+                "undefined" if cell.delta is None else _fmt_pct(cell.delta)]
+
+    _write_csv(path, ["group", "citation_range", "oa_share_pct",
+                      "noa_share_pct", "ratio", "delta_pct"],
+               (row(key, rng) for key in sorted(table, key=str)
+                for rng in ALL_RANGES))
 
 
 def write_correlations_csv(rows, path) -> None:
     """rows: iterable of (pair_name, CorrelationResult or None)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["pair", "r", "n", "t", "df", "p_two_tailed", "p_one_tailed"])
-        for name, res in rows:
-            if res is None:
-                w.writerow([name, "ZERO_VARIANCE", "", "", "", "", ""])
-            else:
-                w.writerow([name, _fmt(res.r), res.n, _fmt(res.t_stat), res.df,
-                            _fmt(res.p_two_tailed), _fmt(res.p_one_tailed)])
+    _write_csv(path, ["pair", "r", "n", "t", "df", "p_two_tailed",
+                      "p_one_tailed"],
+               ([name, "ZERO_VARIANCE", "", "", "", "", ""] if res is None
+                else [name, _fmt(res.r), res.n, _fmt(res.t_stat), res.df,
+                      _fmt(res.p_two_tailed), _fmt(res.p_one_tailed)]
+                for name, res in rows))
 
 
 def write_sdt_csv(m, result, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["hits", "misses", "false_alarms", "correct_rejections",
-                    "hit_rate", "fa_rate", "d_prime", "beta", "criterion_c",
-                    "correction_applied"])
-        w.writerow([m.hits, m.misses, m.false_alarms, m.correct_rejections,
-                    _fmt(result.hit_rate), _fmt(result.fa_rate),
-                    _fmt(result.d_prime), _fmt(result.beta),
-                    _fmt(result.criterion_c), str(result.correction_applied).lower()])
+    _write_csv(path, ["hits", "misses", "false_alarms", "correct_rejections",
+                      "hit_rate", "fa_rate", "d_prime", "beta", "criterion_c",
+                      "correction_applied"],
+               [[m.hits, m.misses, m.false_alarms, m.correct_rejections,
+                 _fmt(result.hit_rate), _fmt(result.fa_rate),
+                 _fmt(result.d_prime), _fmt(result.beta),
+                 _fmt(result.criterion_c),
+                 str(result.correction_applied).lower()]])
 
 
 def write_exclusions_csv(log: list[Exclusion], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["kind", "key", "reason", "n_records"])
-        for exc in log:
-            w.writerow([exc.kind, exc.key, exc.reason, exc.n_records])
+    _write_csv(path, ["kind", "key", "reason", "n_records"],
+               ([exc.kind, exc.key, exc.reason, exc.n_records] for exc in log))

@@ -142,8 +142,9 @@ class DetectionEvidence:
 
 
 def _typed(value, kind: type, key: str):
-    """value, if it has the JSON type kind; else a TypeError naming key."""
-    if not isinstance(value, kind):
+    """value, if it has the JSON type kind; else a TypeError naming key. A
+    JSON boolean is not an int, though Python's bool subclasses int."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
     return value
 
@@ -155,8 +156,8 @@ def _record_from_dict(obj: dict) -> ArticleRecord:
     try:
         rec = ArticleRecord(
             **{key: _typed(obj[key], str, key) for key in _STR_FIELDS},
-            year=int(obj["year"]),
-            citation_count=int(obj["citation_count"]),
+            year=_typed(obj["year"], int, "year"),
+            citation_count=_typed(obj["citation_count"], int, "citation_count"),
             oa_status=OAStatus(obj.get("oa_status", "UNKNOWN")),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -221,13 +222,13 @@ def detection_to_json(ev: DetectionEvidence) -> str:
 def detection_from_dict(obj: dict) -> DetectionEvidence:
     try:
         ev = DetectionEvidence(
-            article_id=obj["article_id"],
+            article_id=_typed(obj["article_id"], str, "article_id"),
             verdict=Verdict(obj["verdict"]),
             url=obj.get("url"),
             match_head_offset=obj.get("match_head_offset"),
             match_tail_marker=obj.get("match_tail_marker"),
             reason=obj.get("reason"),
-            depth=int(obj.get("depth", 0)),
+            depth=_typed(obj.get("depth", 0), int, "depth"),
             low_confidence=_typed(obj.get("low_confidence", False), bool,
                                   "low_confidence"),
         )

@@ -27,13 +27,6 @@ TEXT_FORMATS = {"text", "txt", "plain"}
 CONVERTER_FORMATS = {"pdf", "ps", "rtf", "doc", "word", "latex", "tex"}
 CONVERTER_TIMEOUT_S = 30.0
 
-EXTENSION_FORMATS = {
-    ".html": "html", ".htm": "html", ".xml": "xml",
-    ".txt": "text", ".text": "text",
-    ".pdf": "pdf", ".ps": "ps", ".rtf": "rtf", ".doc": "doc",
-    ".tex": "latex",
-}
-
 
 class ExtractionError(ValueError):
     pass

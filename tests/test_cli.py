@@ -162,6 +162,22 @@ class TestExitCodes:
         for field, value in (("title", 5), ("issue_key", 5),
                              ("first_author_surname", None),
                              ("discipline", 5))
+    ] + [
+        # An int field takes a JSON integer alone: int() would read 2.9,
+        # true and "7" as 2, 1 and 7.
+        pytest.param(cmd, key, dict(base, **{field: value}),
+                     id=f"{cmd}-{key}-{field}-{json.dumps(value)}")
+        for cmd, key, base, cases in (
+            ("analyze", "records", GOOD_RECORD,
+             (("citation_count", 2.9), ("citation_count", True),
+              ("citation_count", "7"), ("year", "1999"), ("year", 1999.5))),
+            ("analyze", "detections", {"article_id": "a0", "verdict": "NOA"},
+             (("depth", 1.9), ("depth", True), ("depth", "1"),
+              ("article_id", 5))),
+            ("audit", "ground_truth", {"article_id": "a0", "oa": True},
+             (("chain_depth", 2.9), ("chain_depth", True),
+              ("article_id", 5))))
+        for field, value in cases
     ])
     def test_malformed_input_file(self, cmd, key, line, corpus_dir, detections,
                                   tmp_path, capsys):
@@ -331,21 +347,35 @@ mock_web = {corpus_dir / 'mockweb'}
             main(argv)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("body", [
-        '{"pages": {}}',
-        '[]',
-        '{"pages": {"http://h.example/": {"file": "p.html"}},'
-        ' "queries": {}, "dead_links": []}',
+    # A case with a bad index.json is named by that index.
+    @pytest.mark.parametrize("index,pages,named", [
+        pytest.param(body, "", "index.json", id=body)
+        for body in ('{"pages": {}}', '[]')
+    ] + [
+        pytest.param('{"queries": {}}', line, "pages.jsonl:1", id=name)
+        for name, line in (
+            ("page-no-format", '{"text": "x", "url": "http://h.example/"}'),
+            ("page-text-not-string",
+             '{"format": "html", "text": 5, "url": "http://h.example/"}'),
+            ("page-bad-json", '{"format": "html", "text": '))
+    ] + [
+        # The old layout of one file per page, which has no pages.jsonl:
+        # such a web is regenerated with synth.
+        pytest.param(body, None, "pages.jsonl", id=body)
+        for body in ['{"pages": {"http://h.example/": {"file": "p.html"}},'
+                     ' "queries": {}, "dead_links": []}']
     ])
-    def test_malformed_mock_web_index(self, body, corpus_dir, tmp_path,
-                                      capsys):
+    def test_malformed_mock_web_index(self, index, pages, named, corpus_dir,
+                                      tmp_path, capsys):
         web = tmp_path / "mockweb"
         web.mkdir()
-        (web / "index.json").write_text(body)
+        (web / "index.json").write_text(index)
+        if pages is not None:
+            (web / "pages.jsonl").write_text(pages + "\n")
         assert main(["detect", "--records", str(corpus_dir / "records.jsonl"),
                      "--detections", str(tmp_path / "d.jsonl"),
                      "--mock-web", str(web)]) == 2
-        assert "index.json" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 class TestDetect:
@@ -485,7 +515,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "79e73f0dbe21e99ccf24b9c28836eeae16468500b35bb591ffd911e02206faec")
+    "03c7c007e53a662d2f1fac422617a7e0265809c832eda197e8814f1ffccbf703")
 
 
 def run_digest(out, stdout: str) -> str:
@@ -507,9 +537,10 @@ class TestSynthAndEvaluate:
         spec.write_text("n_articles = 30\nseed = 2\n")
         out = tmp_path / "corpus"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
-        assert (out / "records.jsonl").exists()
-        assert (out / "mockweb" / "index.json").exists()
-        assert (out / "ground_truth.jsonl").exists()
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file()) == [
+            "ground_truth.jsonl", "mockweb/index.json", "mockweb/pages.jsonl",
+            "records.jsonl"]
 
     def test_synth_seed_flag_overrides_spec(self, tmp_path):
         spec = tmp_path / "spec.cfg"

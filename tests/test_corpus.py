@@ -82,7 +82,6 @@ class TestDeterminism:
         web = load_mock_web(tmp_path / "mockweb")
         assert web.pages == corpus.web.pages
         assert web.queries == corpus.web.queries
-        assert web.dead_links == corpus.web.dead_links
         assert load_ground_truth(tmp_path / "ground_truth.jsonl") == \
             corpus.ground_truth
 
@@ -182,9 +181,13 @@ class TestGroundTruthSoundness:
         assert not reachable_within_depth(web, record, own_url)
 
     def test_fetches_stay_inside_mock_web(self, corpus):
+        # A dead link's host may serve no page, so the journals' hosts
+        # count as known too.
         known_hosts = {host_of(u) for u in corpus.web.pages} \
-            | {host_of(u) for u in corpus.web.dead_links} \
+            | {f"www.{r.journal_id}.example" for r in corpus.records} \
             | {"www.mock-search.example"}
+        assert any(gt.kind == "dead-link"
+                   for gt in corpus.ground_truth.values())
         for urls in corpus.web.queries.values():
             for u in urls:
                 # search results may point at blocklisted ad hosts; everything
