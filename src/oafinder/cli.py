@@ -9,6 +9,7 @@ or input error, 3 incomplete detections, 4 audit infeasible.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -31,9 +32,9 @@ class CliError(Exception):
         self.code = code
 
 
-def read_config(path) -> dict[str, str]:
+def read_config(path, keys) -> dict[str, str]:
     """Flat key=value file; blank lines and #-comments ignored. A key outside
-    KNOWN_KEYS is a CliError naming the file and line."""
+    keys is a CliError naming the file and line."""
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -47,7 +48,7 @@ def read_config(path) -> dict[str, str]:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in KNOWN_KEYS:
+        if key not in keys:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         cfg[key] = value.strip()
     return cfg
@@ -59,7 +60,7 @@ def _merged_config(args) -> dict[str, str]:
     flags = dict(vars(args))
     del flags["command"], flags["func"]  # the subcommand, not settings
     path = flags.pop("config", None)
-    cfg = read_config(path) if path else {}
+    cfg = read_config(path, CONFIG_KEYS) if path else {}
     for key, value in flags.items():
         # By identity: 0 == False, so "value in (None, False)" would drop
         # --seed 0.
@@ -120,10 +121,11 @@ _SPEC_CASTS = _field_casts(corpusmod.CorpusSpec)
 # Keys commands read as plain strings.
 _PLAIN_KEYS = ("records", "detections", "mock_web", "ground_truth", "out",
                "allow_unknown", "converter")
-# A config or spec file may set any key some command reads (run.cfg serves
-# every stage); any other key is a typo or a stale setting.
-KNOWN_KEYS = frozenset(_PLAIN_KEYS).union(_CRAWL_CASTS, _AUDIT_CASTS,
-                                          _SPEC_CASTS)
+# The keys a --config file may set: any key some command reads from it
+# (run.cfg serves every stage). A spec file may set the CorpusSpec fields.
+# Any other key is a typo, a stale setting or a key of the other kind.
+CONFIG_KEYS = frozenset(_PLAIN_KEYS).union(_CRAWL_CASTS, _AUDIT_CASTS)
+SPEC_KEYS = frozenset(_SPEC_CASTS)
 
 
 def _build(cls, casts: dict, cfg: dict):
@@ -267,11 +269,10 @@ def cmd_analyze(cfg: dict, merged=None) -> dict:
                                     out / f"advantage_by_{dim}.csv")
     pct = [rep.percent_oa for rep in shares["discipline"]]
     if len(pct) > 1:
-        summary = metrics.summary_stats(pct)
         print(f"analyze: kept {len(kept)}/{len(merged)} records; "
-              f"%OA by discipline mean {100 * summary['mean']:.1f} "
-              f"median {100 * summary['median']:.1f} "
-              f"sd {100 * summary['sd']:.2f}")
+              f"%OA by discipline mean {100 * statistics.mean(pct):.1f} "
+              f"median {100 * statistics.median(pct):.1f} "
+              f"sd {100 * statistics.stdev(pct):.2f}")
     else:
         print(f"analyze: kept {len(kept)}/{len(merged)} records")
     return advantage
@@ -366,7 +367,7 @@ def cmd_audit(cfg: dict, detections=None, truth=None):
 def cmd_synth(cfg: dict) -> corpusmod.Corpus:
     """Generate the corpus the spec file describes (its seed overridden by
     cfg's) and export it; returns the corpus."""
-    spec_cfg = read_config(cfg["spec"]) if cfg.get("spec") else {}
+    spec_cfg = read_config(cfg["spec"], SPEC_KEYS) if cfg.get("spec") else {}
     if "seed" in cfg:
         spec_cfg["seed"] = cfg["seed"]
     corp = corpusmod.generate_corpus(
@@ -473,12 +474,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except metrics.UnresolvedStatusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    except metrics.MetricsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -1,18 +1,19 @@
 """Citation-impact analytics: percent-OA tables, within-issue OA citation
-advantage with exclusion rules, citation-range cohort tables, and summary
-statistics, plus deterministic CSV report writers.
+advantage with exclusion rules and citation-range cohort tables, plus
+deterministic CSV report writers.
 
 All functions are pure over immutable record collections; report ordering is
-always sorted by group key so reruns are byte-identical.
+always sorted by group key so reruns are byte-identical. They take resolved
+records, each OA or NOA: cli._resolved_records is the one place that decides
+what happens to an UNKNOWN record.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .records import ALL_RANGES, ArticleRecord, CitationRange, OAStatus
 
@@ -21,30 +22,6 @@ ALL_OA_JOURNAL = "ALL_OA_JOURNAL"
 ALL_OA_ISSUE = "ALL_OA_ISSUE"
 ALL_NOA_ISSUE = "ALL_NOA_ISSUE"
 ZERO_NOA_CITATIONS = "ZERO_NOA_CITATIONS"
-
-
-class MetricsError(ValueError):
-    pass
-
-
-class UnresolvedStatusError(MetricsError):
-    """Records still carry UNKNOWN status; run detection first."""
-
-
-def _group_key(rec: ArticleRecord, dimension: str):
-    if dimension == "journal":
-        return rec.journal_id
-    if dimension in ("discipline", "country", "year"):
-        return getattr(rec, dimension)
-    raise MetricsError(f"unknown grouping dimension {dimension!r}")
-
-
-def _require_resolved(records) -> None:
-    for rec in records:
-        if rec.oa_status is OAStatus.UNKNOWN:
-            raise UnresolvedStatusError(
-                f"record {rec.id} has UNKNOWN status; run detection first"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +59,6 @@ def apply_exclusions(records: list[ArticleRecord]
     Returns the kept records (input order preserved) and a log naming each
     excluded journal/issue. Idempotent.
     """
-    _require_resolved(records)
     log: list[Exclusion] = []
     survivors = _drop_all_oa(records, "journal_id", "journal", ALL_OA_JOURNAL, log)
     kept = _drop_all_oa(survivors, "issue_key", "issue", ALL_OA_ISSUE, log)
@@ -105,11 +81,11 @@ class OAShareReport:
 
 
 def percent_oa(records: list[ArticleRecord], group_by: str) -> list[OAShareReport]:
-    """Per-group OA share n_oa / (n_oa + n_noa), sorted by group key."""
-    _require_resolved(records)
+    """OA share n_oa / (n_oa + n_noa) per value of the record field
+    group_by, sorted by that value."""
     counts = defaultdict(lambda: [0, 0])  # group -> [n_oa, n_noa]
     for rec in records:
-        counts[_group_key(rec, group_by)][rec.oa_status is not OAStatus.OA] += 1
+        counts[getattr(rec, group_by)][rec.oa_status is not OAStatus.OA] += 1
     return [OAShareReport(g, counts[g][0], counts[g][1]) for g in sorted(counts)]
 
 
@@ -125,8 +101,6 @@ def issue_advantage(issue_records: list[ArticleRecord]
     issues that are 100% or 0% OA, or whose NOA members are all uncited, have
     no defined ratio.
     """
-    if not issue_records:
-        raise MetricsError("empty issue")
     oa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.OA]
     noa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.NOA]
     if not oa:
@@ -150,10 +124,9 @@ class AdvantageReport:
 
 def aggregate_advantage(records: list[ArticleRecord], group_by: str
                         ) -> list[AdvantageReport]:
-    """Per-issue ratios averaged to journal, then journals averaged to group,
-    each with equal weight (the within-issue ratio of Lawrence 2001)."""
-    _require_resolved(records)
-
+    """Per-issue ratios averaged to journal, then journals averaged to the
+    group, a value of the record field group_by, each with equal weight (the
+    within-issue ratio of Lawrence 2001)."""
     by_issue = defaultdict(list)
     for rec in records:
         by_issue[rec.issue_key].append(rec)
@@ -164,7 +137,7 @@ def aggregate_advantage(records: list[ArticleRecord], group_by: str
     excluded = defaultdict(list)
     for issue_key in sorted(by_issue):
         members = by_issue[issue_key]
-        group = _group_key(members[0], group_by)
+        group = getattr(members[0], group_by)
         ratio, reason = issue_advantage(members)
         if ratio is None:
             excluded[group].append(reason)
@@ -208,8 +181,7 @@ class CohortCell:
 
 def cohort_cell(oa_in_range: int, oa_total: int,
                 noa_in_range: int, noa_total: int) -> CohortCell:
-    if oa_total < 1 or noa_total < 1:
-        raise MetricsError("both populations must be non-empty")
+    """The cell of one range; both totals are at least 1."""
     oa_share = oa_in_range / oa_total
     noa_share = noa_in_range / noa_total
     if noa_share == 0.0:
@@ -223,7 +195,6 @@ def cohort_table(records: list[ArticleRecord], per_year: bool = True
     """OA_c / NOA_c shares per citation range, keyed by year (per_year) or by
     the single key "all" (pooled over all years). Groups where either
     population is empty have no defined shares and are omitted."""
-    _require_resolved(records)
     counts = defaultdict(lambda: defaultdict(lambda: [0, 0]))  # key -> range -> [oa, noa]
     totals = defaultdict(lambda: [0, 0])
     for rec in records:
@@ -242,24 +213,6 @@ def cohort_table(records: list[ArticleRecord], per_year: bool = True
             for rng in ALL_RANGES
         }
     return table
-
-
-# ---------------------------------------------------------------------------
-# Summary statistics
-# ---------------------------------------------------------------------------
-
-def summary_stats(values: list[float]) -> dict[str, float]:
-    """Mean, median (mean of middle two for even n) and sample SD (n-1)."""
-    n = len(values)
-    if n == 0:
-        raise MetricsError("summary_stats needs a non-empty list")
-    if n == 1:
-        raise MetricsError("SD_UNDEFINED for n=1")
-    mean = sum(values) / n
-    s = sorted(values)
-    median = s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2.0
-    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-    return {"mean": mean, "median": median, "sd": sd}
 
 
 # ---------------------------------------------------------------------------

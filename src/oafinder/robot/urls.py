@@ -26,6 +26,10 @@ _CANONICAL_RE = re.compile(
 # A root-relative href ("/...", not "//") that urljoin appends to the
 # scheme and host of a canonical base as it is.
 _ROOT_RELATIVE_RE = re.compile(r"(?=/)" + _PATH_QUERY)
+# A URL up to the "[" of a bracketed host (after the netloc's last "@")
+# that is an IPvFuture literal with an upper-case "v". RFC 3986 makes the
+# "v" case-insensitive; urlsplit accepts only a lower-case one.
+_UPPER_IPVFUTURE_RE = re.compile(r"\A([^:/?#]*://(?:[^/?#]*@)?+\[)V")
 
 FULLTEXT_EXTENSIONS = (".pdf", ".ps")
 
@@ -57,7 +61,7 @@ def normalize_url(url: str) -> str:
 def _canonicalize(url: str) -> str:
     """normalize_url through urllib.parse alone, for any URL."""
     try:
-        parts = urlsplit(url)
+        parts = urlsplit(_UPPER_IPVFUTURE_RE.sub(r"\1v", url))
         port = parts.port
     except ValueError as exc:
         raise UrlError(f"unparseable URL {url!r}: {exc}") from exc

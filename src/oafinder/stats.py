@@ -118,7 +118,6 @@ class CorrelationResult:
     df: int
     p_two_tailed: float
     p_one_tailed: float
-    at_machine_floor: bool = False  # |r| == 1: p below machine resolution
 
 
 def _centered(vs) -> list[float]:
@@ -163,8 +162,7 @@ def r_to_p(r: float, n: int) -> CorrelationResult:
     if abs(r) == 1.0:
         return CorrelationResult(
             r=r, n=n, t_stat=math.inf if r > 0 else -math.inf, df=df,
-            p_two_tailed=0.0, p_one_tailed=0.0, at_machine_floor=True,
-        )
+            p_two_tailed=0.0, p_one_tailed=0.0)
     t = r * math.sqrt(df / (1.0 - r * r))
     p_one = t_sf(abs(t), df)
     return CorrelationResult(

@@ -274,17 +274,22 @@ mock_web = {corpus_dir / 'mockweb'}
         assert "first on line 1" in err
 
     def test_unknown_spec_key(self, tmp_path, capsys):
-        spec = tmp_path / "spec.cfg"
-        spec.write_text("# 20 articles\nn_article = 20\n")
-        assert main(["synth", "--spec", str(spec),
-                     "--out", str(tmp_path / "c")]) == 2
-        assert f"{spec}:2: unknown key 'n_article'" in capsys.readouterr().err
-        assert not (tmp_path / "c").exists()
+        # A typo, and a crawl key, which only a --config file may set.
+        for key in ("n_article", "max_depth"):
+            spec = tmp_path / "spec.cfg"
+            spec.write_text(f"# 20 articles\n{key} = 0\n")
+            assert main(["synth", "--spec", str(spec),
+                         "--out", str(tmp_path / "c")]) == 2
+            assert f"{spec}:2: unknown key {key!r}" in \
+                capsys.readouterr().err
+            assert not (tmp_path / "c").exists()
 
     def test_unknown_config_key(self, corpus_dir, detections, tmp_path,
                                 capsys):
-        # A typo, and keys that old configs set but nothing reads any more.
-        for key, value in (("max_dept", "0"), ("per_host_rate", "1.0")):
+        # A typo, a key that old configs set but nothing reads any more,
+        # and a spec key, which only a --spec file may set.
+        for key, value in (("max_dept", "0"), ("per_host_rate", "1.0"),
+                           ("n_articles", "5")):
             cfg = tmp_path / "c.cfg"
             cfg.write_text(f"""records = {corpus_dir / 'records.jsonl'}
 detections = {tmp_path / 'd.jsonl'}
@@ -329,7 +334,7 @@ mock_web = {corpus_dir / 'mockweb'}
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         cfg_path = tmp_path / "readme.cfg"
         cfg_path.write_text(block)
-        cfg = cli.read_config(cfg_path)
+        cfg = cli.read_config(cfg_path, cli.CONFIG_KEYS)
         assert cli._build(CrawlConfig, cli._CRAWL_CASTS, cfg).max_depth == \
             int(cfg["max_depth"])
         assert cli._cast_values(cfg, cli._AUDIT_CASTS) == {
@@ -481,6 +486,60 @@ class TestReports:
         for p in sorted(out1.iterdir()):
             assert (out2 / p.name).read_bytes() == p.read_bytes(), p.name
 
+    def test_analyze_summary_line(self, tmp_path, capsys):
+        # Four disciplines of 8 records in one issue each, with 1, 2, 4 and
+        # 6 OA: %OA 12.5, 25, 50 and 75, so mean 40.625, median 37.5 and
+        # sample sd sqrt(2304.6875 / 3) = 27.717.
+        merged = [records.ArticleRecord(
+            id=f"{disc}{i}", first_author_surname="Smith", title="A title",
+            journal_id=f"{disc}-j1", issue_key=f"{disc}-j1|1999|1",
+            year=1999, discipline=disc, country="US", citation_count=i,
+            oa_status=records.OAStatus.OA if i < n_oa
+            else records.OAStatus.NOA)
+            for disc, n_oa in (("a", 1), ("b", 2), ("c", 4), ("d", 6))
+            for i in range(8)]
+        cfg = {"out": str(tmp_path / "r")}
+        cli.cmd_analyze(cfg, merged)
+        assert capsys.readouterr().out == (
+            "analyze: kept 32/32 records; %OA by discipline mean 40.6 "
+            "median 37.5 sd 27.72\n")
+        # One discipline has no sample sd, so the line has no summary.
+        cli.cmd_analyze(cfg, merged[:8])
+        assert capsys.readouterr().out == "analyze: kept 8/8 records\n"
+
+    @pytest.mark.parametrize("cmd", ["analyze", "cohorts", "correlate"])
+    def test_unknown_records_gated_once(self, cmd, corpus_dir, detections,
+                                        tmp_path, capsys):
+        # A journal of half the detections leaves the other records
+        # UNKNOWN. Without --allow-unknown the command exits 3 and writes
+        # nothing; with it, it reports on the records that have a verdict,
+        # as a run over those records alone does.
+        half = tmp_path / "half.jsonl"
+        evs = load_detections(detections)[::2]
+        save_detections(evs, half)
+        ids = {ev.article_id for ev in evs}
+        all_records = corpus_dir / "records.jsonl"
+        detected = tmp_path / "detected.jsonl"
+        detected.write_text("".join(
+            line for line in all_records.read_text().splitlines(True)
+            if json.loads(line)["id"] in ids))
+
+        def run(recs, out, *flags):
+            return main([cmd, "--records", str(recs), "--detections",
+                         str(half), "--out", str(tmp_path / out), *flags])
+
+        assert run(all_records, "gated") == 3
+        assert "UNKNOWN" in capsys.readouterr().err
+        assert not (tmp_path / "gated").exists()
+        assert run(all_records, "dropped", "--allow-unknown") == 0
+        assert run(detected, "detected") == 0
+        files = sorted(p.name for p in (tmp_path / "dropped").iterdir())
+        assert files == sorted(p.name
+                               for p in (tmp_path / "detected").iterdir())
+        for name in files:
+            assert (tmp_path / "dropped" / name).read_bytes() == \
+                (tmp_path / "detected" / name).read_bytes(), name
+
     def test_audit_seed_flag_zero_overrides_config(self, corpus_dir,
                                                     tmp_path):
         # Verdicts that ignore the truth, so that the sample the seed draws
@@ -603,10 +662,10 @@ class TestSynthAndEvaluate:
         out = tmp_path / "run"
         assert main(["evaluate", "--spec", str(spec), "--out", str(out),
                      "--seed", "4", "--sample-size", "10"]) == 0
-        assert set(cli.read_config(out / "run.cfg")) == {
+        assert set(cli.read_config(out / "run.cfg", cli.CONFIG_KEYS)) == {
             "records", "detections", "mock_web", "ground_truth", "out",
             "sample_size", "seed"}
-        for cmd in ("analyze", "audit"):
+        for cmd in ("detect", "analyze", "cohorts", "correlate", "audit"):
             assert main([cmd, "--config", str(out / "run.cfg")]) == 0
 
     def test_evaluate_reads_nothing_back(self, tmp_path, monkeypatch):
@@ -654,7 +713,17 @@ class TestConfigParsing:
         from oafinder.cli import read_config
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\n\nrecords = value\nseed=1\n")
-        assert read_config(cfg) == {"records": "value", "seed": "1"}
+        assert read_config(cfg, cli.CONFIG_KEYS) == {"records": "value",
+                                                     "seed": "1"}
+
+    def test_perfbench_specs_load(self):
+        paths = sorted((Path(__file__).parents[1] / "perfbench" /
+                        "workloads").glob("*.cfg"))
+        assert paths
+        for path in paths:
+            cfg = cli.read_config(path, cli.SPEC_KEYS)
+            spec = cli._build(CorpusSpec, cli._SPEC_CASTS, cfg)
+            assert spec.n_articles == int(cfg["n_articles"]), path.name
 
     def test_detections_output_is_sorted_json(self, detections):
         for line in detections.read_text().splitlines():

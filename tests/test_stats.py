@@ -191,7 +191,7 @@ class TestRToP:
 
     def test_perfect_correlation_flagged(self):
         res = r_to_p(1.0, 5)
-        assert res.at_machine_floor
+        assert res.t_stat == math.inf
         assert res.p_two_tailed == 0.0
 
     def test_monotone_in_abs_r(self):

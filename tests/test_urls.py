@@ -45,8 +45,9 @@ _HOSTILE_PARTS = [
     ("host", st.one_of(_hosts.map("Www.{}".format),
                        _hosts.map("{}.EXAMPLE".format))),
     ("host", st.sampled_from(["[2001:db8::1]", "[::1]", "[2001:DB8::1]",
-                              "[v1.abc]", "[x", "x]", "", "h..example",
-                              "h.example.", "h_x.example", "h\u00e9.example"])),
+                              "[v1.abc]", "[V1.abc]", "[x", "x]", "",
+                              "h..example", "h.example.", "h_x.example",
+                              "h\u00e9.example"])),
     ("port", st.sampled_from([":80", ":443", ":21", ":8080", ":", ":0",
                               ":abc", ":99999"])),
     ("segment", st.sampled_from([".", ".."])),
@@ -161,6 +162,17 @@ class TestNormalize:
         url = "http://[v1.abc]/x"
         assert normalize_url(url) == url
         assert normalize_url("http://u@[v1.ABC]:80/x") == "http://u@[v1.abc]/x"
+
+    def test_ipvfuture_upper_case_v(self):
+        # RFC 3986 makes the "v" case-insensitive; urlsplit reads only "v".
+        assert normalize_url("http://[V1.abc]/x") == "http://[v1.abc]/x"
+        assert normalize_url("HTTP://u@[V1.ABC]:80/x") == \
+            "http://u@[v1.abc]/x"
+        # Only the host's bracket counts, not one in the userinfo or path.
+        assert normalize_url("http://h.example/[V1.abc]") == \
+            "http://h.example/[V1.abc]"
+        with pytest.raises(UrlError):
+            normalize_url("http://u@[V1.abc]@h.example/x")
 
 
 class TestCanonicalFastPath:
