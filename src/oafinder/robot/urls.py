@@ -26,10 +26,12 @@ _CANONICAL_RE = re.compile(
 # A root-relative href ("/...", not "//") that urljoin appends to the
 # scheme and host of a canonical base as it is.
 _ROOT_RELATIVE_RE = re.compile(r"(?=/)" + _PATH_QUERY)
-# A URL up to the "[" of a bracketed host (after the netloc's last "@")
-# that is an IPvFuture literal with an upper-case "v". RFC 3986 makes the
-# "v" case-insensitive; urlsplit accepts only a lower-case one.
-_UPPER_IPVFUTURE_RE = re.compile(r"\A([^:/?#]*://(?:[^/?#]*@)?+\[)V")
+# A URL up to the "[" of a bracketed host that is an IPvFuture literal with
+# an upper-case "v"; the lookahead keeps it to the bracket after the netloc's
+# last "@". RFC 3986 makes the "v" case-insensitive; urlsplit accepts only a
+# lower-case one.
+_UPPER_IPVFUTURE_RE = re.compile(
+    r"\A([^:/?#]*://(?:[^/?#]*@)?\[)V(?![^/?#]*@)")
 
 FULLTEXT_EXTENSIONS = (".pdf", ".ps")
 

@@ -1,6 +1,10 @@
-"""Checks on the source of src/oafinder itself, read with ast alone."""
+"""Checks on the source of src/oafinder itself: its modules read with ast,
+and its compiled patterns read with re's own parser."""
 
 import ast
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,41 @@ def test_unused_import_found():
                      "Optional\nfrom __future__ import annotations\n"
                      "x: Optional[int] = os.sep\n")
     assert unused_imports(tree) == [(1, "regex"), (2, "Iterable")]
+
+
+# Regular-expression syntax that re accepts only from Python 3.11 on;
+# pyproject.toml admits 3.10, where compiling it raises re.error at import.
+PY311_REGEX_OPS = {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
+
+
+def regex_ops(node) -> set[str]:
+    """Names of the opcodes in a tree that re's parser returned."""
+    if hasattr(node, "data"):  # a SubPattern
+        node = node.data
+    if isinstance(node, (list, tuple)):
+        return set().union(*map(regex_ops, node))
+    return {node.name} if hasattr(node, "name") else set()
+
+
+def module_patterns():
+    for info in pkgutil.walk_packages(oafinder.__path__, "oafinder."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if isinstance(value, re.Pattern):
+                yield pytest.param(value, id=f"{module.__name__}.{name}")
+
+
+@pytest.mark.parametrize("pattern", module_patterns())
+def test_pattern_reads_on_python_310(pattern):
+    parser = pytest.importorskip("re._parser")
+    tree = parser.parse(pattern.pattern, pattern.flags)
+    assert regex_ops(tree) & PY311_REGEX_OPS == set()
+
+
+def test_py311_pattern_found():
+    parser = pytest.importorskip("re._parser")
+    for pattern, ops in [(r"\A([^:/?#]*://(?:[^/?#]*@)?+\[)V",
+                          {"POSSESSIVE_REPEAT"}),
+                         (r"(?>a|b)x*+", PY311_REGEX_OPS),
+                         (r"\A(?:a@)?\[V(?![^@]*@)", set())]:
+        assert regex_ops(parser.parse(pattern)) & PY311_REGEX_OPS == ops
