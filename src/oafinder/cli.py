@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import corpus as corpusmod
 from . import metrics, records, stats
-from .records import ALL_RANGES, OAStatus, load_detections, load_records
+from .records import OAStatus, load_detections, load_records
 from .robot.crawl import CrawlConfig, DetectionError, detect_oa
 from .robot.extract import ExternalConverter
 
@@ -152,6 +152,9 @@ def _load(cfg: dict, key: str, loader):
 def _resolved_records(cfg: dict, recs=None, detections=None):
     """recs with the detections' verdicts applied, each loaded from cfg when
     not given. UNKNOWN records are an error unless allow_unknown drops them."""
+    allow = cfg.get("allow_unknown", "")
+    if allow.lower() not in ("true", "1", "yes", "false", "0", "no", ""):
+        raise CliError(f"bad value for allow_unknown: {allow!r}")
     if recs is None:
         recs = _load(cfg, "records", load_records)
     if detections is None:
@@ -159,7 +162,7 @@ def _resolved_records(cfg: dict, recs=None, detections=None):
     merged = records.apply_detections(recs, detections)
     unknown = [r for r in merged if r.oa_status is OAStatus.UNKNOWN]
     if unknown:
-        if cfg.get("allow_unknown", "").lower() in ("true", "1", "yes"):
+        if allow.lower() in ("true", "1", "yes"):
             print(f"warning: dropping {len(unknown)} UNKNOWN records",
                   file=sys.stderr)
             merged = [r for r in merged if r.oa_status is not OAStatus.UNKNOWN]
@@ -252,87 +255,43 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
     return final
 
 
-def cmd_analyze(cfg: dict, merged=None) -> dict:
-    """Write the exclusion log and the %OA and advantage tables; returns the
-    advantage reports by dimension."""
-    if merged is None:
-        merged = _resolved_records(cfg)
+def cmd_analyze(cfg: dict, reports=None) -> None:
+    """Write the exclusion log and the %OA and advantage tables."""
+    if reports is None:
+        reports = metrics.Reports(_resolved_records(cfg))
     out = _out_dir(cfg)
-    kept, log = metrics.apply_exclusions(merged)
+    kept, log = reports.exclusions
     metrics.write_exclusions_csv(log, out / "exclusions.csv")
-    shares, advantage = {}, {}
     for dim in ("discipline", "country", "year"):
-        shares[dim] = metrics.percent_oa(kept, dim)
-        metrics.write_oa_share_csv(shares[dim], out / f"oa_share_by_{dim}.csv")
-        advantage[dim] = metrics.aggregate_advantage(kept, dim)
-        metrics.write_advantage_csv(advantage[dim],
+        metrics.write_oa_share_csv(reports.oa_share(dim),
+                                   out / f"oa_share_by_{dim}.csv")
+        metrics.write_advantage_csv(reports.advantage(dim),
                                     out / f"advantage_by_{dim}.csv")
-    pct = [rep.percent_oa for rep in shares["discipline"]]
+    pct = [rep.percent_oa for rep in reports.oa_share("discipline")]
+    line = f"analyze: kept {len(kept)}/{len(reports.records)} records"
     if len(pct) > 1:
-        print(f"analyze: kept {len(kept)}/{len(merged)} records; "
-              f"%OA by discipline mean {100 * statistics.mean(pct):.1f} "
-              f"median {100 * statistics.median(pct):.1f} "
-              f"sd {100 * statistics.stdev(pct):.2f}")
-    else:
-        print(f"analyze: kept {len(kept)}/{len(merged)} records")
-    return advantage
+        line += (f"; %OA by discipline mean {100 * statistics.mean(pct):.1f} "
+                 f"median {100 * statistics.median(pct):.1f} "
+                 f"sd {100 * statistics.stdev(pct):.2f}")
+    print(line)
 
 
-def cmd_cohorts(cfg: dict, merged=None) -> None:
-    if merged is None:
-        merged = _resolved_records(cfg)
+def cmd_cohorts(cfg: dict, reports=None) -> None:
+    if reports is None:
+        reports = metrics.Reports(_resolved_records(cfg))
     out = _out_dir(cfg)
-    metrics.write_cohort_csv(metrics.cohort_table(merged, per_year=True),
+    metrics.write_cohort_csv(reports.cohorts(per_year=True),
                              out / "cohorts_yearly.csv")
-    metrics.write_cohort_csv(metrics.cohort_table(merged, per_year=False),
+    metrics.write_cohort_csv(reports.cohorts(per_year=False),
                              out / "cohorts_pooled.csv")
-    print(f"cohorts: {len(merged)} records")
+    print(f"cohorts: {len(reports.records)} records")
 
 
-def _correlation_rows(merged):
-    years = sorted({r.year for r in merged})
-    shares = {rep.group: rep for rep in metrics.percent_oa(merged, "year")}
-    kept, _ = metrics.apply_exclusions(merged)
-    adv = {rep.group: rep.advantage
-           for rep in metrics.aggregate_advantage(kept, "year")}
-    table = metrics.cohort_table(merged, per_year=True)
-
-    def series(pairs):
-        xs = [x for x, y in pairs if x is not None and y is not None]
-        ys = [y for x, y in pairs if x is not None and y is not None]
-        try:
-            return stats.correlate(xs, ys)
-        except stats.StatsError:
-            return None
-
-    total = {y: shares[y].n_oa + shares[y].n_noa for y in years if y in shares}
-    pct = {y: shares[y].percent_oa for y in years if y in shares}
-    rows = [
-        ("advantage_x_year",
-         series([(adv.get(y), y) for y in years])),
-        ("advantage_x_total_articles",
-         series([(adv.get(y), total.get(y)) for y in years])),
-        ("advantage_x_pct_oa",
-         series([(adv.get(y), pct.get(y)) for y in years])),
-        ("total_articles_x_year",
-         series([(total.get(y), y) for y in years])),
-        ("total_articles_x_pct_oa",
-         series([(total.get(y), pct.get(y)) for y in years])),
-        ("pct_oa_x_year",
-         series([(pct.get(y), y) for y in years])),
-    ]
-    for rng in ALL_RANGES:
-        pairs = [(table[y][rng].ratio if y in table else None, y)
-                 for y in years]
-        rows.append((f"ratio_{rng.value}_x_year", series(pairs)))
-    return rows
-
-
-def cmd_correlate(cfg: dict, merged=None) -> None:
-    if merged is None:
-        merged = _resolved_records(cfg)
+def cmd_correlate(cfg: dict, reports=None) -> None:
+    if reports is None:
+        reports = metrics.Reports(_resolved_records(cfg))
     out = _out_dir(cfg)
-    rows = _correlation_rows(merged)
+    rows = reports.correlations
     metrics.write_correlations_csv(rows, out / "correlations.csv")
     print(f"correlate: {sum(1 for _, r in rows if r is not None)} pairs")
 
@@ -403,13 +362,14 @@ def cmd_evaluate(cfg: dict) -> None:
     (out / "detections.jsonl").unlink(missing_ok=True)
     detections = cmd_detect(base, corp.records, corp.web)
     merged = _resolved_records(base, corp.records, detections)
-    advantage = cmd_analyze(base, merged)
-    cmd_cohorts(base, merged)
-    cmd_correlate(base, merged)
+    reports = metrics.Reports(merged)
+    cmd_analyze(base, reports)
+    cmd_cohorts(base, reports)
+    cmd_correlate(base, reports)
     matrix, sdt = cmd_audit(base, detections, corp.ground_truth)
 
     n_oa = sum(1 for r in merged if r.oa_status is OAStatus.OA)
-    advs = [rep.advantage for rep in advantage["discipline"]
+    advs = [rep.advantage for rep in reports.advantage("discipline")
             if rep.advantage is not None]
     print("evaluate summary")
     print(f"  articles: {len(merged)}  percent OA: "

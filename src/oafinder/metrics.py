@@ -2,10 +2,10 @@
 advantage with exclusion rules and citation-range cohort tables, plus
 deterministic CSV report writers.
 
-All functions are pure over immutable record collections; report ordering is
-always sorted by group key so reruns are byte-identical. They take resolved
-records, each OA or NOA: cli._resolved_records is the one place that decides
-what happens to an UNKNOWN record.
+The table functions are pure and sort each report by group key, so reruns are
+byte-identical; Reports keeps one run's tables and decides which records each
+counts. All take resolved records, each OA or NOA: cli._resolved_records is
+the one place that decides what happens to an UNKNOWN record.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
+from . import stats
 from .records import ALL_RANGES, ArticleRecord, CitationRange, OAStatus
 
 # Exclusion reasons
@@ -131,9 +133,9 @@ def aggregate_advantage(records: list[ArticleRecord], group_by: str
     for rec in records:
         by_issue[rec.issue_key].append(rec)
 
-    # (group, journal) -> issue ratios; a journal spans groups when grouping
+    # group -> journal -> issue ratios; a journal spans groups when grouping
     # by year, so the journal level is keyed per group.
-    journal_ratios = defaultdict(list)
+    ratios = defaultdict(lambda: defaultdict(list))
     excluded = defaultdict(list)
     for issue_key in sorted(by_issue):
         members = by_issue[issue_key]
@@ -142,23 +144,17 @@ def aggregate_advantage(records: list[ArticleRecord], group_by: str
         if ratio is None:
             excluded[group].append(reason)
         else:
-            journal_ratios[(group, members[0].journal_id)].append(ratio)
-
-    # group -> (journal mean, issues in it)
-    group_journals = defaultdict(list)
-    for group, journal_id in sorted(journal_ratios, key=lambda k: (str(k[0]), k[1])):
-        ratios = journal_ratios[(group, journal_id)]
-        group_journals[group].append((sum(ratios) / len(ratios), len(ratios)))
+            ratios[group][members[0].journal_id].append(ratio)
 
     reports = []
-    for group in sorted(set(group_journals) | set(excluded), key=str):
-        entries = group_journals.get(group, [])
+    for group in sorted(set(ratios) | set(excluded), key=str):
+        journals = ratios.get(group, {})
+        means = [sum(r) / len(r) for _, r in sorted(journals.items())]
         reasons = excluded.get(group, [])
         reports.append(AdvantageReport(
             group=group,
-            advantage=(sum(m for m, _ in entries) / len(entries)
-                       if entries else None),
-            n_issues_included=sum(n for _, n in entries),
+            advantage=sum(means) / len(means) if means else None,
+            n_issues_included=sum(len(r) for r in journals.values()),
             n_issues_excluded=len(reasons),
             exclusion_reasons=tuple(sorted(set(reasons))),
         ))
@@ -213,6 +209,73 @@ def cohort_table(records: list[ArticleRecord], per_year: bool = True
             for rng in ALL_RANGES
         }
     return table
+
+
+# ---------------------------------------------------------------------------
+# One run's report tables
+# ---------------------------------------------------------------------------
+
+class Reports:
+    """One run's report tables, each computed on first read and then kept.
+    It alone decides which records a table counts: %OA and the advantage
+    count the records kept after exclusions; the cohort tables, and the
+    correlations' %OA and totals by year, count them all."""
+
+    def __init__(self, records: list[ArticleRecord]):
+        self.records = records
+        self._tables: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
+    @cached_property
+    def exclusions(self) -> tuple[list[ArticleRecord], list[Exclusion]]:
+        """The kept records and the exclusion log."""
+        return apply_exclusions(self.records)
+
+    def oa_share(self, dim: str) -> list[OAShareReport]:
+        return self._once(("oa_share", dim),
+                          lambda: percent_oa(self.exclusions[0], dim))
+
+    def advantage(self, dim: str) -> list[AdvantageReport]:
+        return self._once(("advantage", dim),
+                          lambda: aggregate_advantage(self.exclusions[0], dim))
+
+    def cohorts(self, per_year: bool) -> dict:
+        return self._once(("cohorts", per_year),
+                          lambda: cohort_table(self.records, per_year))
+
+    @cached_property
+    def correlations(self) -> list:
+        """The rows of correlations.csv: (pair name, result or None)."""
+        shares = percent_oa(self.records, "year")
+        years = {rep.group: rep.group for rep in shares}  # the x_year series
+        total = {rep.group: rep.n_oa + rep.n_noa for rep in shares}
+        pct = {rep.group: rep.percent_oa for rep in shares}
+        adv = {rep.group: rep.advantage for rep in self.advantage("year")}
+        table = self.cohorts(per_year=True)
+        rows = [("advantage_x_year", adv, years),
+                ("advantage_x_total_articles", adv, total),
+                ("advantage_x_pct_oa", adv, pct),
+                ("total_articles_x_year", total, years),
+                ("total_articles_x_pct_oa", total, pct),
+                ("pct_oa_x_year", pct, years)]
+        rows += [(f"ratio_{rng.value}_x_year",
+                  {y: table[y][rng].ratio for y in table}, years)
+                 for rng in ALL_RANGES]
+
+        def correlate(xs, ys):
+            # the years xs has (each ys has all); None where r is undefined
+            pairs = [(xs[y], ys[y]) for y in years if xs.get(y) is not None]
+            try:
+                return stats.correlate([x for x, _ in pairs],
+                                       [y for _, y in pairs])
+            except stats.StatsError:
+                return None
+
+        return [(name, correlate(xs, ys)) for name, xs, ys in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ and the test names mirror the criteria), and every numeric target is checked
 against an independent oracle or a frozen, pre-verified constant.
 """
 
+import csv
 import math
 import random
+import statistics
 import time
 from collections import defaultdict
 
@@ -22,7 +24,14 @@ from oafinder.corpus import (
     reachable_within_depth,
     resolved_records,
 )
-from oafinder.records import ArticleRecord, OAStatus, Verdict
+from oafinder.records import (
+    ArticleRecord,
+    DetectionEvidence,
+    OAStatus,
+    Verdict,
+    save_detections,
+    save_records,
+)
 from oafinder.robot.crawl import detect_oa
 from oafinder.stats import (
     ConfusionMatrix,
@@ -306,3 +315,85 @@ def test_c9_statistics_kernel_properties():
         assert abs(sres.beta * res.beta - 1.0) <= 1e-12
     ok(9, f"probit round-trip worst error {worst:.1e} on 1e5 grid; Pearson "
           "affine invariance x1000; d'/beta swap symmetry x1000 to 1e-12")
+
+
+def test_c10_correlations_flat_loop_oracle(tmp_path):
+    # Eight years of three mixed journals, a growing all-OA journal and, in
+    # odd years, an all-OA issue of j1. The %OA, the article totals and the
+    # range ratios count every record, the all-OA ones too; the advantage
+    # counts the records the exclusions keep (an all-OA issue has no ratio).
+    rng = random.Random(10)
+    records = []
+
+    def add(journal, issue, oa, year):
+        records.append(_rec(len(records), journal, issue, oa,
+                            rng.randrange(25), year))
+
+    for year in range(1995, 2003):
+        for journal in ("j1", "j2", "j3"):
+            for issue in (1, 2):
+                for _ in range(rng.randrange(4, 9)):
+                    add(journal, issue, rng.random() < 0.3, year)
+        for _ in range(year - 1993):
+            add("j-allOA", 1, True, year)
+        for _ in range(3 * (year % 2)):
+            add("j1", 3, True, year)
+    save_records(records, tmp_path / "records.jsonl")
+    save_detections([
+        DetectionEvidence(r.id, Verdict.OA, url=f"http://oa.test/{r.id}")
+        if r.oa_status is OAStatus.OA else DetectionEvidence(r.id, Verdict.NOA)
+        for r in records], tmp_path / "detections.jsonl")
+    assert main(["correlate", "--records", str(tmp_path / "records.jsonl"),
+                 "--detections", str(tmp_path / "detections.jsonl"),
+                 "--out", str(tmp_path / "r")]) == 0
+    with open(tmp_path / "r" / "correlations.csv", encoding="utf-8") as fh:
+        rows = {row["pair"]: row for row in csv.DictReader(fh)}
+
+    years = sorted({r.year for r in records})
+    by_year = {y: [r for r in records if r.year == y] for y in years}
+    total = {y: len(by_year[y]) for y in years}
+    pct = {y: sum(r.oa_status is OAStatus.OA for r in by_year[y]) / total[y]
+           for y in years}
+    series = {
+        "advantage": {y: brute_force_advantage(by_year[y]) for y in years},
+        "total_articles": total,
+        "pct_oa": pct,
+        "year": {y: y for y in years},
+    }
+    for name, lo, hi in (("0", 0, 0), ("1", 1, 1), ("2-3", 2, 3),
+                         ("4-7", 4, 7), ("8-15", 8, 15),
+                         ("16+", 16, math.inf)):
+        ratio = series[f"ratio_{name}"] = {}
+        for y in years:
+            oa = [r.citation_count for r in by_year[y]
+                  if r.oa_status is OAStatus.OA]
+            noa = [r.citation_count for r in by_year[y]
+                   if r.oa_status is OAStatus.NOA]
+            noa_in = sum(lo <= c <= hi for c in noa)
+            if oa and noa_in:
+                ratio[y] = (sum(lo <= c <= hi for c in oa) / len(oa)
+                            / (noa_in / len(noa)))
+
+    assert len(rows) == 12
+    for pair, row in rows.items():
+        xs, _, ys = pair.partition("_x_")
+        xy = [(series[xs][y], series[ys][y]) for y in years
+              if series[xs].get(y) is not None
+              and series[ys].get(y) is not None]
+        try:
+            r = statistics.correlation(*zip(*xy)) if len(xy) >= 3 else None
+        except statistics.StatisticsError:  # a constant series
+            r = None
+        if r is None:
+            assert row["r"] == "ZERO_VARIANCE", pair
+        else:
+            assert float(row["r"]) == pytest.approx(r, abs=1e-9), pair
+            assert int(row["n"]) == len(xy), pair
+
+    # The file's %OA counts the all-OA journal: without it, r differs.
+    pct_mixed = [statistics.mean(r.oa_status is OAStatus.OA for r in by_year[y]
+                                 if r.journal_id != "j-allOA") for y in years]
+    assert statistics.correlation(pct_mixed, years) != \
+        pytest.approx(float(rows["pct_oa_x_year"]["r"]), abs=1e-3)
+    ok(10, f"{len(rows)} correlations.csv rows match a flat-loop recount, "
+           "%OA and totals over every record, the advantage over kept ones")

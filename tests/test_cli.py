@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from oafinder import cli, corpus, records
+from oafinder import cli, corpus, metrics, records
 from oafinder.cli import main
 from oafinder.corpus import CorpusSpec, export_corpus, generate_corpus
 from oafinder.records import (
@@ -198,13 +199,30 @@ class TestExitCodes:
         ("detect", "converter = cat {input}"),
         ("detect", "converter = cat {}"),
         ("detect", "converter = cat {in"),
+        # checked though every record has a verdict
+        ("analyze", "allow_unknown = ture"),
+        ("cohorts", "allow_unknown = maybe"),
+        ("correlate", "allow_unknown = 2"),
     ])
     def test_bad_value(self, cmd, line, corpus_dir, detections, tmp_path,
                        capsys):
         cfg = write_report_config(tmp_path, corpus_dir, detections, line)
         assert main([cmd, "--config", str(cfg)]) == 2
-        if line.startswith("converter"):
-            assert "bad value for converter" in capsys.readouterr().err
+        key = line.partition(" =")[0]
+        if key in ("converter", "allow_unknown"):
+            assert f"bad value for {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,code", [
+        ("true", 0), ("TRUE", 0), ("1", 0), ("Yes", 0),
+        ("false", 3), ("False", 3), ("0", 3), ("no", 3), ("", 3),
+    ])
+    def test_allow_unknown_config_values(self, value, code, corpus_dir,
+                                         detections, tmp_path):
+        partial = tmp_path / "partial.jsonl"
+        save_detections(load_detections(detections)[:5], partial)
+        cfg = write_report_config(tmp_path, corpus_dir, partial,
+                                  f"allow_unknown = {value}")
+        assert main(["analyze", "--config", str(cfg)]) == code
 
     def test_detections_in_missing_directory(self, corpus_dir, tmp_path,
                                              capsys):
@@ -499,12 +517,12 @@ class TestReports:
             for disc, n_oa in (("a", 1), ("b", 2), ("c", 4), ("d", 6))
             for i in range(8)]
         cfg = {"out": str(tmp_path / "r")}
-        cli.cmd_analyze(cfg, merged)
+        cli.cmd_analyze(cfg, metrics.Reports(merged))
         assert capsys.readouterr().out == (
             "analyze: kept 32/32 records; %OA by discipline mean 40.6 "
             "median 37.5 sd 27.72\n")
         # One discipline has no sample sd, so the line has no summary.
-        cli.cmd_analyze(cfg, merged[:8])
+        cli.cmd_analyze(cfg, metrics.Reports(merged[:8]))
         assert capsys.readouterr().out == "analyze: kept 8/8 records\n"
 
     @pytest.mark.parametrize("cmd", ["analyze", "cohorts", "correlate"])
@@ -539,6 +557,62 @@ class TestReports:
         for name in files:
             assert (tmp_path / "dropped" / name).read_bytes() == \
                 (tmp_path / "detected" / name).read_bytes(), name
+
+    @staticmethod
+    def count_table_calls(monkeypatch):
+        """Wrap the metrics table functions; returns a Counter of calls by
+        (function, dimension) and, for cohort_table, by per_year."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(records, *args, **kwargs):
+                calls[(name, *args, *kwargs.values())] += 1
+                return fn(records, *args, **kwargs)
+            return wrapper
+
+        for name in ("apply_exclusions", "percent_oa", "aggregate_advantage",
+                     "cohort_table"):
+            monkeypatch.setattr(metrics, name,
+                                counted(name, getattr(metrics, name)))
+        return calls
+
+    @pytest.mark.parametrize("cmd,expected", [
+        ("analyze", {("apply_exclusions",): 1,
+                     ("percent_oa", "discipline"): 1,
+                     ("percent_oa", "country"): 1,
+                     ("percent_oa", "year"): 1,
+                     ("aggregate_advantage", "discipline"): 1,
+                     ("aggregate_advantage", "country"): 1,
+                     ("aggregate_advantage", "year"): 1}),
+        ("cohorts", {("cohort_table", True): 1, ("cohort_table", False): 1}),
+        ("correlate", {("apply_exclusions",): 1,
+                       ("percent_oa", "year"): 1,
+                       ("aggregate_advantage", "year"): 1,
+                       ("cohort_table", True): 1}),
+    ])
+    def test_each_command_computes_its_tables_once(
+            self, cmd, expected, corpus_dir, detections, tmp_path,
+            monkeypatch):
+        calls = self.count_table_calls(monkeypatch)
+        assert self.run_reports(cmd, corpus_dir, detections,
+                                tmp_path / "r") == 0
+        assert calls == expected
+
+    def test_evaluate_computes_each_table_once(self, tmp_path, monkeypatch):
+        calls = self.count_table_calls(monkeypatch)
+        assert main(["evaluate", "--out", str(tmp_path / "run"), "--seed", "4",
+                     "--sample-size", "10"]) == 0
+        # %OA by year is two tables: over the kept records for
+        # oa_share_by_year.csv, over all of them for correlations.csv.
+        assert calls == {("apply_exclusions",): 1,
+                         ("percent_oa", "discipline"): 1,
+                         ("percent_oa", "country"): 1,
+                         ("percent_oa", "year"): 2,
+                         ("aggregate_advantage", "discipline"): 1,
+                         ("aggregate_advantage", "country"): 1,
+                         ("aggregate_advantage", "year"): 1,
+                         ("cohort_table", True): 1,
+                         ("cohort_table", False): 1}
 
     def test_audit_seed_flag_zero_overrides_config(self, corpus_dir,
                                                     tmp_path):
