@@ -23,8 +23,8 @@ from .records import (
     ParseError,
     Verdict,
     _read_jsonl,
-    _typed,
     make_issue_key,
+    row_to_json,
     save_records,
 )
 from .robot.crawl import CrawlConfig, FetchResult, format_query
@@ -140,6 +140,15 @@ class CorpusSpec:
 
 
 @dataclass
+class Page:
+    """A line of mockweb/pages.jsonl; MockWeb.pages keeps (format, bytes)."""
+
+    url: str
+    format: str
+    text: str
+
+
+@dataclass
 class MockWeb:
     pages: dict[str, tuple[str, bytes]] = field(default_factory=dict)  # url -> (format, bytes)
     queries: dict[str, list[str]] = field(default_factory=dict)
@@ -149,8 +158,8 @@ class MockWeb:
 class GroundTruth:
     article_id: str
     oa: bool  # a full text is reachable within the crawl's max_depth
-    kind: str  # fulltext / deep-chain / abstract-decoy / dead-link / offline
-    chain_depth: int
+    kind: str = ""  # fulltext/deep-chain/abstract-decoy/dead-link/offline
+    chain_depth: int = 0
     # where the planter put the full text (fulltext and deep-chain), else ""
     fulltext_url: str = ""
 
@@ -492,26 +501,13 @@ def export_corpus(corpus: Corpus, out_dir) -> None:
     save_records(corpus.records, out / "records.jsonl")
     with open(out / "ground_truth.jsonl", "w", encoding="utf-8") as fh:
         for art_id in sorted(corpus.ground_truth):
-            fh.write(json.dumps(vars(corpus.ground_truth[art_id]),
-                                sort_keys=True) + "\n")
-    pages = corpus.web.pages
+            fh.write(row_to_json(corpus.ground_truth[art_id]) + "\n")
     with open(out / "mockweb" / "pages.jsonl", "w", encoding="utf-8") as fh:
-        for url in sorted(pages):
-            fmt, data = pages[url]
-            page = {"format": fmt, "text": data.decode("utf-8"), "url": url}
-            fh.write(json.dumps(page, ensure_ascii=False, sort_keys=True) + "\n")
+        for url, (fmt, data) in sorted(corpus.web.pages.items()):
+            fh.write(row_to_json(Page(url, fmt, data.decode("utf-8"))) + "\n")
     with open(out / "mockweb" / "index.json", "w", encoding="utf-8") as fh:
         json.dump({"queries": corpus.web.queries}, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _page_from_dict(obj: dict) -> tuple[str, str, bytes]:
-    try:
-        return (_typed(obj["url"], str, "url"),
-                _typed(obj["format"], str, "format"),
-                _typed(obj["text"], str, "text").encode("utf-8"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad page object: {exc}") from exc
 
 
 def load_mock_web(mockweb_dir) -> MockWeb:
@@ -525,21 +521,11 @@ def load_mock_web(mockweb_dir) -> MockWeb:
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{base / 'index.json'}: bad mock web index: "
                          f"{type(exc).__name__}: {exc}") from exc
-    for _, (url, fmt, data) in _read_jsonl(base / "pages.jsonl", _page_from_dict):
-        web.pages[url] = (fmt, data)
+    for _, page in _read_jsonl(base / "pages.jsonl", Page):
+        web.pages[page.url] = (page.format, page.text.encode("utf-8"))
     return web
-
-
-def _ground_truth_from_dict(obj: dict) -> GroundTruth:
-    try:
-        return GroundTruth(_typed(obj["article_id"], str, "article_id"),
-                           _typed(obj["oa"], bool, "oa"), obj.get("kind", ""),
-                           _typed(obj.get("chain_depth", 0), int, "chain_depth"),
-                           obj.get("fulltext_url", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad ground truth object: {exc}") from exc
 
 
 def load_ground_truth(path) -> dict[str, GroundTruth]:
     return {gt.article_id: gt
-            for _, gt in _read_jsonl(path, _ground_truth_from_dict)}
+            for _, gt in _read_jsonl(path, GroundTruth)}

@@ -4,14 +4,19 @@ evidence, and JSONL persistence.
 Titles and author names are stored verbatim; any normalization (casefolding,
 whitespace collapsing) happens in the matcher so that evidence offsets keep
 referring to source text.
+
+_read_jsonl reads every JSONL row (record, evidence, ground truth, page) off
+the fields and type hints of its dataclass, by the rule the README gives
+under "Exit codes"; row_to_json writes it.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Optional
+from dataclasses import MISSING, dataclass, fields, replace
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, get_args, get_type_hints
 
 
 class OAStatus(enum.Enum):
@@ -141,58 +146,82 @@ class DetectionEvidence:
             raise ValidationError(f"evidence for {self.article_id}: negative depth")
 
 
-def _typed(value, kind: type, key: str):
-    """value, if it has the JSON type kind; else a TypeError naming key. A
-    JSON boolean is not an int, though Python's bool subclasses int."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
+_ROW_DECODER = json.JSONDecoder()
 
 
-_STR_FIELDS = tuple(f.name for f in fields(ArticleRecord) if f.type == "str")
+def _row_from_line(line: str, cls, rules):
+    """The row of class cls on a stripped JSONL line, each field checked by
+    its (name, default, types) rule by exact type, so true is not an int.
+    raw_decode is json.loads without its scans for whitespace."""
+    obj, end = _ROW_DECODER.raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    if type(obj) is not dict:
+        raise ParseError(f"expected a JSON object, got {obj!r:.60}")
+    # Built as unpickling builds an object, without a frozen __init__'s
+    # object.__setattr__ per field: rows check themselves in validate().
+    row = object.__new__(cls)
+    values = row.__dict__
+    for name, default, kinds in rules:
+        value = obj.get(name, default)
+        if type(value) not in kinds:
+            if value is MISSING:
+                raise ParseError(f"missing key {name!r}")
+            if not issubclass(kinds[0], enum.Enum):
+                names = " or ".join(k.__name__ for k in kinds)
+                raise ParseError(f"{name} must be {names}, got {value!r}")
+            try:
+                value = kinds[0](value)
+            except ValueError as exc:
+                raise ParseError(f"{name}: {exc}") from exc
+        elif type(value) is str and not value.isascii():
+            try:  # a \u escape can make a lone surrogate
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(f"{name} is not UTF-8 text: {exc}") from exc
+        values[name] = value
+    return row
 
 
-def _record_from_dict(obj: dict) -> ArticleRecord:
-    try:
-        rec = ArticleRecord(
-            **{key: _typed(obj[key], str, key) for key in _STR_FIELDS},
-            year=_typed(obj["year"], int, "year"),
-            citation_count=_typed(obj["citation_count"], int, "citation_count"),
-            oa_status=OAStatus(obj.get("oa_status", "UNKNOWN")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad record object: {exc}") from exc
-    rec.validate()
-    return rec
-
-
-def _read_jsonl(path, from_dict) -> Iterator[tuple[int, object]]:
-    """(1-based line number, from_dict of the line) for each non-blank line
-    of a JSONL file, in file order.
-
-    Errors carry the file and the line number of the offending line.
-    """
+def _read_jsonl(path, cls) -> Iterator[tuple[int, object]]:
+    """(1-based line number, row of class cls) for each non-blank line of a
+    JSONL file, in file order, validated when cls has a validate(). Errors
+    name the file and the line."""
+    hints = get_type_hints(cls)  # Optional[str] gives (str, NoneType)
+    rules = [(f.name, f.default, get_args(hints[f.name]) or (hints[f.name],))
+             for f in fields(cls)]
+    validate = getattr(cls, "validate", None)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                row = _row_from_line(line, cls, rules)
+                if validate:
+                    validate(row)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            try:
-                item = from_dict(obj)
             except (ParseError, ValidationError) as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-            yield lineno, item
+            yield lineno, row
+
+
+# json.dumps(row, ensure_ascii=False, sort_keys=True), an enum as its value
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                                default=attrgetter("value"))
+
+
+def row_to_json(row) -> str:
+    """A row as one JSONL line, without the newline."""
+    return _ROW_ENCODER.encode(vars(row))
 
 
 def load_records(path) -> list[ArticleRecord]:
     """Load and validate a JSONL records file, one object per line. Ids are
     unique: a repeated id is a ParseError naming both lines."""
     recs, first_line = [], {}
-    for lineno, rec in _read_jsonl(path, _record_from_dict):
+    for lineno, rec in _read_jsonl(path, ArticleRecord):
         if rec.id in first_line:
             raise ParseError(f"{path}:{lineno}: duplicate record id "
                              f"{rec.id!r}, first on line {first_line[rec.id]}")
@@ -204,8 +233,7 @@ def load_records(path) -> list[ArticleRecord]:
 def save_records(records: Iterable[ArticleRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            obj = dict(vars(rec), oa_status=rec.oa_status.value)
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(row_to_json(rec) + "\n")
 
 
 def save_detections(evidence: Iterable[DetectionEvidence], path) -> None:
@@ -215,33 +243,13 @@ def save_detections(evidence: Iterable[DetectionEvidence], path) -> None:
 
 
 def detection_to_json(ev: DetectionEvidence) -> str:
-    return json.dumps(dict(vars(ev), verdict=ev.verdict.value),
-                      ensure_ascii=False, sort_keys=True)
-
-
-def detection_from_dict(obj: dict) -> DetectionEvidence:
-    try:
-        ev = DetectionEvidence(
-            article_id=_typed(obj["article_id"], str, "article_id"),
-            verdict=Verdict(obj["verdict"]),
-            url=obj.get("url"),
-            match_head_offset=obj.get("match_head_offset"),
-            match_tail_marker=obj.get("match_tail_marker"),
-            reason=obj.get("reason"),
-            depth=_typed(obj.get("depth", 0), int, "depth"),
-            low_confidence=_typed(obj.get("low_confidence", False), bool,
-                                  "low_confidence"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad detection object: {exc}") from exc
-    ev.validate()
-    return ev
+    return row_to_json(ev)
 
 
 def load_detections(path) -> list[DetectionEvidence]:
     """Detections in file order. An id may repeat (a resumed journal); the
     reader that keys them by id keeps the last."""
-    return [ev for _, ev in _read_jsonl(path, detection_from_dict)]
+    return [ev for _, ev in _read_jsonl(path, DetectionEvidence)]
 
 
 def apply_detections(

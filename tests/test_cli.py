@@ -179,6 +179,30 @@ class TestExitCodes:
              (("chain_depth", 2.9), ("chain_depth", True),
               ("article_id", 5))))
         for field, value in cases
+    ] + [
+        # Every field is read by its type: a str or Optional[str] field
+        # takes a JSON string (or null where Optional), an Optional[int] a
+        # JSON integer or null.
+        pytest.param(cmd, key, dict(base, **{field: value}),
+                     id=f"{cmd}-{key}-{field}-{json.dumps(value)}")
+        for cmd, key, base, cases in (
+            ("analyze", "detections", {"article_id": "a0", "verdict": "NOA"},
+             (("url", 5), ("match_head_offset", "x"),
+              ("match_tail_marker", [1]), ("reason", {"a": 1}))),
+            ("audit", "ground_truth", {"article_id": "a0", "oa": True},
+             (("kind", 5), ("fulltext_url", 7), ("kind", None))))
+        for field, value in cases
+    ] + [
+        # "\ud800" is valid JSON, but UTF-8 cannot write it: a report would
+        # fail on it after writing others.
+        pytest.param("analyze", "records", dict(GOOD_RECORD, country="\ud800"),
+                     id="analyze-records-country-lone-surrogate"),
+    ] + [
+        # A line that is JSON but not an object.
+        pytest.param(cmd, key, value, id=f"{cmd}-{key}-{json.dumps(value)}")
+        for cmd, key in (("analyze", "records"), ("analyze", "detections"),
+                         ("audit", "ground_truth"))
+        for value in ([1, 2], "x", 5, None)
     ])
     def test_malformed_input_file(self, cmd, key, line, corpus_dir, detections,
                                   tmp_path, capsys):
@@ -188,6 +212,22 @@ class TestExitCodes:
                                   f"{key} = {bad}")
         assert main([cmd, "--config", str(cfg)]) == 2
         assert f"{bad}:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd,key,line,missing", [
+        ("analyze", "records",
+         {k: v for k, v in GOOD_RECORD.items() if k != "title"}, "title"),
+        ("analyze", "detections", {"article_id": "a0"}, "verdict"),
+        ("audit", "ground_truth", {"article_id": "a0"}, "oa"),
+    ])
+    def test_missing_key_is_named(self, cmd, key, line, missing, corpus_dir,
+                                  detections, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(line) + "\n")
+        cfg = write_report_config(tmp_path, corpus_dir, detections,
+                                  f"{key} = {bad}")
+        assert main([cmd, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1:" in err and repr(missing) in err
 
     @pytest.mark.parametrize("cmd,line", [
         ("audit", "sample_size = abc"),
@@ -380,7 +420,13 @@ mock_web = {corpus_dir / 'mockweb'}
             ("page-no-format", '{"text": "x", "url": "http://h.example/"}'),
             ("page-text-not-string",
              '{"format": "html", "text": 5, "url": "http://h.example/"}'),
-            ("page-bad-json", '{"format": "html", "text": '))
+            ("page-bad-json", '{"format": "html", "text": '),
+            ("page-not-object-list", '[1, 2]'),
+            ("page-not-object-string", '"x"'),
+            ("page-not-object-number", '5'),
+            ("page-not-object-null", 'null'),
+            ("page-text-lone-surrogate", '{"format": "html", '
+             '"text": "a\\ud800b", "url": "http://h.example/"}'))
     ] + [
         # The old layout of one file per page, which has no pages.jsonl:
         # such a web is regenerated with synth.
@@ -450,6 +496,22 @@ class TestDetect:
         partial.write_bytes(b"".join(reversed(lines[::2])))
         assert run_detect(corpus_dir, partial) == 0
         assert partial.read_bytes() == detections.read_bytes()
+
+    @pytest.mark.parametrize("field,value", [
+        ("url", 5), ("match_head_offset", "x"), ("depth", "1")])
+    def test_resume_rejects_mistyped_journal_line(
+            self, field, value, corpus_dir, detections, tmp_path, capsys):
+        # A journal line is read by the same rule as any evidence file: a
+        # mistyped field stops the run, which leaves the journal as it was.
+        lines = detections.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps(dict(json.loads(lines[2]), **{field: value}))
+        partial = tmp_path / "resume.jsonl"
+        partial.write_text("\n".join(lines[:10]) + "\n", encoding="utf-8")
+        before = partial.read_bytes()
+        assert run_detect(corpus_dir, partial) == 2
+        err = capsys.readouterr().err
+        assert f"{partial}:3:" in err and field in err
+        assert partial.read_bytes() == before
 
     def test_resume_from_journal_with_timestamps(self, corpus_dir,
                                                  detections, tmp_path):

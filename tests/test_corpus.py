@@ -85,6 +85,15 @@ class TestDeterminism:
         assert load_ground_truth(tmp_path / "ground_truth.jsonl") == \
             corpus.ground_truth
 
+    def test_ground_truth_row_defaults(self, tmp_path):
+        # A row without kind, chain_depth or fulltext_url reads as "", 0
+        # and ""; a key that names no field is ignored.
+        path = tmp_path / "ground_truth.jsonl"
+        path.write_text('{"article_id": "a0", "oa": true, "note": 1}\n')
+        assert load_ground_truth(path) == {
+            "a0": GroundTruth("a0", True, kind="", chain_depth=0,
+                              fulltext_url="")}
+
 
 @pytest.fixture(scope="module")
 def big():
