@@ -58,7 +58,7 @@ def _merged_config(args) -> dict[str, str]:
     """The --config file's keys, each overridden by the flag of that name
     when the command line sets it; a switch sets "true"."""
     flags = dict(vars(args))
-    del flags["command"], flags["func"]  # the subcommand, not settings
+    del flags["command"], flags["func"], flags["inputs"]  # not settings
     path = flags.pop("config", None)
     cfg = read_config(path, CONFIG_KEYS) if path else {}
     for key, value in flags.items():
@@ -76,26 +76,13 @@ def _require(cfg: dict, key: str) -> str:
     return cfg[key]
 
 
-def _cast_values(cfg: dict, casts: dict) -> dict:
-    """The keys of casts that cfg sets, each passed through its cast; a value
-    the cast rejects is a CliError."""
-    out = {}
-    for key, cast in casts.items():
-        if key in cfg:
-            try:
-                out[key] = cast(cfg[key])
-            except ValueError as exc:
-                raise CliError(f"bad value for {key}: {exc}")
-    return out
-
-
 def _pairs(text):
     """The (key, value) texts of a "key:value,key:value" list."""
     return [part.partition(":")[::2] for part in text.split(",")]
 
 
-# The fields of CrawlConfig and CorpusSpec whose text is not read by the
-# type of their default.
+# The fields of the settings classes whose text is not read by the type of
+# their default.
 _FIELD_PARSERS = {
     "disciplines": lambda s: tuple(x.strip() for x in s.split(",")),
     "years": lambda s: tuple(int(x) for x in s.split("-")),
@@ -107,32 +94,31 @@ _FIELD_PARSERS = {
 }
 
 
-def _field_casts(cls) -> dict:
-    """Each field of the dataclass cls with the cast that reads its config
-    text: its parser in _FIELD_PARSERS, else the type of its default."""
-    return {f.name: _FIELD_PARSERS.get(f.name, type(f.default))
-            for f in fields(cls)}
-
-
-# The keys each stage reads through _cast_values, with their casts.
-_CRAWL_CASTS = _field_casts(CrawlConfig)
-_AUDIT_CASTS = {"sample_size": int, "seed": int}
-_SPEC_CASTS = _field_casts(corpusmod.CorpusSpec)
 # Keys commands read as plain strings.
 _PLAIN_KEYS = ("records", "detections", "mock_web", "ground_truth", "out",
                "allow_unknown", "converter")
 # The keys a --config file may set: any key some command reads from it
 # (run.cfg serves every stage). A spec file may set the CorpusSpec fields.
 # Any other key is a typo, a stale setting or a key of the other kind.
-CONFIG_KEYS = frozenset(_PLAIN_KEYS).union(_CRAWL_CASTS, _AUDIT_CASTS)
-SPEC_KEYS = frozenset(_SPEC_CASTS)
+CONFIG_KEYS = frozenset(_PLAIN_KEYS).union(
+    f.name for cls in (CrawlConfig, corpusmod.AuditConfig) for f in fields(cls))
+SPEC_KEYS = frozenset(f.name for f in fields(corpusmod.CorpusSpec))
 
 
-def _build(cls, casts: dict, cfg: dict):
-    """cls from the keys of casts that cfg sets; a value that its cast or
-    cls rejects is a CliError."""
+def _build(cls, cfg: dict):
+    """cls from each of its fields that cfg sets, the text read by the
+    field's parser in _FIELD_PARSERS, else by the type of its default; a
+    value that a parser or cls rejects is a CliError."""
+    values = {}
+    for f in fields(cls):
+        if f.name in cfg:
+            parse = _FIELD_PARSERS.get(f.name, type(f.default))
+            try:
+                values[f.name] = parse(cfg[f.name])
+            except ValueError as exc:
+                raise CliError(f"bad value for {f.name}: {exc}")
     try:
-        return cls(**_cast_values(cfg, casts))
+        return cls(**values)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -149,20 +135,13 @@ def _load(cfg: dict, key: str, loader):
         raise CliError(f"bad {key} file: {exc}")
 
 
-def _resolved_records(cfg: dict, recs=None, detections=None):
-    """recs with the detections' verdicts applied, each loaded from cfg when
-    not given. UNKNOWN records are an error unless allow_unknown drops them."""
-    allow = cfg.get("allow_unknown", "")
-    if allow.lower() not in ("true", "1", "yes", "false", "0", "no", ""):
-        raise CliError(f"bad value for allow_unknown: {allow!r}")
-    if recs is None:
-        recs = _load(cfg, "records", load_records)
-    if detections is None:
-        detections = _load(cfg, "detections", load_detections)
+def _resolved_records(recs, detections, allow_unknown: bool):
+    """recs with the detections' verdicts applied. UNKNOWN records are an
+    error unless allow_unknown drops them."""
     merged = records.apply_detections(recs, detections)
     unknown = [r for r in merged if r.oa_status is OAStatus.UNKNOWN]
     if unknown:
-        if allow.lower() in ("true", "1", "yes"):
+        if allow_unknown:
             print(f"warning: dropping {len(unknown)} UNKNOWN records",
                   file=sys.stderr)
             merged = [r for r in merged if r.oa_status is not OAStatus.UNKNOWN]
@@ -171,6 +150,31 @@ def _resolved_records(cfg: dict, recs=None, detections=None):
                 f"{len(unknown)} records have UNKNOWN status "
                 f"(run detect, or pass --allow-unknown)", EXIT_INCOMPLETE)
     return merged
+
+
+def _load_reports(cfg: dict) -> metrics.Reports:
+    """The reports over cfg's records resolved by its detections. The
+    allow_unknown value is checked before either file is read."""
+    allow = cfg.get("allow_unknown", "")
+    if allow.lower() not in ("true", "1", "yes", "false", "0", "no", ""):
+        raise CliError(f"bad value for allow_unknown: {allow!r}")
+    return metrics.Reports(_resolved_records(
+        _load(cfg, "records", load_records),
+        _load(cfg, "detections", load_detections),
+        allow.lower() in ("true", "1", "yes")))
+
+
+# The inputs a command may declare. main loads a command's inputs from cfg in
+# the order it declares them; evaluate passes in what the stage before made.
+# Each looks its loader up when called, so a wrapped loader is the one run.
+_INPUTS = {
+    "recs": lambda cfg: _load(cfg, "records", load_records),
+    "web": lambda cfg: _load(cfg, "mock_web", corpusmod.load_mock_web),
+    "detections": lambda cfg: _load(cfg, "detections", load_detections),
+    "truth": lambda cfg: _load(cfg, "ground_truth",
+                               corpusmod.load_ground_truth),
+    "reports": _load_reports,
+}
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -197,18 +201,13 @@ def _replay_journal(path) -> list:
     return load_detections(path)
 
 
-def cmd_detect(cfg: dict, recs=None, web=None) -> list:
+def cmd_detect(cfg: dict, recs, web) -> list:
     """Detect every record not already in the journal; returns the
-    detections in records order. recs and web are loaded from cfg when not
-    given."""
-    if recs is None:
-        recs = _load(cfg, "records", load_records)
+    detections in records order."""
     det_path = Path(_require(cfg, "detections"))
-    if web is None:
-        web = _load(cfg, "mock_web", corpusmod.load_mock_web)
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
-    config = _build(CrawlConfig, _CRAWL_CASTS, cfg)
+    config = _build(CrawlConfig, cfg)
     converter_cmd = cfg.get("converter")
     try:
         converter = ExternalConverter(converter_cmd) if converter_cmd else None
@@ -255,10 +254,8 @@ def cmd_detect(cfg: dict, recs=None, web=None) -> list:
     return final
 
 
-def cmd_analyze(cfg: dict, reports=None) -> None:
+def cmd_analyze(cfg: dict, reports) -> None:
     """Write the exclusion log and the %OA and advantage tables."""
-    if reports is None:
-        reports = metrics.Reports(_resolved_records(cfg))
     out = _out_dir(cfg)
     kept, log = reports.exclusions
     metrics.write_exclusions_csv(log, out / "exclusions.csv")
@@ -276,9 +273,7 @@ def cmd_analyze(cfg: dict, reports=None) -> None:
     print(line)
 
 
-def cmd_cohorts(cfg: dict, reports=None) -> None:
-    if reports is None:
-        reports = metrics.Reports(_resolved_records(cfg))
+def cmd_cohorts(cfg: dict, reports) -> None:
     out = _out_dir(cfg)
     metrics.write_cohort_csv(reports.cohorts(per_year=True),
                              out / "cohorts_yearly.csv")
@@ -287,30 +282,20 @@ def cmd_cohorts(cfg: dict, reports=None) -> None:
     print(f"cohorts: {len(reports.records)} records")
 
 
-def cmd_correlate(cfg: dict, reports=None) -> None:
-    if reports is None:
-        reports = metrics.Reports(_resolved_records(cfg))
+def cmd_correlate(cfg: dict, reports) -> None:
     out = _out_dir(cfg)
     rows = reports.correlations
     metrics.write_correlations_csv(rows, out / "correlations.csv")
     print(f"correlate: {sum(1 for _, r in rows if r is not None)} pairs")
 
 
-def cmd_audit(cfg: dict, detections=None, truth=None):
+def cmd_audit(cfg: dict, detections, truth):
     """Score a seeded sample of the detections against ground truth, write
-    sdt.csv and print the audit line; returns (matrix, sdt result).
-    detections and truth are loaded from cfg when not given."""
-    if detections is None:
-        detections = _load(cfg, "detections", load_detections)
-    if truth is None:
-        truth = _load(cfg, "ground_truth", corpusmod.load_ground_truth)
-    values = _cast_values(cfg, _AUDIT_CASTS)
-    sample_size = values.get("sample_size", 100)
-    if sample_size < 1:
-        raise CliError(f"sample_size must be >= 1, got {sample_size}")
+    sdt.csv and print the audit line; returns (matrix, sdt result)."""
+    audit = _build(corpusmod.AuditConfig, cfg)
     try:
-        matrix = corpusmod.run_audit(detections, truth, sample_size,
-                                     values.get("seed", 0))
+        matrix = corpusmod.run_audit(detections, truth, audit.sample_size,
+                                     audit.seed)
     except (corpusmod.CorpusError, stats.StatsError) as exc:
         # StatsError: the sample lacks a true class, so d' has no value.
         raise CliError(str(exc), EXIT_AUDIT)
@@ -329,8 +314,7 @@ def cmd_synth(cfg: dict) -> corpusmod.Corpus:
     spec_cfg = read_config(cfg["spec"], SPEC_KEYS) if cfg.get("spec") else {}
     if "seed" in cfg:
         spec_cfg["seed"] = cfg["seed"]
-    corp = corpusmod.generate_corpus(
-        _build(corpusmod.CorpusSpec, _SPEC_CASTS, spec_cfg))
+    corp = corpusmod.generate_corpus(_build(corpusmod.CorpusSpec, spec_cfg))
     out = _out_dir(cfg)
     corpusmod.export_corpus(corp, out)
     n_oa = sum(1 for gt in corp.ground_truth.values() if gt.oa)
@@ -361,7 +345,7 @@ def cmd_evaluate(cfg: dict) -> None:
     # The corpus was just regenerated: an older journal belongs to another.
     (out / "detections.jsonl").unlink(missing_ok=True)
     detections = cmd_detect(base, corp.records, corp.web)
-    merged = _resolved_records(base, corp.records, detections)
+    merged = _resolved_records(corp.records, detections, allow_unknown=False)
     reports = metrics.Reports(merged)
     cmd_analyze(base, reports)
     cmd_cohorts(base, reports)
@@ -392,45 +376,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Open-access detection robot and citation-impact reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, *keys):
-        """--config, then a flag for each config key the command reads."""
+    def common(p, func, inputs, *keys):
+        """--config, a flag per config key func reads, and func's inputs."""
         p.add_argument("--config", help="flat key=value config file")
         for key in keys:
             p.add_argument("--" + key.replace("_", "-"))
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, inputs=inputs)
 
     common(sub.add_parser("detect", help="classify each record OA/NOA"),
-           cmd_detect, "records", "detections", "mock_web")
+           cmd_detect, ("recs", "web"), "records", "detections", "mock_web")
 
     for name, fn in (("analyze", cmd_analyze), ("cohorts", cmd_cohorts),
                      ("correlate", cmd_correlate)):
         p = sub.add_parser(name)
-        common(p, fn, "records", "detections", "out")
+        common(p, fn, ("reports",), "records", "detections", "out")
         p.add_argument("--allow-unknown", action="store_true")
 
     p = sub.add_parser("audit", help="signal-detection audit vs ground truth")
-    common(p, cmd_audit, "detections", "out", "ground_truth")
+    common(p, cmd_audit, ("detections", "truth"), "detections", "out",
+           "ground_truth")
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus + mock web")
     p.add_argument("--spec", help="corpus spec file (key=value)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, inputs=())
 
     p = sub.add_parser("evaluate", help="synth + detect + analyze + audit")
     p.add_argument("--spec")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--sample-size", dest="sample_size", type=int, default=50)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, inputs=())
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(_merged_config(args))
+        cfg = _merged_config(args)
+        args.func(cfg, *[_INPUTS[name](cfg) for name in args.inputs])
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -33,6 +33,10 @@ from .robot.urls import _canonicalize, normalize_url
 from .stats import ConfusionMatrix, build_confusion_from_audit
 
 AD_HOST = "ads.mock-search.example"
+# The citation shape: 61% of articles uncited (the paper's 60.7% of
+# 1,307,038), and a mean of 4 citations for a cited NOA article.
+UNCITED_MASS = 0.61
+MEAN_CITED = 4.0
 
 _SURNAMES = [
     "Archer", "Bellamy", "Cardoso", "Dietrich", "Egwu", "Fontaine", "Grieg",
@@ -74,8 +78,6 @@ class CorpusSpec:
     disciplines: tuple[str, ...] = ("biology", "economics", "psychology")
     years: tuple[int, int] = (1992, 2003)  # inclusive
     oa_probability: object = 0.12  # scalar, or dict keyed "disc|year", "year", "disc"
-    uncited_mass: float = 0.61
-    mean_cited: float = 4.0
     oa_citation_multiplier: float = 1.0
     abstract_page_prob: float = 0.3  # among NOA articles
     dead_link_prob: float = 0.1  # among NOA articles
@@ -109,7 +111,7 @@ class CorpusSpec:
                               + "-".join(map(str, self.years)))
         if self.years[0] > self.years[1]:
             raise CorpusError("years range is empty")
-        for name in ("uncited_mass", "abstract_page_prob", "dead_link_prob"):
+        for name in ("abstract_page_prob", "dead_link_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise CorpusError(f"{name} must be in [0, 1], got {v}")
@@ -117,10 +119,9 @@ class CorpusSpec:
         for v in oa.values() if isinstance(oa, dict) else (oa,):
             if not 0.0 <= v <= 1.0:
                 raise CorpusError(f"oa_probability must be in [0, 1], got {v}")
-        for name in ("mean_cited", "oa_citation_multiplier"):
-            v = getattr(self, name)
-            if not v >= 0:
-                raise CorpusError(f"{name} must be >= 0, got {v}")
+        if not self.oa_citation_multiplier >= 0:
+            raise CorpusError("oa_citation_multiplier must be >= 0, got "
+                              f"{self.oa_citation_multiplier}")
         if any(p < 0 for _, p in self.chain_depth_distribution):
             raise CorpusError("chain_depth_distribution probabilities must be >= 0")
         total = sum(p for _, p in self.chain_depth_distribution)
@@ -166,7 +167,6 @@ class GroundTruth:
 
 @dataclass
 class Corpus:
-    spec: CorpusSpec
     records: list[ArticleRecord]
     ground_truth: dict[str, GroundTruth]
     web: MockWeb
@@ -279,9 +279,9 @@ def _sample_depth(spec: CorpusSpec, rng: random.Random) -> int:
 
 
 def _sample_citations(spec: CorpusSpec, rng: random.Random, is_oa: bool) -> int:
-    if rng.random() < spec.uncited_mass:
+    if rng.random() < UNCITED_MASS:
         return 0
-    mean = spec.mean_cited * (spec.oa_citation_multiplier if is_oa else 1.0)
+    mean = MEAN_CITED * (spec.oa_citation_multiplier if is_oa else 1.0)
     if mean <= 1.0:
         return 1
     p = 1.0 / mean
@@ -404,7 +404,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
             else:
                 gt = _plant_offline(record, web)
         truth[record.id] = gt
-    return Corpus(spec=spec, records=records, ground_truth=truth, web=web)
+    return Corpus(records=records, ground_truth=truth, web=web)
 
 
 def resolved_records(corpus: Corpus) -> list[ArticleRecord]:
@@ -462,6 +462,19 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord, target: str,
 # Audit
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class AuditConfig:
+    """Audit sample_size robot-OA and robot-NOA articles, drawn with seed."""
+
+    sample_size: int = 100
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.sample_size < 1:
+            raise CorpusError(
+                f"sample_size must be >= 1, got {self.sample_size}")
+
+
 def run_audit(detections: list[DetectionEvidence],
               ground_truth: dict[str, GroundTruth],
               sample_size: int, seed: int) -> ConfusionMatrix:
@@ -517,7 +530,12 @@ def load_mock_web(mockweb_dir) -> MockWeb:
         index = json.load(fh)
     web = MockWeb()
     try:
-        web.queries = {q: list(us) for q, us in index["queries"].items()}
+        for query, urls in index["queries"].items():
+            if type(urls) is not list or not all(type(u) is str for u in urls):
+                raise ParseError(
+                    f"{base / 'index.json'}: bad mock web index: query "
+                    f"{query!r} maps to {urls!r:.60}, not a list of URLs")
+            web.queries[query] = urls
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{base / 'index.json'}: bad mock web index: "
                          f"{type(exc).__name__}: {exc}") from exc

@@ -191,15 +191,19 @@ def _read_jsonl(path, cls) -> Iterator[tuple[int, object]]:
     rules = [(f.name, f.default, get_args(hints[f.name]) or (hints[f.name],))
              for f in fields(cls)]
     validate = getattr(cls, "validate", None)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    # Read as bytes and decoded line by line: a text-mode file decodes ahead
+    # in chunks, so its UnicodeDecodeError could not name the line.
+    with open(path, "rb") as fh:
+        for lineno, data in enumerate(fh, start=1):
             try:
+                line = data.decode("utf-8").strip()
+                if not line:
+                    continue
                 row = _row_from_line(line, cls, rules)
                 if validate:
                     validate(row)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             except (ParseError, ValidationError) as exc:

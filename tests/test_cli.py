@@ -15,7 +15,12 @@ import pytest
 
 from oafinder import cli, corpus, metrics, records
 from oafinder.cli import main
-from oafinder.corpus import CorpusSpec, export_corpus, generate_corpus
+from oafinder.corpus import (
+    AuditConfig,
+    CorpusSpec,
+    export_corpus,
+    generate_corpus,
+)
 from oafinder.records import (
     DetectionEvidence,
     Verdict,
@@ -295,7 +300,9 @@ mock_web = {corpus_dir / 'mockweb'}
         "issues_per_year = 0",
         "oa_probability = 1.5",
         "oa_probability = biology:2",
+        # No longer spec keys: a spec that sets one exits 2.
         "mean_cited = -3",
+        "uncited_mass = 0.5",
         "chain_depth_distribution = 0:1.5,1:-0.5",
         # Both names would give the journals econ-j*, mixing their issues.
         "disciplines = economics, economy",
@@ -365,27 +372,27 @@ mock_web = {corpus_dir / 'mockweb'}
                 capsys.readouterr().err
 
     def test_cast_tables_match_dataclasses(self):
-        # A field deleted with its cast left behind would turn that config
-        # line into a TypeError from the constructor, not exit 2.
-        assert set(cli._CRAWL_CASTS) == {f.name for f in fields(CrawlConfig)}
-        assert set(cli._SPEC_CASTS) == {f.name for f in fields(CorpusSpec)}
+        # Every field of a settings class is a key of its kind of file, and
+        # the only other keys are the plain ones.
+        assert cli.CONFIG_KEYS == set(cli._PLAIN_KEYS) | {
+            f.name for cls in (CrawlConfig, AuditConfig) for f in fields(cls)}
+        assert cli.SPEC_KEYS == {f.name for f in fields(CorpusSpec)}
         # Each field read by the type of its default reads back its default
         # from str(default). bool("false") is True, so a bool field needs
         # a parser of its own.
-        for cls, casts in ((CrawlConfig, cli._CRAWL_CASTS),
-                           (CorpusSpec, cli._SPEC_CASTS)):
+        for cls in (CrawlConfig, AuditConfig, CorpusSpec):
             for f in fields(cls):
                 if f.name not in cli._FIELD_PARSERS:
-                    assert casts[f.name] in (int, float, str), f.name
-                    assert casts[f.name](str(f.default)) == f.default, f.name
+                    assert type(f.default) in (int, float, str), f.name
+                    assert getattr(cli._build(cls, {f.name: str(f.default)}),
+                                   f.name) == f.default, f.name
         # Each parsed field reads back its default from its config text.
         texts = {"disciplines": "biology, economics, psychology",
                  "years": "1992-2003",
                  "oa_probability": "0.12",
                  "chain_depth_distribution": "0:0.55,1:0.25,2:0.1,3:0.1"}
         assert set(cli._FIELD_PARSERS) == set(texts)
-        for name, text in texts.items():
-            assert cli._SPEC_CASTS[name](text) == getattr(CorpusSpec(), name)
+        assert cli._build(CorpusSpec, texts) == CorpusSpec()
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -393,10 +400,9 @@ mock_web = {corpus_dir / 'mockweb'}
         cfg_path = tmp_path / "readme.cfg"
         cfg_path.write_text(block)
         cfg = cli.read_config(cfg_path, cli.CONFIG_KEYS)
-        assert cli._build(CrawlConfig, cli._CRAWL_CASTS, cfg).max_depth == \
-            int(cfg["max_depth"])
-        assert cli._cast_values(cfg, cli._AUDIT_CASTS) == {
-            "sample_size": 100, "seed": 0}
+        assert cli._build(CrawlConfig, cfg).max_depth == int(cfg["max_depth"])
+        assert cli._build(AuditConfig, cfg) == AuditConfig(
+            int(cfg["sample_size"]), int(cfg["seed"])) == AuditConfig(100, 0)
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--seed", "1"],
@@ -414,6 +420,14 @@ mock_web = {corpus_dir / 'mockweb'}
     @pytest.mark.parametrize("index,pages,named", [
         pytest.param(body, "", "index.json", id=body)
         for body in ('{"pages": {}}', '[]')
+    ] + [
+        # A query's results are a list of URL strings, else normalize_url
+        # would fail on them in the middle of the crawl.
+        pytest.param(body, "", "index.json: bad mock web index: query 'q'",
+                     id=body)
+        for body in ('{"queries": {"q": [5]}}',
+                     '{"queries": {"q": ["http://h.example/", null]}}',
+                     '{"queries": {"q": "http://h.example/"}}')
     ] + [
         pytest.param('{"queries": {}}', line, "pages.jsonl:1", id=name)
         for name, line in (
@@ -445,6 +459,41 @@ mock_web = {corpus_dir / 'mockweb'}
                      "--detections", str(tmp_path / "d.jsonl"),
                      "--mock-web", str(web)]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("cmd,key,good,bad", [
+        ("analyze", "records", GOOD_RECORD,
+         dict(GOOD_RECORD, id="a1", title="A title \udcff")),
+        ("audit", "detections", {"article_id": "a0", "verdict": "NOA"},
+         {"article_id": "a1", "verdict": "NOA", "reason": "\udcff"}),
+        ("detect", "mock_web",
+         {"format": "html", "text": "x", "url": "http://h.example/a"},
+         {"format": "html", "text": "\udcff", "url": "http://h.example/b"}),
+    ], ids=["records", "detections", "pages"])
+    def test_non_utf8_line_is_named(self, cmd, key, good, bad, corpus_dir,
+                                    detections, tmp_path, capsys):
+        # The second line holds byte 0xff, which no UTF-8 text holds:
+        # surrogateescape writes "\udcff" as that byte.
+        lines = b"".join(
+            json.dumps(row, ensure_ascii=False).encode(
+                "utf-8", "surrogateescape") + b"\n" for row in (good, bad))
+        if key == "mock_web":
+            path = tmp_path / "mockweb"
+            path.mkdir()
+            (path / "index.json").write_text('{"queries": {}}')
+            named = path / "pages.jsonl"
+        else:
+            path = named = tmp_path / "bad.jsonl"
+        named.write_bytes(lines)
+        assert b"\xff" in lines
+        cfg = write_report_config(tmp_path, corpus_dir, detections,
+                                  f"{key} = {path}")
+        argv = [cmd, "--config", str(cfg)]
+        if cmd == "detect":  # the config's mock_web follows its extra line
+            argv += ["--mock-web", str(path),
+                     "--detections", str(tmp_path / "d.jsonl")]
+        assert main(argv) == 2
+        assert f"{named}:2: not UTF-8" in capsys.readouterr().err
 
 
 class TestDetect:
@@ -844,6 +893,32 @@ class TestSynthAndEvaluate:
             GOLDEN_EVALUATE_SHA256
 
 
+class TestInputLoading:
+    @pytest.mark.parametrize("cmd,loads", [
+        ("detect", {"load_records": 1, "load_mock_web": 1}),
+        ("analyze", {"load_records": 1, "load_detections": 1}),
+        ("cohorts", {"load_records": 1, "load_detections": 1}),
+        ("correlate", {"load_records": 1, "load_detections": 1}),
+        ("audit", {"load_detections": 1, "load_ground_truth": 1}),
+    ])
+    def test_standalone_command_loads_each_input_once(
+            self, cmd, loads, corpus_dir, detections, tmp_path, monkeypatch):
+        calls = Counter()
+        for mod, name in ((cli, "load_records"), (cli, "load_detections"),
+                          (corpus, "load_mock_web"),
+                          (corpus, "load_ground_truth")):
+            def counted(*args, _load=getattr(mod, name), _name=name):
+                calls[_name] += 1
+                return _load(*args)
+            monkeypatch.setattr(mod, name, counted)
+        cfg = write_report_config(tmp_path, corpus_dir, detections, "")
+        argv = [cmd, "--config", str(cfg)]
+        if cmd == "detect":  # a fresh journal, so none is replayed
+            argv += ["--detections", str(tmp_path / "d.jsonl")]
+        assert main(argv) == 0
+        assert calls == Counter(loads)
+
+
 class TestConfigParsing:
     def test_comments_and_blanks_ignored(self, tmp_path):
         from oafinder.cli import read_config
@@ -858,7 +933,7 @@ class TestConfigParsing:
         assert paths
         for path in paths:
             cfg = cli.read_config(path, cli.SPEC_KEYS)
-            spec = cli._build(CorpusSpec, cli._SPEC_CASTS, cfg)
+            spec = cli._build(CorpusSpec, cfg)
             assert spec.n_articles == int(cfg["n_articles"]), path.name
 
     def test_detections_output_is_sorted_json(self, detections):
