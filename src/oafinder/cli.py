@@ -17,7 +17,7 @@ from pathlib import Path
 from . import corpus as corpusmod
 from . import metrics, records, stats
 from .records import OAStatus, load_detections, load_records
-from .robot.crawl import CrawlConfig, DetectionError, detect_oa
+from .robot.crawl import CrawlConfig, detect_oa
 from .robot.extract import ExternalConverter
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ def read_config(path, keys) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -226,31 +226,23 @@ def cmd_detect(cfg: dict, recs, web) -> list:
         journal = open(det_path, "a", encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot write detections: {exc}")
-    n_unknown = 0
     with journal:
         for rec in recs:
             if rec.id in done:
                 continue
-            try:
-                ev = detect_oa(rec, provider, fetcher, config,
-                               converter=converter)
-            except DetectionError as exc:
-                print(f"warning: {exc}", file=sys.stderr)
-                n_unknown += 1
-                continue
+            ev = detect_oa(rec, provider, fetcher, config, converter=converter)
             done[rec.id] = ev
             journal.write(records.detection_to_json(ev) + "\n")
             journal.flush()
 
-    final = [done[r.id] for r in recs if r.id in done]
+    final = [done[r.id] for r in recs]
     # Record ids are unique, so a journal this run started is already in
     # records order; one that held lines before it is compacted into it.
     if replayed:
         records.save_detections(final, det_path)
     n_oa = sum(1 for ev in final if ev.verdict is records.Verdict.OA)
     n_noa = len(final) - n_oa
-    print(f"detect: {len(recs)} records, OA={n_oa} NOA={n_noa} "
-          f"UNKNOWN={n_unknown}")
+    print(f"detect: {len(recs)} records, OA={n_oa} NOA={n_noa}")
     return final
 
 

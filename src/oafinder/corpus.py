@@ -526,17 +526,18 @@ def export_corpus(corpus: Corpus, out_dir) -> None:
 def load_mock_web(mockweb_dir) -> MockWeb:
     """The mock web export_corpus wrote, pages.jsonl read line by line."""
     base = Path(mockweb_dir)
-    with open(base / "index.json", encoding="utf-8") as fh:
-        index = json.load(fh)
     web = MockWeb()
     try:
+        with open(base / "index.json", encoding="utf-8") as fh:
+            index = json.load(fh)
         for query, urls in index["queries"].items():
             if type(urls) is not list or not all(type(u) is str for u in urls):
                 raise ParseError(
                     f"{base / 'index.json'}: bad mock web index: query "
                     f"{query!r} maps to {urls!r:.60}, not a list of URLs")
             web.queries[query] = urls
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError,
+            AttributeError) as exc:
         raise ParseError(f"{base / 'index.json'}: bad mock web index: "
                          f"{type(exc).__name__}: {exc}") from exc
     for _, page in _read_jsonl(base / "pages.jsonl", Page):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, get_args, get_type_hints
@@ -38,6 +39,8 @@ class CitationRange(enum.Enum):
 
 # In definition order, for stable report output.
 ALL_RANGES = tuple(CitationRange)
+# The largest count of each bin but the last, in ALL_RANGES order.
+_RANGE_TOPS = (0, 1, 3, 7, 15)
 
 
 def bin_citations(c: int) -> CitationRange:
@@ -47,17 +50,7 @@ def bin_citations(c: int) -> CitationRange:
     """
     if c < 0:
         raise ValueError(f"citation count must be non-negative, got {c}")
-    if c == 0:
-        return CitationRange.R0
-    if c == 1:
-        return CitationRange.R1
-    if c <= 3:
-        return CitationRange.R2_3
-    if c <= 7:
-        return CitationRange.R4_7
-    if c <= 15:
-        return CitationRange.R8_15
-    return CitationRange.R16_PLUS
+    return ALL_RANGES[bisect_left(_RANGE_TOPS, c)]
 
 
 class ValidationError(ValueError):

@@ -20,10 +20,6 @@ from .extract import ExternalConverter, ExtractionError, extract_text
 from .match import NotFoundReason, extract_candidate_links, match_full_text
 
 
-class DetectionError(RuntimeError):
-    """The search provider failed; the article's status stays UNKNOWN."""
-
-
 @dataclass(frozen=True)
 class FetchResult:
     url: str
@@ -87,15 +83,10 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
 
     Breadth-first over search results and candidate links, PDF/PS-first
     within each page's contribution, visited set on canonical URLs, depth
-    capped at config.max_depth. Raises DetectionError when the provider
-    fails with an OSError (status stays UNKNOWN); a provider response that
-    is merely empty yields NOA{EXHAUSTED}.
+    capped at config.max_depth. An empty provider response yields
+    NOA{EXHAUSTED}.
     """
-    try:
-        results = provider.query(record.first_author_surname, record.title)
-    except OSError as exc:
-        raise DetectionError(
-            f"search provider failed for {record.id}: {exc}") from exc
+    results = provider.query(record.first_author_surname, record.title)
     frontier = [(url, 0) for url in
                 urlmod.crawl_order(results, provider.blocklist)]
     visited: set[str] = set()

@@ -82,9 +82,7 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x < 0.0 or x > 1.0:
-        raise StatsError(f"betainc argument x must be in [0, 1], got {x}")
+    """Regularized incomplete beta function I_x(a, b), x in [0, 1]."""
     if x == 0.0 or x == 1.0:
         return x
     ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
@@ -96,9 +94,7 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 
 
 def t_sf(t: float, df: int) -> float:
-    """P(T > t) for Student-t with df degrees of freedom."""
-    if df < 1:
-        raise StatsError(f"degrees of freedom must be >= 1, got {df}")
+    """P(T > t) for Student-t with df >= 1 degrees of freedom."""
     x = df / (df + t * t)
     p_two = betainc_reg(df / 2.0, 0.5, x)
     if t >= 0:
@@ -135,9 +131,8 @@ def _centered(vs) -> list[float]:
 
 
 def pearson_r(xs, ys) -> float:
-    """Product-moment correlation; errors on length mismatch or zero variance."""
-    if len(xs) != len(ys):
-        raise StatsError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    """Product-moment correlation of two equally long series; errors on
+    fewer than 3 points or zero variance."""
     n = len(xs)
     if n < 3:
         raise StatsError(f"need at least 3 points, got {n}")
@@ -153,11 +148,7 @@ def pearson_r(xs, ys) -> float:
 
 
 def r_to_p(r: float, n: int) -> CorrelationResult:
-    """Significance of a correlation via the t-transform, df = n - 2."""
-    if n < 3:
-        raise StatsError(f"need n >= 3, got {n}")
-    if abs(r) > 1.0:
-        raise StatsError(f"|r| must be <= 1, got {r}")
+    """Significance of r over n >= 3 points via the t-transform, df = n - 2."""
     df = n - 2
     if abs(r) == 1.0:
         return CorrelationResult(
@@ -193,9 +184,6 @@ class ConfusionMatrix:
     correct_rejections: int
 
     def __post_init__(self) -> None:
-        for name in ("hits", "misses", "false_alarms", "correct_rejections"):
-            if getattr(self, name) < 0:
-                raise StatsError(f"{name} must be non-negative")
         if self.hits + self.misses < 1:
             raise StatsError("no true-OA items in audit")
         if self.false_alarms + self.correct_rejections < 1:
@@ -220,8 +208,6 @@ def build_confusion_from_audit(oa_tagged_true_labels, noa_tagged_true_labels
     article really is OA) for items the robot tagged OA resp. NOA. The two
     samples are pooled and counts conditioned on the true class.
     """
-    if not oa_tagged_true_labels or not noa_tagged_true_labels:
-        raise StatsError("both audit samples must be non-empty")
     hits = sum(1 for t in oa_tagged_true_labels if t)
     false_alarms = len(oa_tagged_true_labels) - hits
     misses = sum(1 for t in noa_tagged_true_labels if t)

@@ -97,6 +97,14 @@ class TestExitCodes:
         cfg.write_text("records\n")
         assert main(["analyze", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("cmd,flag", [("synth", "--spec"),
+                                          ("analyze", "--config")])
+    def test_non_utf8_config_is_named(self, cmd, flag, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n_articles = 20\xff\n")
+        assert main([cmd, flag, str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"cannot read config {cfg}" in capsys.readouterr().err
+
     def test_unknown_status_blocks_analysis(self, corpus_dir, tmp_path):
         empty = tmp_path / "empty.jsonl"
         save_detections([], empty)
@@ -421,6 +429,11 @@ mock_web = {corpus_dir / 'mockweb'}
         pytest.param(body, "", "index.json", id=body)
         for body in ('{"pages": {}}', '[]')
     ] + [
+        # Not JSON, and not UTF-8.
+        pytest.param(body, "", "index.json: bad mock web index", id=name)
+        for name, body in (("index-cut-off", '{"queries": '),
+                           ("index-not-utf8", b'{"queries": {"\xff": []}}'))
+    ] + [
         # A query's results are a list of URL strings, else normalize_url
         # would fail on them in the middle of the crawl.
         pytest.param(body, "", "index.json: bad mock web index: query 'q'",
@@ -452,7 +465,10 @@ mock_web = {corpus_dir / 'mockweb'}
                                       tmp_path, capsys):
         web = tmp_path / "mockweb"
         web.mkdir()
-        (web / "index.json").write_text(index)
+        if isinstance(index, bytes):
+            (web / "index.json").write_bytes(index)
+        else:
+            (web / "index.json").write_text(index)
         if pages is not None:
             (web / "pages.jsonl").write_text(pages + "\n")
         assert main(["detect", "--records", str(corpus_dir / "records.jsonl"),
@@ -759,7 +775,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "03c7c007e53a662d2f1fac422617a7e0265809c832eda197e8814f1ffccbf703")
+    "16fcb027c8ac6b975a06edaf63d0cf2b551ab3079ea46d9257f8a8bfdba9a087")
 
 
 def run_digest(out, stdout: str) -> str:

@@ -1,6 +1,6 @@
 """Crawl orchestration tests on hand-built mock webs: depth limits, visited
-set, query construction, search provider failure; and malformed URLs planted
-in a generated one."""
+set, query construction, an empty search response; and malformed URLs
+planted in a generated one."""
 
 import pytest
 
@@ -17,7 +17,6 @@ from oafinder.robot import extract, match
 from oafinder.robot.crawl import (
     CrawlConfig,
     CrawlObserver,
-    DetectionError,
     detect_oa,
     format_query,
 )
@@ -143,16 +142,6 @@ class TestDetectOa:
         ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
         assert ev.verdict is Verdict.NOA
         assert ev.reason == "EXHAUSTED"
-
-    def test_provider_connection_error_raises(self):
-        class FailingProvider:
-            blocklist = ()
-
-            def query(self, author, title):
-                raise ConnectionError("boom")
-
-        with pytest.raises(DetectionError, match="boom"):
-            detect_oa(RECORD, FailingProvider(), MockFetcher(MockWeb()))
 
     def test_blocklisted_ad_urls_never_fetched(self):
         web = make_web(0)
