@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, get_args, get_type_hints
 
@@ -83,9 +83,9 @@ class ArticleRecord:
     citation_count: int
     oa_status: OAStatus = OAStatus.UNKNOWN
 
-    # Called where records are read or made, not from __post_init__:
-    # apply_detections copies every record with dataclasses.replace in each
-    # stage, which would re-run a __post_init__ on each copy.
+    # Called where records are read or made, not from __post_init__: the
+    # row reader and apply_detections (which copies every record in each
+    # stage) build records without running __init__.
     def validate(self) -> None:
         if not self.id:
             raise ValidationError("record has empty id")
@@ -258,5 +258,15 @@ def apply_detections(
     """
     status = {ev.article_id: OAStatus.OA if ev.verdict is Verdict.OA
               else OAStatus.NOA for ev in detections}
-    return [replace(rec, oa_status=status[rec.id]) if rec.id in status
-            else rec for rec in records]
+    out = []
+    for rec in records:
+        if rec.id in status:
+            # dataclasses.replace without its frozen __init__: the same
+            # fields, oa_status set, filled in as the row reader fills them.
+            new = object.__new__(ArticleRecord)
+            values = new.__dict__
+            values.update(rec.__dict__)
+            values["oa_status"] = status[rec.id]
+            rec = new
+        out.append(rec)
+    return out

@@ -1,5 +1,8 @@
 """URL canonicalization, and the order in which the robot fetches a list of
 URLs: canonical, each once, blocked hosts dropped, PDF/PS first.
+
+A URL already in canonical form, with or without a fragment, is recognized
+by one pattern and never parsed; every other URL goes through urllib.parse.
 """
 
 from __future__ import annotations
@@ -52,11 +55,14 @@ def normalize_url(url: str) -> str:
     can change semantics on some hosts). Idempotent. A URL urlsplit cannot
     read (an unclosed IPv6 bracket, a port that is not a number in range)
     is a UrlError. A URL already in canonical form is recognized by one
-    pattern and returned as it is.
+    pattern and returned as it is; so is a canonical URL plus a fragment,
+    returned without its fragment.
     """
-    m = _CANONICAL_RE.match(url)
+    # urlsplit splits the fragment off at the first "#" before it parses.
+    prefix = url.partition("#")[0]
+    m = _CANONICAL_RE.match(prefix)
     if m is not None and m.group("path"):
-        return url
+        return prefix
     return _canonicalize(url)
 
 

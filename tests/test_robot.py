@@ -243,3 +243,19 @@ class TestOnePass:
         assert ev.verdict is Verdict.OA
         assert len(observer.fetch_log) == 4  # three landing pages, full text
         assert counts == {"parse_html": 3, "tokenize_with_offsets": 4}
+
+    def test_title_tokenized_once_per_article(self, monkeypatch):
+        # four pages are matched and three of them searched for links
+        texts = []
+        inner = match.tokenize
+
+        def counting(text):
+            texts.append(text)
+            return inner(text)
+        monkeypatch.setattr(match, "tokenize", counting)
+        match._article_terms.cache_clear()
+        web = make_web(3)
+        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
+        assert ev.verdict is Verdict.OA
+        assert texts.count(TITLE) == 1
+        assert texts.count(SURNAME) == 1

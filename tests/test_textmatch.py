@@ -239,7 +239,10 @@ def eager_match_full_text(text, record, threshold, head_fraction,
                         low_confidence=low_confidence, title_seen=True)
 
 
-_WORDS = ("market", "regulation", "outcomes", "analysis", "of", "Fontaine")
+# "İzmir" lower-cases to one more char than it has, so lower-casing a whole
+# text would move every offset after it.
+_WORDS = ("market", "regulation", "outcomes", "analysis", "of", "Fontaine",
+          "İzmir")
 _PIECES = ("TITLE", "NEAR", "SURNAME", "References", "[1] Weiss (1999) x",
            "filler", "Fontaine_x", "—", "") + _WORDS
 
@@ -258,7 +261,7 @@ class TestLazyMatchEqualsEager:
                                                       "", "-"))),
                            max_size=30),
            threshold=st.floats(0.5, 1.0),
-           head_fraction=st.floats(0.01, 0.5),
+           head_fraction=st.floats(0.01, 1.0),
            tail_fraction=st.floats(0.01, 0.5))
     @example(title_words=[], pieces=[], threshold=0.9, head_fraction=0.2,
              tail_fraction=0.2)
@@ -272,6 +275,21 @@ class TestLazyMatchEqualsEager:
              pieces=[("TITLE", " "), ("Fontaine_x", " ")]
              + [("filler", " ")] * 20, threshold=1.0, head_fraction=0.12,
              tail_fraction=0.5)
+    # the head ends inside the surname (offsets 18-25, head_len 21)
+    @example(title_words=["market", "regulation"],
+             pieces=[("TITLE", " "), ("SURNAME", " ")] + [("filler", " ")] * 3,
+             threshold=0.9, head_fraction=0.45, tail_fraction=0.2)
+    # a near-miss window, then the exact title twice, all in the head
+    @example(title_words=["market", "regulation", "outcomes"],
+             pieces=[("NEAR", " "), ("TITLE", " "), ("SURNAME", "\n"),
+                     ("TITLE", " ")]
+             + [("filler", " ")] * 8 + [("References", "\n")],
+             threshold=0.9, head_fraction=1.0, tail_fraction=0.2)
+    # the title after a token whose lower-case form is longer
+    @example(title_words=["İzmir", "market", "outcomes"],
+             pieces=[("İzmir", " "), ("TITLE", "\n"), ("SURNAME", " ")]
+             + [("filler", " ")] * 8 + [("References", "\n")],
+             threshold=0.9, head_fraction=0.4, tail_fraction=0.2)
     def test_same_verdict(self, title_words, pieces, threshold,
                           head_fraction, tail_fraction):
         title = " ".join(title_words)

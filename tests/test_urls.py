@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oafinder.corpus import CorpusSpec, generate_corpus
+from oafinder.robot import urls
 from oafinder.robot.extract import parse_html
 from oafinder.robot.urls import (
     _CANONICAL_RE,
@@ -187,8 +188,29 @@ class TestCanonicalFastPath:
     @example("http://h.example:80/a")
     @example("http://h.example/a?")
     @example("http://h.example/a%2fb")
+    # a canonical URL plus a fragment, and two that only look like one
+    @example("http://h.example/a#")
+    @example("http://h.example/a?#f")
+    @example("http://h.example/a/..#f")
     def test_normalize_equals_urllib(self, url):
         assert _outcome(normalize_url, url) == _outcome(_canonicalize, url)
+
+    @pytest.mark.parametrize("url, parsed", [
+        ("http://h.example/a#", False),
+        ("http://h.example/a/b.pdf#utm", False),
+        ("http://h.example/a?#f", True),
+        ("http://h.example/a/..#f", True),
+    ])
+    def test_fragment_skips_urllib_only_after_canonical_prefix(
+            self, url, parsed, monkeypatch):
+        calls = []
+
+        def counting(u):
+            calls.append(u)
+            return _canonicalize(u)
+        monkeypatch.setattr(urls, "_canonicalize", counting)
+        assert normalize_url(url) == _canonicalize(url)
+        assert calls == ([url] if parsed else [])
 
     @settings(max_examples=500)
     @given(_urls())
@@ -215,17 +237,21 @@ class TestCanonicalFastPath:
                    chain_depth_distribution=((1, 0.2), (2, 0.2), (3, 0.2),
                                              (4, 0.2), (5, 0.2))),
     ], ids=["default", "deep-chains"])
-    def test_generated_web_is_canonical(self, spec):
+    def test_generated_web_is_canonical(self, spec, monkeypatch):
         """The mock web's URLs take the fast paths, so a pattern that
-        silently sent them to urllib would show here."""
+        silently sent them to urllib would show here. A search result with
+        a #utm fragment normalizes to its canonical prefix."""
+        calls = []
+        monkeypatch.setattr(urls, "_canonicalize", calls.append)
         web = generate_corpus(spec).web
         results = [u for us in web.queries.values() for u in us]
         assert results and web.pages
+        assert any(url.endswith("#utm") for url in results)
         for url in list(web.pages) + results:
-            if url.endswith("#utm"):
-                continue
-            assert _CANONICAL_RE.match(url), url
-            assert normalize_url(url) == url
+            prefix = url.removesuffix("#utm")
+            assert _CANONICAL_RE.match(prefix), url
+            assert normalize_url(url) == prefix
+        assert calls == []
         for url, (fmt, data) in web.pages.items():
             if fmt == "html":
                 for href, _ in parse_html(data.decode())[1]:
