@@ -9,6 +9,7 @@ or input error, 3 incomplete detections, 4 audit infeasible.
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 from dataclasses import fields
@@ -187,16 +188,28 @@ def _out_dir(cfg: dict) -> Path:
 # Commands
 # ---------------------------------------------------------------------------
 
+# Bytes read per step when looking back from a journal's end for its last
+# newline: the journal itself is never read whole here.
+_TAIL_STEP = 1 << 16
+
+
 def _replay_journal(path) -> list:
     """The detections in a resumable journal. A last line cut off by a kill
     is truncated away first, so that article is detected again and the next
     append starts on a fresh line."""
     with open(path, "rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            keep = data.rfind(b"\n") + 1
+        size = keep = fh.seek(0, os.SEEK_END)
+        while keep:  # keep ends up just past the last newline, or at 0
+            start = max(0, keep - _TAIL_STEP)
+            fh.seek(start)
+            newline = fh.read(keep - start).rfind(b"\n")
+            if newline >= 0:
+                keep = start + newline + 1
+                break
+            keep = start
+        if keep < size:
             print(f"warning: {path}: dropping cut-off last line "
-                  f"({len(data) - keep} bytes)", file=sys.stderr)
+                  f"({size - keep} bytes)", file=sys.stderr)
             fh.truncate(keep)
     return load_detections(path)
 

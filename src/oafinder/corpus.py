@@ -17,6 +17,7 @@ from pathlib import Path
 from urllib.parse import urljoin
 
 from .records import (
+    SHARED,
     ArticleRecord,
     DetectionEvidence,
     OAStatus,
@@ -145,7 +146,7 @@ class Page:
     """A line of mockweb/pages.jsonl; MockWeb.pages keeps (format, bytes)."""
 
     url: str
-    format: str
+    format: str = field(metadata=SHARED)
     text: str
 
 
@@ -159,7 +160,8 @@ class MockWeb:
 class GroundTruth:
     article_id: str
     oa: bool  # a full text is reachable within the crawl's max_depth
-    kind: str = ""  # fulltext/deep-chain/abstract-decoy/dead-link/offline
+    # fulltext/deep-chain/abstract-decoy/dead-link/offline
+    kind: str = field(default="", metadata=SHARED)
     chain_depth: int = 0
     # where the planter put the full text (fulltext and deep-chain), else ""
     fulltext_url: str = ""
@@ -296,14 +298,20 @@ def _make_title(i: int, rng: random.Random) -> str:
             f"cohort {i}")
 
 
-def _draw_record(spec: CorpusSpec, rng: random.Random,
-                 i: int) -> tuple[ArticleRecord, bool]:
-    """Draw article i's record and whether a full text is planted for it."""
+def _draw_record(spec: CorpusSpec, rng: random.Random, i: int,
+                 shared: dict) -> tuple[ArticleRecord, bool]:
+    """Draw article i's record and whether a full text is planted for it.
+    Its journal id, year and issue key are the first equal ones in shared,
+    so the records of one corpus hold each such value once."""
     discipline = spec.disciplines[rng.randrange(len(spec.disciplines))]
     journal_no = rng.randrange(spec.journals_per_discipline)
     journal_id = f"{discipline[:4]}-j{journal_no}"
+    journal_id = shared.setdefault(journal_id, journal_id)
     year = spec.years[0] + rng.randrange(spec.years[1] - spec.years[0] + 1)
+    year = shared.setdefault(year, year)
     issue = 1 + rng.randrange(spec.issues_per_year)
+    issue_key = make_issue_key(journal_id, year, issue)
+    issue_key = shared.setdefault(issue_key, issue_key)
     surname = _SURNAMES[rng.randrange(len(_SURNAMES))]
     title = _make_title(i, rng)
     country = _COUNTRIES[rng.randrange(len(_COUNTRIES))]
@@ -314,7 +322,7 @@ def _draw_record(spec: CorpusSpec, rng: random.Random,
         first_author_surname=surname,
         title=title,
         journal_id=journal_id,
-        issue_key=make_issue_key(journal_id, year, issue),
+        issue_key=issue_key,
         year=year,
         discipline=discipline,
         country=country,
@@ -390,8 +398,9 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     web = MockWeb()
     records: list[ArticleRecord] = []
     truth: dict[str, GroundTruth] = {}
+    shared: dict = {}
     for i in range(spec.n_articles):
-        record, intended_oa = _draw_record(spec, rng, i)
+        record, intended_oa = _draw_record(spec, rng, i, shared)
         records.append(record)
         if intended_oa:
             gt = _plant_fulltext(spec, record, rng, web)

@@ -7,7 +7,11 @@ referring to source text.
 
 _read_jsonl reads every JSONL row (record, evidence, ground truth, page) off
 the fields and type hints of its dataclass, by the rule the README gives
-under "Exit codes"; row_to_json writes it.
+under "Exit codes"; row_to_json writes it. A field whose metadata is SHARED
+holds a value that repeats across rows (a discipline, a year, a reason):
+once it has passed its type check, the reader replaces it with the first
+equal value read from the same file, so a file's rows hold each such value
+once. Nothing of that outlives the read.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_left
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, get_args, get_type_hints
 
@@ -61,6 +65,10 @@ class ParseError(ValueError):
     """A persistence file line could not be parsed."""
 
 
+# The metadata of a row field whose values repeat across a file's rows.
+SHARED = {"shared": True}
+
+
 def make_issue_key(journal_id: str, year: int, issue: int | str) -> str:
     """Composite sortable key "journal_id|year|issue"; "|" is forbidden in parts."""
     if "|" in journal_id or "|" in str(issue):
@@ -73,13 +81,13 @@ class ArticleRecord:
     """One bibliographic record with citation count and OA status."""
 
     id: str
-    first_author_surname: str
+    first_author_surname: str = field(metadata=SHARED)
     title: str
-    journal_id: str
-    issue_key: str
-    year: int
-    discipline: str
-    country: str
+    journal_id: str = field(metadata=SHARED)
+    issue_key: str = field(metadata=SHARED)
+    year: int = field(metadata=SHARED)
+    discipline: str = field(metadata=SHARED)
+    country: str = field(metadata=SHARED)
     citation_count: int
     oa_status: OAStatus = OAStatus.UNKNOWN
 
@@ -123,8 +131,9 @@ class DetectionEvidence:
     verdict: Verdict
     url: Optional[str] = None
     match_head_offset: Optional[int] = None
-    match_tail_marker: Optional[str] = None
-    reason: Optional[str] = None  # set for NOA verdicts
+    match_tail_marker: Optional[str] = field(default=None, metadata=SHARED)
+    # set for NOA verdicts
+    reason: Optional[str] = field(default=None, metadata=SHARED)
     depth: int = 0
     low_confidence: bool = False
 
@@ -144,8 +153,9 @@ _ROW_DECODER = json.JSONDecoder()
 
 def _row_from_line(line: str, cls, rules):
     """The row of class cls on a stripped JSONL line, each field checked by
-    its (name, default, types) rule by exact type, so true is not an int.
-    raw_decode is json.loads without its scans for whitespace."""
+    its (name, default, types, memo) rule by exact type, so true is not an
+    int, then, where memo is a dict, swapped for the first equal value it
+    holds. raw_decode is json.loads without its scans for whitespace."""
     obj, end = _ROW_DECODER.raw_decode(line)
     if end != len(line):
         raise json.JSONDecodeError("Extra data", line, end)
@@ -155,7 +165,7 @@ def _row_from_line(line: str, cls, rules):
     # object.__setattr__ per field: rows check themselves in validate().
     row = object.__new__(cls)
     values = row.__dict__
-    for name, default, kinds in rules:
+    for name, default, kinds, memo in rules:
         value = obj.get(name, default)
         if type(value) not in kinds:
             if value is MISSING:
@@ -172,6 +182,8 @@ def _row_from_line(line: str, cls, rules):
                 value.encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise ParseError(f"{name} is not UTF-8 text: {exc}") from exc
+        if memo is not None:  # after the type check: a list is unhashable
+            value = memo.setdefault(value, value)
         values[name] = value
     return row
 
@@ -181,7 +193,8 @@ def _read_jsonl(path, cls) -> Iterator[tuple[int, object]]:
     JSONL file, in file order, validated when cls has a validate(). Errors
     name the file and the line."""
     hints = get_type_hints(cls)  # Optional[str] gives (str, NoneType)
-    rules = [(f.name, f.default, get_args(hints[f.name]) or (hints[f.name],))
+    rules = [(f.name, f.default, get_args(hints[f.name]) or (hints[f.name],),
+              {} if f.metadata.get("shared") else None)
              for f in fields(cls)]
     validate = getattr(cls, "validate", None)
     # Read as bytes and decoded line by line: a text-mode file decodes ahead

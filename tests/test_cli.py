@@ -175,7 +175,7 @@ class TestExitCodes:
                      id=f"analyze-records-{field}-{value}")
         for field, value in (("title", 5), ("issue_key", 5),
                              ("first_author_surname", None),
-                             ("discipline", 5))
+                             ("discipline", 5), ("discipline", [1]))
     ] + [
         # An int field takes a JSON integer alone: int() would read 2.9,
         # true and "7" as 2, 1 and 7.
@@ -203,7 +203,8 @@ class TestExitCodes:
              (("url", 5), ("match_head_offset", "x"),
               ("match_tail_marker", [1]), ("reason", {"a": 1}))),
             ("audit", "ground_truth", {"article_id": "a0", "oa": True},
-             (("kind", 5), ("fulltext_url", 7), ("kind", None))))
+             (("kind", 5), ("fulltext_url", 7), ("kind", None),
+              ("kind", [1]))))
         for field, value in cases
     ] + [
         # "\ud800" is valid JSON, but UTF-8 cannot write it: a report would
@@ -536,6 +537,40 @@ class TestDetect:
             assert run_detect(corpus_dir, partial) == 0, cut
             assert partial.read_bytes() == detections.read_bytes(), cut
             assert ("cut-off" in capsys.readouterr().err) == (cut > 0), cut
+
+    def test_resume_drops_cut_off_line_longer_than_a_read_step(
+            self, corpus_dir, detections, tmp_path, capsys):
+        # The last newline is looked for back from the end, step by step.
+        lines = detections.read_bytes().splitlines(keepends=True)
+        tail = lines[25][:-1] + b"x" * (2 * cli._TAIL_STEP)
+        partial = tmp_path / "resume.jsonl"
+        partial.write_bytes(b"".join(lines[:25]) + tail)
+        assert run_detect(corpus_dir, partial) == 0
+        assert partial.read_bytes() == detections.read_bytes()
+        assert f"cut-off last line ({len(tail)} bytes)" in \
+            capsys.readouterr().err
+
+    def test_resume_from_journal_without_newline(self, corpus_dir,
+                                                 detections, tmp_path, capsys):
+        # A kill during the first write leaves no whole line: the journal
+        # is truncated to empty and every article detected.
+        partial = tmp_path / "resume.jsonl"
+        first = detections.read_bytes().splitlines()[0]
+        partial.write_bytes(first[:-3])
+        assert run_detect(corpus_dir, partial) == 0
+        assert partial.read_bytes() == detections.read_bytes()
+        assert f"cut-off last line ({len(first) - 3} bytes)" in \
+            capsys.readouterr().err
+
+    def test_replay_leaves_whole_lines_untouched(self, detections, tmp_path,
+                                                 capsys):
+        lines = detections.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "resume.jsonl"
+        partial.write_bytes(b"".join(lines[:10]))
+        before = partial.read_bytes()
+        assert len(cli._replay_journal(partial)) == 10
+        assert partial.read_bytes() == before
+        assert capsys.readouterr().err == ""
 
     def test_fresh_run_serializes_each_article_once(
             self, corpus_dir, detections, tmp_path, monkeypatch):

@@ -85,6 +85,13 @@ class TestDeterminism:
         assert load_ground_truth(tmp_path / "ground_truth.jsonl") == \
             corpus.ground_truth
 
+    def test_repeated_values_held_once(self, big):
+        # One string or int per distinct journal id, issue key and year,
+        # not one per record.
+        for name in ("journal_id", "issue_key", "year"):
+            values = [getattr(r, name) for r in big.records]
+            assert len({id(v) for v in values}) == len(set(values)), name
+
     def test_ground_truth_row_defaults(self, tmp_path):
         # A row without kind, chain_depth or fulltext_url reads as "", 0
         # and ""; a key that names no field is ignored.

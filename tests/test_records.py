@@ -17,6 +17,7 @@ from oafinder.records import (
     load_detections,
     load_records,
     make_issue_key,
+    row_to_json,
     save_detections,
     save_records,
 )
@@ -121,6 +122,60 @@ class TestRecordsFile:
         with pytest.raises(ParseError,
                            match=r":3: duplicate record id 'a1', first on line 1"):
             load_records(path)
+
+
+def distinct_objects(rows, name):
+    """(distinct objects, distinct values) of one field over rows."""
+    values = [getattr(row, name) for row in rows]
+    return len({id(v) for v in values}), len(set(values))
+
+
+def jsonl_bytes(rows) -> bytes:
+    return "".join(row_to_json(row) + "\n" for row in rows).encode("utf-8")
+
+
+class TestSharedValues:
+    """A file's rows hold each value of a SHARED field once."""
+
+    def test_records_share_repeated_values(self, tmp_path):
+        recs = [make_record(id=f"a{i}", first_author_surname=f"Archer{i % 3}",
+                            title=f"Study {i}", journal_id=f"j{i % 2}",
+                            issue_key=f"j{i % 2}|{1999 + i % 4}|{i % 5}",
+                            year=1999 + i % 4,
+                            discipline=("biology", "physics")[i % 2],
+                            country=("US", "UK", "DE")[i % 3])
+                for i in range(40)]
+        path = tmp_path / "records.jsonl"
+        save_records(recs, path)
+        loaded = load_records(path)
+        assert loaded == recs
+        for name in ("first_author_surname", "journal_id", "issue_key",
+                     "year", "discipline", "country"):
+            objects, values = distinct_objects(loaded, name)
+            assert objects == values < len(loaded), name
+        # titles repeat nowhere, so nothing is shared
+        assert distinct_objects(loaded, "title") == (40, 40)
+        assert jsonl_bytes(loaded) == path.read_bytes()
+
+    def test_detections_share_reason(self, tmp_path):
+        evs = [DetectionEvidence(article_id=f"a{i}", verdict=Verdict.NOA,
+                                 reason=("NO_RESULTS", "EXHAUSTED")[i % 2])
+               for i in range(20)]
+        path = tmp_path / "det.jsonl"
+        save_detections(evs, path)
+        loaded = load_detections(path)
+        assert loaded == evs
+        assert distinct_objects(loaded, "reason") == (2, 2)
+        assert jsonl_bytes(loaded) == path.read_bytes()
+
+    def test_nothing_shared_across_reads(self, tmp_path):
+        path = tmp_path / "det.jsonl"
+        save_detections([DetectionEvidence(article_id="a1",
+                                           verdict=Verdict.NOA,
+                                           reason="EXHAUSTED")], path)
+        (first,), (second,) = load_detections(path), load_detections(path)
+        assert first.reason == second.reason
+        assert first.reason is not second.reason
 
 
 evidence_strategy = st.builds(
