@@ -18,7 +18,7 @@ from pathlib import Path
 from . import corpus as corpusmod
 from . import metrics, records, stats
 from .records import OAStatus, load_detections, load_records
-from .robot.crawl import CrawlConfig, detect_oa
+from .robot.crawl import detect_oa
 from .robot.extract import ExternalConverter
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ _PLAIN_KEYS = ("records", "detections", "mock_web", "ground_truth", "out",
 # (run.cfg serves every stage). A spec file may set the CorpusSpec fields.
 # Any other key is a typo, a stale setting or a key of the other kind.
 CONFIG_KEYS = frozenset(_PLAIN_KEYS).union(
-    f.name for cls in (CrawlConfig, corpusmod.AuditConfig) for f in fields(cls))
+    f.name for f in fields(corpusmod.AuditConfig))
 SPEC_KEYS = frozenset(f.name for f in fields(corpusmod.CorpusSpec))
 
 
@@ -220,7 +220,6 @@ def cmd_detect(cfg: dict, recs, web) -> list:
     det_path = Path(_require(cfg, "detections"))
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
-    config = _build(CrawlConfig, cfg)
     converter_cmd = cfg.get("converter")
     try:
         converter = ExternalConverter(converter_cmd) if converter_cmd else None
@@ -243,7 +242,7 @@ def cmd_detect(cfg: dict, recs, web) -> list:
         for rec in recs:
             if rec.id in done:
                 continue
-            ev = detect_oa(rec, provider, fetcher, config, converter=converter)
+            ev = detect_oa(rec, provider, fetcher, converter=converter)
             done[rec.id] = ev
             journal.write(records.detection_to_json(ev) + "\n")
             journal.flush()

@@ -28,7 +28,7 @@ from .records import (
     row_to_json,
     save_records,
 )
-from .robot.crawl import CrawlConfig, FetchResult, format_query
+from .robot.crawl import MAX_DEPTH, FetchResult, format_query
 from .robot.extract import _parse_html_reference
 from .robot.urls import _canonicalize, normalize_url
 from .stats import ConfusionMatrix, build_confusion_from_audit
@@ -159,7 +159,7 @@ class MockWeb:
 @dataclass(frozen=True)
 class GroundTruth:
     article_id: str
-    oa: bool  # a full text is reachable within the crawl's max_depth
+    oa: bool  # a full text is reachable within the crawl's MAX_DEPTH
     # fulltext/deep-chain/abstract-decoy/dead-link/offline
     kind: str = field(default="", metadata=SHARED)
     chain_depth: int = 0
@@ -349,7 +349,7 @@ def _list_results(web: MockWeb, record: ArticleRecord, urls: list[str]) -> None:
 def _plant_fulltext(spec: CorpusSpec, record: ArticleRecord,
                     rng: random.Random, web: MockWeb) -> GroundTruth:
     """A full text behind a chain of `depth` landing pages; past the crawl's
-    default max_depth it is a deep-chain, which the robot must not reach."""
+    MAX_DEPTH it is a deep-chain, which the robot must not reach."""
     depth = _sample_depth(spec, rng)
     as_html = rng.random() < 0.5
     text = _fulltext_doc(record, rng)
@@ -366,7 +366,7 @@ def _plant_fulltext(spec: CorpusSpec, record: ArticleRecord,
         web.pages[url] = ("html", _chain_doc(record, entry, hop).encode())
         entry = url
     _list_results(web, record, [entry, _ad_url(record), entry + "#utm"])
-    reachable = depth <= CrawlConfig.max_depth
+    reachable = depth <= MAX_DEPTH
     return GroundTruth(record.id, oa=reachable,
                        kind="fulltext" if reachable else "deep-chain",
                        chain_depth=depth, fulltext_url=ft_url)
@@ -385,8 +385,8 @@ def _plant_dead_link(record: ArticleRecord, web: MockWeb) -> GroundTruth:
     return GroundTruth(record.id, False, "dead-link", 0)
 
 
-def _plant_offline(record: ArticleRecord, web: MockWeb) -> GroundTruth:
-    _list_results(web, record, [])
+def _plant_offline(record: ArticleRecord) -> GroundTruth:
+    # No search result: the query is absent from web.queries.
     return GroundTruth(record.id, False, "offline", 0)
 
 
@@ -411,7 +411,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
             elif u < spec.abstract_page_prob + spec.dead_link_prob:
                 gt = _plant_dead_link(record, web)
             else:
-                gt = _plant_offline(record, web)
+                gt = _plant_offline(record)
         truth[record.id] = gt
     return Corpus(records=records, ground_truth=truth, web=web)
 
@@ -428,7 +428,7 @@ def resolved_records(corpus: Corpus) -> list[ArticleRecord]:
 # ---------------------------------------------------------------------------
 
 def reachable_within_depth(web: MockWeb, record: ArticleRecord, target: str,
-                           max_depth: int = CrawlConfig.max_depth) -> bool:
+                           max_depth: int = MAX_DEPTH) -> bool:
     """Exhaustive breadth-first check, independent of the robot: follow every
     anchor of every HTML page (no candidate heuristics, no caps, no
     blocklist) from the search results, and report whether the page at

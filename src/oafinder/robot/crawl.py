@@ -42,16 +42,9 @@ class Fetcher(Protocol):
     def fetch(self, url: str) -> FetchResult: ...
 
 
-@dataclass(frozen=True)
-class CrawlConfig:
-    max_depth: int = 3
-    title_similarity_threshold: float = 0.90
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if not (0.0 < self.title_similarity_threshold <= 1.0):
-            raise ValueError("title_similarity_threshold must be in (0, 1]")
+# The most landing pages the crawl follows from a search result to a full
+# text. Ground truth counts a full text OA iff it is planted within it.
+MAX_DEPTH = 3
 
 
 @dataclass
@@ -76,14 +69,14 @@ class CrawlObserver:
 
 
 def detect_oa(record: ArticleRecord, provider: SearchProvider,
-              fetcher: Fetcher, config: CrawlConfig = CrawlConfig(), *,
+              fetcher: Fetcher, *, max_depth: int = MAX_DEPTH,
               converter: Optional[ExternalConverter] = None,
               observer: Optional[CrawlObserver] = None) -> DetectionEvidence:
     """Classify one article OA or NOA with evidence.
 
     Breadth-first over search results and candidate links, PDF/PS-first
     within each page's contribution, visited set on canonical URLs, depth
-    capped at config.max_depth. An empty provider response yields
+    capped at max_depth. An empty provider response yields
     NOA{EXHAUSTED}.
     """
     results = provider.query(record.first_author_surname, record.title)
@@ -113,9 +106,7 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
         except ExtractionError:
             continue
 
-        verdict = match_full_text(
-            text, record,
-            title_similarity_threshold=config.title_similarity_threshold)
+        verdict = match_full_text(text, record)
         low_confidence = low_confidence or verdict.low_confidence
         if verdict.found:
             return DetectionEvidence(
@@ -124,7 +115,7 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
                 match_tail_marker=verdict.tail_evidence,
                 depth=depth, low_confidence=low_confidence)
         # Title present but no full text: follow the page's links.
-        if verdict.title_seen and depth < config.max_depth:
+        if verdict.title_seen and depth < max_depth:
             links = urlmod.crawl_order(
                 extract_candidate_links(anchors, url, record))
             frontier.extend(

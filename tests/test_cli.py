@@ -27,7 +27,6 @@ from oafinder.records import (
     load_detections,
     save_detections,
 )
-from oafinder.robot.crawl import CrawlConfig
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +284,17 @@ class TestExitCodes:
         assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
+        # No longer crawl keys: an old config that sets one exits 2, even
+        # to a value the crawl uses.
         "max_depth = banana",
+        "max_depth = 4",
         "max_links_followed_per_page = -1",
         "title_similarity_threshold = 1.5",
         "title_similarity_threshold = 0",
-        # No longer a crawl key: an old config that sets it exits 2.
+        "title_similarity_threshold = 0.9",
         "per_host_rate = -2",
     ])
-    def test_bad_crawl_config_value(self, line, corpus_dir, tmp_path):
+    def test_bad_crawl_config_value(self, line, corpus_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"""
 records = {corpus_dir / 'records.jsonl'}
@@ -301,6 +303,8 @@ mock_web = {corpus_dir / 'mockweb'}
 {line}
 """)
         assert main(["detect", "--config", str(cfg)]) == 2
+        assert f"unknown key {line.split(' =')[0]!r}" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
         "years = 1992",
@@ -348,8 +352,9 @@ mock_web = {corpus_dir / 'mockweb'}
         assert "first on line 1" in err
 
     def test_unknown_spec_key(self, tmp_path, capsys):
-        # A typo, and a crawl key, which only a --config file may set.
-        for key in ("n_article", "max_depth"):
+        # A typo, a former crawl key, and an audit key, which only a
+        # --config file may set.
+        for key in ("n_article", "max_depth", "sample_size"):
             spec = tmp_path / "spec.cfg"
             spec.write_text(f"# 20 articles\n{key} = 0\n")
             assert main(["synth", "--spec", str(spec),
@@ -384,12 +389,12 @@ mock_web = {corpus_dir / 'mockweb'}
         # Every field of a settings class is a key of its kind of file, and
         # the only other keys are the plain ones.
         assert cli.CONFIG_KEYS == set(cli._PLAIN_KEYS) | {
-            f.name for cls in (CrawlConfig, AuditConfig) for f in fields(cls)}
+            f.name for f in fields(AuditConfig)}
         assert cli.SPEC_KEYS == {f.name for f in fields(CorpusSpec)}
         # Each field read by the type of its default reads back its default
         # from str(default). bool("false") is True, so a bool field needs
         # a parser of its own.
-        for cls in (CrawlConfig, AuditConfig, CorpusSpec):
+        for cls in (AuditConfig, CorpusSpec):
             for f in fields(cls):
                 if f.name not in cli._FIELD_PARSERS:
                     assert type(f.default) in (int, float, str), f.name
@@ -409,7 +414,6 @@ mock_web = {corpus_dir / 'mockweb'}
         cfg_path = tmp_path / "readme.cfg"
         cfg_path.write_text(block)
         cfg = cli.read_config(cfg_path, cli.CONFIG_KEYS)
-        assert cli._build(CrawlConfig, cfg).max_depth == int(cfg["max_depth"])
         assert cli._build(AuditConfig, cfg) == AuditConfig(
             int(cfg["sample_size"]), int(cfg["seed"])) == AuditConfig(100, 0)
 
@@ -810,7 +814,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "16fcb027c8ac6b975a06edaf63d0cf2b551ab3079ea46d9257f8a8bfdba9a087")
+    "0b6d5ec104716c2583ba78ce8eb9459035ee7b787d209741de46c95e1e558a32")
 
 
 def run_digest(out, stdout: str) -> str:

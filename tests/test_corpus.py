@@ -25,7 +25,7 @@ from oafinder.corpus import (
     run_audit,
 )
 from oafinder.records import DetectionEvidence, Verdict, load_records
-from oafinder.robot.crawl import detect_oa, format_query
+from oafinder.robot.crawl import MAX_DEPTH, detect_oa, format_query
 from oafinder.robot.urls import host_of
 from oafinder.stats import sdt_analysis
 
@@ -156,6 +156,11 @@ class TestGroundTruthSoundness:
                 assert gt.fulltext_url in corpus.web.pages
             else:
                 assert gt.fulltext_url == ""
+        # Only an offline article has no search results, and its query has
+        # no entry.
+        assert all(corpus.web.queries.values())
+        assert len(corpus.web.queries) == sum(
+            gt.kind != "offline" for gt in corpus.ground_truth.values())
 
     def test_robot_agrees_with_ground_truth(self, corpus):
         provider = MockSearchProvider(corpus.web)
@@ -166,6 +171,24 @@ class TestGroundTruthSoundness:
             assert (ev.verdict is Verdict.OA) == gt.oa
             if ev.verdict is Verdict.OA:
                 assert (ev.url, ev.depth) == (gt.fulltext_url, gt.chain_depth)
+
+    def test_ground_truth_depth_is_the_crawl_depth(self):
+        # One cut-off for the planter and the robot: a full text behind
+        # chain_depth landing pages is OA iff chain_depth <= MAX_DEPTH.
+        spec = CorpusSpec(n_articles=120, seed=3, oa_probability=1.0,
+                          chain_depth_distribution=tuple(
+                              (d, 1 / 6) for d in range(6)))
+        corpus = generate_corpus(spec)
+        provider = MockSearchProvider(corpus.web)
+        fetcher = MockFetcher(corpus.web)
+        assert {gt.chain_depth for gt in corpus.ground_truth.values()} == \
+            set(range(6))
+        for rec in corpus.records:
+            gt = corpus.ground_truth[rec.id]
+            assert gt.oa == (gt.chain_depth <= MAX_DEPTH)
+            assert gt.kind == ("fulltext" if gt.oa else "deep-chain")
+            ev = detect_oa(rec, provider, fetcher)
+            assert (ev.verdict is Verdict.OA) == gt.oa
 
     def test_depth4_only_corpus_unreachable(self):
         spec = CorpusSpec(n_articles=60, seed=9, oa_probability=1.0,

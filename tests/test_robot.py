@@ -14,12 +14,7 @@ from oafinder.corpus import (
 )
 from oafinder.records import ArticleRecord, OAStatus, Verdict
 from oafinder.robot import extract, match
-from oafinder.robot.crawl import (
-    CrawlConfig,
-    CrawlObserver,
-    detect_oa,
-    format_query,
-)
+from oafinder.robot.crawl import CrawlObserver, detect_oa, format_query
 
 TITLE = "Structural survey of policy diffusion mechanisms"
 SURNAME = "Lindqvist"
@@ -106,7 +101,7 @@ class TestDetectOa:
         web = make_web(2)
         observer = CrawlObserver()
         ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
-                       CrawlConfig(max_depth=0), observer=observer)
+                       max_depth=0, observer=observer)
         assert ev.verdict is Verdict.NOA
         assert [e.url for e in observer.fetch_log] == \
             ["http://www.site.example/landing0.html"]
@@ -208,18 +203,6 @@ class TestMalformedUrls:
                     corpus.web, rec, corpus.ground_truth[rec.id].fulltext_url)
                 for rec in corpus.records] == \
             [corpus.ground_truth[rec.id].oa for rec in corpus.records]
-
-
-class TestCrawlConfig:
-    def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            CrawlConfig(max_depth=-1)
-        with pytest.raises(ValueError):
-            CrawlConfig(title_similarity_threshold=1.5)
-        with pytest.raises(ValueError):
-            CrawlConfig(title_similarity_threshold=0)
-        CrawlConfig()
-        CrawlConfig(title_similarity_threshold=1.0)
 
 
 class TestOnePass:
