@@ -30,7 +30,7 @@ from .records import (
 )
 from .robot.crawl import MAX_DEPTH, FetchResult, format_query
 from .robot.extract import _parse_html_reference
-from .robot.urls import _canonicalize, normalize_url
+from .robot.urls import _canonicalize
 from .stats import ConfusionMatrix, build_confusion_from_audit
 
 AD_HOST = "ads.mock-search.example"
@@ -143,7 +143,7 @@ class CorpusSpec:
 
 @dataclass
 class Page:
-    """A line of mockweb/pages.jsonl; MockWeb.pages keeps (format, bytes)."""
+    """A line of mockweb/pages.jsonl; MockWeb.pages keeps (format, text)."""
 
     url: str
     format: str = field(metadata=SHARED)
@@ -152,7 +152,7 @@ class Page:
 
 @dataclass
 class MockWeb:
-    pages: dict[str, tuple[str, bytes]] = field(default_factory=dict)  # url -> (format, bytes)
+    pages: dict[str, tuple[str, str]] = field(default_factory=dict)  # url -> (format, text)
     queries: dict[str, list[str]] = field(default_factory=dict)
 
 
@@ -187,21 +187,17 @@ class MockSearchProvider:
 
 
 class MockFetcher:
-    """Serves MockWeb content; dead or unknown URLs get a 404. No network."""
+    """Serves MockWeb content by canonical URL; a URL with no page gets a
+    404. No network."""
 
     def __init__(self, web: MockWeb):
         self.web = web
 
     def fetch(self, url: str) -> FetchResult:
-        try:
-            canon = normalize_url(url)
-        except ValueError:
-            return FetchResult(url, 400, "text", b"")
-        page = self.web.pages.get(canon)
+        page = self.web.pages.get(url)
         if page is None:
-            return FetchResult(url, 404, "text", b"")
-        fmt, data = page
-        return FetchResult(url, 200, fmt, data)
+            return FetchResult(url, 404, "text", "")
+        return FetchResult(url, 200, *page)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +352,14 @@ def _plant_fulltext(spec: CorpusSpec, record: ArticleRecord,
     base = _article_base(record)
     if as_html:
         ft_url = f"{base}/fulltext.html"
-        web.pages[ft_url] = ("html", _html_fulltext(text).encode())
+        web.pages[ft_url] = ("html", _html_fulltext(text))
     else:
         ft_url = f"{base}/fulltext.txt"
-        web.pages[ft_url] = ("text", text.encode())
+        web.pages[ft_url] = ("text", text)
     entry = ft_url
     for hop in range(depth - 1, -1, -1):
         url = f"{base}/landing{hop}.html"
-        web.pages[url] = ("html", _chain_doc(record, entry, hop).encode())
+        web.pages[url] = ("html", _chain_doc(record, entry, hop))
         entry = url
     _list_results(web, record, [entry, _ad_url(record), entry + "#utm"])
     reachable = depth <= MAX_DEPTH
@@ -374,7 +370,7 @@ def _plant_fulltext(spec: CorpusSpec, record: ArticleRecord,
 
 def _plant_abstract_decoy(record: ArticleRecord, web: MockWeb) -> GroundTruth:
     url = f"{_article_base(record)}/abstract.html"
-    web.pages[url] = ("html", _abstract_doc(record).encode())
+    web.pages[url] = ("html", _abstract_doc(record))
     _list_results(web, record, [url, _ad_url(record)])
     return GroundTruth(record.id, False, "abstract-decoy", 0)
 
@@ -455,10 +451,9 @@ def reachable_within_depth(web: MockWeb, record: ArticleRecord, target: str,
             continue
         if canon == target:
             return True
-        fmt, data = page
+        fmt, text = page
         if fmt in ("html", "xml") and depth < max_depth:
-            _, anchors = _parse_html_reference(
-                data.decode("utf-8", errors="replace"))
+            _, anchors = _parse_html_reference(text)
             for href, _ in anchors:
                 try:
                     frontier.append((urljoin(canon, href), depth + 1))
@@ -525,8 +520,8 @@ def export_corpus(corpus: Corpus, out_dir) -> None:
         for art_id in sorted(corpus.ground_truth):
             fh.write(row_to_json(corpus.ground_truth[art_id]) + "\n")
     with open(out / "mockweb" / "pages.jsonl", "w", encoding="utf-8") as fh:
-        for url, (fmt, data) in sorted(corpus.web.pages.items()):
-            fh.write(row_to_json(Page(url, fmt, data.decode("utf-8"))) + "\n")
+        for url, (fmt, text) in sorted(corpus.web.pages.items()):
+            fh.write(row_to_json(Page(url, fmt, text)) + "\n")
     with open(out / "mockweb" / "index.json", "w", encoding="utf-8") as fh:
         json.dump({"queries": corpus.web.queries}, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -550,7 +545,7 @@ def load_mock_web(mockweb_dir) -> MockWeb:
         raise ParseError(f"{base / 'index.json'}: bad mock web index: "
                          f"{type(exc).__name__}: {exc}") from exc
     for _, page in _read_jsonl(base / "pages.jsonl", Page):
-        web.pages[page.url] = (page.format, page.text.encode("utf-8"))
+        web.pages[page.url] = (page.format, page.text)
     return web
 
 

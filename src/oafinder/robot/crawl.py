@@ -7,11 +7,12 @@ URL is fetched at most once, and the first full-text hit in that order wins.
 
 The search provider and the fetcher are passed in (see ``SearchProvider``
 and ``Fetcher``); the mock web in ``oafinder.corpus`` implements both.
+Every URL handed to the fetcher is canonical, and a fetched page is text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..records import ArticleRecord, DetectionEvidence, Verdict
@@ -25,7 +26,7 @@ class FetchResult:
     url: str
     status: int
     format_tag: str
-    data: bytes
+    text: str
 
     @property
     def ok(self) -> bool:
@@ -39,18 +40,13 @@ class SearchProvider(Protocol):
 
 
 class Fetcher(Protocol):
-    def fetch(self, url: str) -> FetchResult: ...
+    def fetch(self, url: str) -> FetchResult:
+        """The page at url, which is in canonical form."""
 
 
 # The most landing pages the crawl follows from a search result to a full
 # text. Ground truth counts a full text OA iff it is planted within it.
 MAX_DEPTH = 3
-
-
-@dataclass
-class FetchLogEntry:
-    url: str
-    status: int
 
 
 def format_query(surname: str, title: str) -> str:
@@ -61,17 +57,10 @@ def format_query(surname: str, title: str) -> str:
     return f'{surname} "{title}"'
 
 
-@dataclass
-class CrawlObserver:
-    """Collects the per-article fetch log for audit assertions."""
-
-    fetch_log: list[FetchLogEntry] = field(default_factory=list)
-
-
 def detect_oa(record: ArticleRecord, provider: SearchProvider,
               fetcher: Fetcher, *, max_depth: int = MAX_DEPTH,
               converter: Optional[ExternalConverter] = None,
-              observer: Optional[CrawlObserver] = None) -> DetectionEvidence:
+              ) -> DetectionEvidence:
     """Classify one article OA or NOA with evidence.
 
     Breadth-first over search results and candidate links, PDF/PS-first
@@ -96,12 +85,10 @@ def detect_oa(record: ArticleRecord, provider: SearchProvider,
         max_depth_seen = max(max_depth_seen, depth)
 
         result = fetcher.fetch(url)
-        if observer is not None:
-            observer.fetch_log.append(FetchLogEntry(url, result.status))
         if not result.ok:
             continue
         try:
-            text, anchors = extract_text(result.data, result.format_tag,
+            text, anchors = extract_text(result.text, result.format_tag,
                                          converter)
         except ExtractionError:
             continue

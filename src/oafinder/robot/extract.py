@@ -1,15 +1,17 @@
 """Document-to-text extraction.
 
-HTML/XML are linearized in-process (tags stripped, scripts and styles
-dropped, anchor targets kept separately for link following). A page is
-scanned in one regex pass over text runs and start/end tags; a page with
-markup outside that grammar (comments, declarations, processing
-instructions, script/style raw text, a stray ``<``) is parsed whole by
-html.parser instead, which gives the same result for in-grammar pages and
-serves as the reference the scanner is tested against. Plain text passes
-through; every other format (PDF, PS, RTF, Word, LaTeX) goes through a
-pluggable external converter command. With no converter configured those
-formats yield a distinct CONVERTER_UNAVAILABLE error.
+A fetched page arrives as text. HTML/XML are linearized in-process (tags
+stripped, scripts and styles dropped, anchor targets kept separately for
+link following). A page is scanned in one regex pass over text runs and
+start/end tags; a page with markup outside that grammar (comments,
+declarations, processing instructions, script/style raw text, a stray
+``<``) is parsed whole by html.parser instead, which gives the same result
+for in-grammar pages and serves as the reference the scanner is tested
+against. Plain text passes through; every other format (PDF, PS, RTF,
+Word, LaTeX) goes through a pluggable external converter command, which
+reads the page's UTF-8 bytes from a temp file. With no converter
+configured those formats raise an ExtractionError that names
+CONVERTER_UNAVAILABLE.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ CONVERTER_TIMEOUT_S = 30.0
 
 class ExtractionError(ValueError):
     pass
-
-
-class ConverterUnavailableError(ExtractionError):
-    """Format needs the external converter and none is configured."""
 
 
 class _TextAndLinks(HTMLParser):
@@ -177,13 +175,13 @@ def parse_html(html: str) -> tuple[str, list[tuple[str, str]]]:
 
 
 class ExternalConverter:
-    """Runs a configured command template to turn document bytes into text.
+    """Runs a configured command template to turn a document into text.
 
-    The template gets the input written to a temp file substituted for
-    ``{in}`` (and ``{format}`` for the format tag); the command must print
-    UTF-8 text on stdout and exit 0. A template that names any other field,
-    or does not parse as a format string, is a ValueError here, before any
-    document needs it.
+    The template gets a temp file holding the document's UTF-8 bytes
+    substituted for ``{in}`` (and ``{format}`` for the format tag); the
+    command must print UTF-8 text on stdout and exit 0. A template that
+    names any other field, or does not parse as a format string, is a
+    ValueError here, before any document needs it.
     """
 
     def __init__(self, command_template: str):
@@ -196,9 +194,9 @@ class ExternalConverter:
                 f"{{format}}") from exc
         self.command_template = command_template
 
-    def convert(self, data: bytes, format_tag: str) -> str:
+    def convert(self, text: str, format_tag: str) -> str:
         with tempfile.NamedTemporaryFile(suffix=f".{format_tag}", delete=False) as tf:
-            tf.write(data)
+            tf.write(text.encode("utf-8"))
             tmp = tf.name
         try:
             cmd = self.command_template.format(**{"in": tmp, "format": format_tag})
@@ -217,23 +215,20 @@ class ExternalConverter:
             Path(tmp).unlink(missing_ok=True)
 
 
-def extract_text(data: bytes, format_tag: str,
+def extract_text(text: str, format_tag: str,
                  converter: Optional[ExternalConverter] = None,
                  ) -> tuple[str, list[tuple[str, str]]]:
     """Text and (href, anchor text) pairs for a fetched document; only
     HTML/XML have anchors. See module docstring for routing."""
     tag = format_tag.lower()
     if tag in TEXT_FORMATS:
-        try:
-            return data.decode("utf-8"), []
-        except UnicodeDecodeError as exc:
-            raise ExtractionError(f"undecodable text bytes: {exc}") from exc
+        return text, []
     if tag in HTML_FORMATS:
-        return parse_html(data.decode("utf-8", errors="replace"))
+        return parse_html(text)
     if tag in CONVERTER_FORMATS:
         if converter is None:
-            raise ConverterUnavailableError(
+            raise ExtractionError(
                 f"CONVERTER_UNAVAILABLE: no external converter configured "
                 f"for format {tag!r}")
-        return converter.convert(data, tag), []
+        return converter.convert(text, tag), []
     raise ExtractionError(f"unknown format tag {format_tag!r}")

@@ -26,6 +26,7 @@ from oafinder.corpus import (
 )
 from oafinder.records import DetectionEvidence, Verdict, load_records
 from oafinder.robot.crawl import MAX_DEPTH, detect_oa, format_query
+from oafinder.robot.extract import extract_text
 from oafinder.robot.urls import host_of
 from oafinder.stats import sdt_analysis
 
@@ -77,10 +78,21 @@ class TestDeterminism:
 
     def test_export_roundtrip(self, tmp_path):
         corpus = generate_corpus(CorpusSpec(n_articles=40, seed=3))
+        # Two-byte UTF-8, a character whose lower case is two characters,
+        # and one outside the BMP (four bytes).
+        words = "Müller İzmir \U0001d518ber"
+        corpus.web.pages["http://h.example/u.txt"] = ("text", words)
+        corpus.web.pages["http://h.example/u.html"] = (
+            "html", f"<p>{words}</p>")
         export_corpus(corpus, tmp_path)
         assert load_records(tmp_path / "records.jsonl") == corpus.records
         web = load_mock_web(tmp_path / "mockweb")
         assert web.pages == corpus.web.pages
+        fetcher = MockFetcher(web)
+        for url in ("http://h.example/u.txt", "http://h.example/u.html"):
+            result = fetcher.fetch(url)
+            assert extract_text(result.text, result.format_tag) == \
+                (words, [])
         assert web.queries == corpus.web.queries
         assert load_ground_truth(tmp_path / "ground_truth.jsonl") == \
             corpus.ground_truth
@@ -253,14 +265,15 @@ class TestOracleIndependence:
 class TestMockFetcher:
     def test_ipv6_page_served(self):
         url = "http://[2001:db8::1]:8080/a.pdf"
-        web = MockWeb(pages={url: ("text", b"full text")})
+        web = MockWeb(pages={url: ("text", "full text")})
         result = MockFetcher(web).fetch(url)
-        assert (result.status, result.data) == (200, b"full text")
+        assert (result.status, result.text) == (200, "full text")
 
     def test_unknown_and_unparseable(self):
         fetcher = MockFetcher(MockWeb())
         assert fetcher.fetch("http://h.example/x").status == 404
-        assert fetcher.fetch("http://[x/full.pdf").status == 400
+        # The crawl never fetches an unparseable URL; one is just a miss.
+        assert fetcher.fetch("http://[x/full.pdf").status == 404
 
 
 class TestAudit:

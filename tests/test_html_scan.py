@@ -143,7 +143,7 @@ class TestScannerMatchesReference:
                                          (3, 0.2), (4, 0.1))),
 ], ids=["default", "deep-chains"])
 def test_generated_pages_never_fall_back(spec):
-    pages = [data.decode() for fmt, data in
+    pages = [text for fmt, text in
              generate_corpus(spec).web.pages.values() if fmt in HTML_FORMATS]
     assert len(pages) > 50
     with counting_fallback() as calls:

@@ -1,6 +1,7 @@
 """Crawl orchestration tests on hand-built mock webs: depth limits, visited
-set, query construction, an empty search response; and malformed URLs
-planted in a generated one."""
+set, query construction, an empty search response; malformed URLs planted
+in a generated one; and the canonical form of every URL the crawl
+fetches."""
 
 import pytest
 
@@ -14,7 +15,8 @@ from oafinder.corpus import (
 )
 from oafinder.records import ArticleRecord, OAStatus, Verdict
 from oafinder.robot import extract, match
-from oafinder.robot.crawl import CrawlObserver, detect_oa, format_query
+from oafinder.robot.crawl import detect_oa, format_query
+from oafinder.robot.urls import normalize_url
 
 TITLE = "Structural survey of policy diffusion mechanisms"
 SURNAME = "Lindqvist"
@@ -35,7 +37,19 @@ FULLTEXT = (f"{TITLE}\n{SURNAME}, Uppsala\nAbstract: findings.\n"
 
 def chain_page(next_url):
     return (f"<html><body><h1>{TITLE}</h1><p>{SURNAME} (2001)</p>"
-            f"<p><a href='{next_url}'>Full Text</a></p></body></html>").encode()
+            f"<p><a href='{next_url}'>Full Text</a></p></body></html>")
+
+
+class RecordingFetcher(MockFetcher):
+    """A MockFetcher that keeps the URLs it was asked for, in order."""
+
+    def __init__(self, web):
+        super().__init__(web)
+        self.urls = []
+
+    def fetch(self, url):
+        self.urls.append(url)
+        return super().fetch(url)
 
 
 def make_web(chain_len):
@@ -43,7 +57,7 @@ def make_web(chain_len):
     web = MockWeb()
     host = "http://www.site.example"
     ft = f"{host}/fulltext.txt"
-    web.pages[ft] = ("text", FULLTEXT.encode())
+    web.pages[ft] = ("text", FULLTEXT)
     next_url = ft
     for hop in range(chain_len - 1, -1, -1):
         url = f"{host}/landing{hop}.html"
@@ -99,37 +113,32 @@ class TestDetectOa:
 
     def test_max_depth_zero_fetches_only_search_results(self):
         web = make_web(2)
-        observer = CrawlObserver()
-        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
-                       max_depth=0, observer=observer)
+        fetcher = RecordingFetcher(web)
+        ev = detect_oa(RECORD, MockSearchProvider(web), fetcher, max_depth=0)
         assert ev.verdict is Verdict.NOA
-        assert [e.url for e in observer.fetch_log] == \
-            ["http://www.site.example/landing0.html"]
+        assert fetcher.urls == ["http://www.site.example/landing0.html"]
 
     def test_no_url_fetched_twice(self):
         web = make_web(3)
         # every chain page also links back to the entry page
         for url in list(web.pages):
-            fmt, data = web.pages[url]
+            fmt, text = web.pages[url]
             if fmt == "html":
-                web.pages[url] = (fmt, data.replace(
-                    b"</body>",
-                    b"<a href='/landing0.html'>Full Text</a></body>"))
-        observer = CrawlObserver()
-        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
-                       observer=observer)
+                web.pages[url] = (fmt, text.replace(
+                    "</body>",
+                    "<a href='/landing0.html'>Full Text</a></body>"))
+        fetcher = RecordingFetcher(web)
+        ev = detect_oa(RECORD, MockSearchProvider(web), fetcher)
         assert ev.verdict is Verdict.OA
-        urls = [e.url for e in observer.fetch_log]
-        assert len(urls) == len(set(urls))
+        assert len(fetcher.urls) == len(set(fetcher.urls))
 
     def test_depth_never_exceeds_config(self):
         for chain_len in range(6):
             web = make_web(chain_len)
-            observer = CrawlObserver()
-            detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
-                      observer=observer)
-            # fetch log covers at most depths 0..3: entry + 3 hops
-            assert len(observer.fetch_log) <= 4
+            fetcher = RecordingFetcher(web)
+            detect_oa(RECORD, MockSearchProvider(web), fetcher)
+            # fetches cover at most depths 0..3: entry + 3 hops
+            assert len(fetcher.urls) <= 4
 
     def test_empty_provider_response_is_noa(self):
         web = MockWeb()
@@ -142,30 +151,28 @@ class TestDetectOa:
         web = make_web(0)
         q = format_query(SURNAME, TITLE)
         web.queries[q] = ["http://ads.mock-search.example/click?x"] + web.queries[q]
-        observer = CrawlObserver()
-        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
-                       observer=observer)
+        fetcher = RecordingFetcher(web)
+        ev = detect_oa(RECORD, MockSearchProvider(web), fetcher)
         assert ev.verdict is Verdict.OA
-        assert all("ads.mock-search" not in e.url for e in observer.fetch_log)
+        assert all("ads.mock-search" not in url for url in fetcher.urls)
 
     def test_pdf_results_fetched_first(self):
         web = make_web(0)
         q = format_query(SURNAME, TITLE)
         web.pages["http://www.site.example/other.html"] = (
-            "html", b"<p>unrelated</p>")
+            "html", "<p>unrelated</p>")
         web.queries[q] = ["http://www.site.example/other.html",
                          "http://www.site.example/fulltext.txt",
                          "http://www.site.example/decoy.pdf"]
-        observer = CrawlObserver()
-        detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
-                  observer=observer)
-        assert observer.fetch_log[0].url == "http://www.site.example/decoy.pdf"
+        fetcher = RecordingFetcher(web)
+        detect_oa(RECORD, MockSearchProvider(web), fetcher)
+        assert fetcher.urls[0] == "http://www.site.example/decoy.pdf"
 
     def test_abstract_only_page_is_noa(self):
         web = MockWeb()
         page = (f"<html><body><h1>{TITLE}</h1><p>{SURNAME}</p>"
                 f"<p>Abstract only.</p></body></html>")
-        web.pages["http://www.site.example/abs.html"] = ("html", page.encode())
+        web.pages["http://www.site.example/abs.html"] = ("html", page)
         web.queries[format_query(SURNAME, TITLE)] = \
             ["http://www.site.example/abs.html"]
         ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
@@ -175,6 +182,26 @@ class TestDetectOa:
 class TestMalformedUrls:
     # urlsplit raises ValueError on the first, .port on the second
     BAD_URLS = ("http://[x/full.pdf", "http://host:abc/x.pdf")
+    SPEC = CorpusSpec(n_articles=40, seed=3, oa_probability=0.6,
+                      abstract_page_prob=0.8)
+
+    @classmethod
+    def planted(cls):
+        """The SPEC corpus with BAD_URLS listed first in every search
+        response and linked from every landing page."""
+        corpus = generate_corpus(cls.SPEC)
+        anchors = "".join(f"<a href='{u}'>Full Text PDF</a>"
+                          for u in cls.BAD_URLS)
+        n_pages = 0
+        for url, (fmt, text) in corpus.web.pages.items():
+            if fmt == "html" and "Landing page" in text:
+                corpus.web.pages[url] = (
+                    fmt, text.replace("</body>", anchors + "</body>"))
+                n_pages += 1
+        for urls in corpus.web.queries.values():
+            urls[:0] = cls.BAD_URLS
+        assert n_pages > 0
+        return corpus
 
     def verdicts(self, corpus):
         provider = MockSearchProvider(corpus.web)
@@ -182,27 +209,44 @@ class TestMalformedUrls:
         return [detect_oa(rec, provider, fetcher) for rec in corpus.records]
 
     def test_planted_urls_change_no_verdict(self):
-        spec = CorpusSpec(n_articles=40, seed=3, oa_probability=0.6,
-                          abstract_page_prob=0.8)
-        clean = self.verdicts(generate_corpus(spec))
-        corpus = generate_corpus(spec)
-        anchors = "".join(f"<a href='{u}'>Full Text PDF</a>"
-                          for u in self.BAD_URLS).encode()
-        n_pages = 0
-        for url, (fmt, data) in corpus.web.pages.items():
-            if fmt == "html" and b"Landing page" in data:
-                corpus.web.pages[url] = (
-                    fmt, data.replace(b"</body>", anchors + b"</body>"))
-                n_pages += 1
-        for urls in corpus.web.queries.values():
-            urls[:0] = self.BAD_URLS
-        assert n_pages > 0
+        clean = self.verdicts(generate_corpus(self.SPEC))
+        corpus = self.planted()
         assert self.verdicts(corpus) == clean
         # the reachability oracle skips them too
         assert [reachable_within_depth(
                     corpus.web, rec, corpus.ground_truth[rec.id].fulltext_url)
                 for rec in corpus.records] == \
             [corpus.ground_truth[rec.id].oa for rec in corpus.records]
+
+
+class TestFetchedUrlsAreCanonical:
+    """MockFetcher looks a page up by the URL it is given, as it is, so
+    every URL detect_oa fetches must already be canonical."""
+
+    @staticmethod
+    def fetched(corpus):
+        provider = MockSearchProvider(corpus.web)
+        fetcher = RecordingFetcher(corpus.web)
+        for rec in corpus.records:
+            detect_oa(rec, provider, fetcher)
+        return fetcher.urls
+
+    def test_deep_chains_corpus(self):
+        # Search results carry a "#utm" fragment, and chains run past
+        # MAX_DEPTH, as in perfbench's deep-chains workload.
+        spec = CorpusSpec(n_articles=200, seed=5, oa_probability=0.6,
+                          abstract_page_prob=0.8,
+                          chain_depth_distribution=(
+                              (0, 0.1), (1, 0.3), (2, 0.3), (3, 0.2),
+                              (4, 0.1)))
+        urls = self.fetched(generate_corpus(spec))
+        assert len(urls) > 200
+        assert [u for u in urls if normalize_url(u) != u] == []
+
+    def test_malformed_search_results(self):
+        urls = self.fetched(TestMalformedUrls.planted())
+        assert urls
+        assert [u for u in urls if normalize_url(u) != u] == []
 
 
 class TestOnePass:
@@ -220,11 +264,10 @@ class TestOnePass:
         counting(extract, "parse_html")
         counting(match, "tokenize_with_offsets")
         web = make_web(3)
-        observer = CrawlObserver()
-        ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web),
-                       observer=observer)
+        fetcher = RecordingFetcher(web)
+        ev = detect_oa(RECORD, MockSearchProvider(web), fetcher)
         assert ev.verdict is Verdict.OA
-        assert len(observer.fetch_log) == 4  # three landing pages, full text
+        assert len(fetcher.urls) == 4  # three landing pages, full text
         assert counts == {"parse_html": 3, "tokenize_with_offsets": 4}
 
     def test_title_tokenized_once_per_article(self, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from oafinder.records import ArticleRecord, OAStatus
 from oafinder.robot.extract import (
-    ConverterUnavailableError,
     ExternalConverter,
     ExtractionError,
     extract_text,
@@ -44,32 +43,28 @@ def fulltext(title=TITLE, surname=SURNAME, refs_heading="References",
 
 class TestExtractText:
     def test_html_stripped(self):
-        assert extract_text(b"<p>Hello</p>", "html") == ("Hello", [])
+        assert extract_text("<p>Hello</p>", "html") == ("Hello", [])
 
     def test_plain_text_identity(self):
-        assert extract_text("some text\n".encode(), "text") == ("some text\n", [])
+        assert extract_text("some text\n", "text") == ("some text\n", [])
 
     def test_scripts_and_styles_dropped(self):
-        html = b"<script>var x=1;</script><style>p{}</style><p>Body</p>"
+        html = "<script>var x=1;</script><style>p{}</style><p>Body</p>"
         assert extract_text(html, "html") == ("Body", [])
 
     def test_pdf_without_converter(self):
-        with pytest.raises(ConverterUnavailableError, match="CONVERTER_UNAVAILABLE"):
-            extract_text(b"%PDF-1.4", "pdf")
-
-    def test_undecodable_text(self):
-        with pytest.raises(ExtractionError):
-            extract_text(b"\xff\xfe\x00bad", "text")
+        with pytest.raises(ExtractionError, match="CONVERTER_UNAVAILABLE"):
+            extract_text("%PDF-1.4", "pdf")
 
     def test_external_converter_runs_command(self):
         conv = ExternalConverter("cat {in}")
-        assert extract_text(b"converted body", "pdf", conv) == \
+        assert extract_text("converted body", "pdf", conv) == \
             ("converted body", [])
 
     def test_external_converter_failure(self):
         conv = ExternalConverter("false")
         with pytest.raises(ExtractionError, match="exit"):
-            extract_text(b"x", "pdf", conv)
+            extract_text("x", "pdf", conv)
 
     def test_parse_html_keeps_anchor_targets_separately(self):
         text, anchors = parse_html(

@@ -252,9 +252,9 @@ class TestCanonicalFastPath:
             assert _CANONICAL_RE.match(prefix), url
             assert normalize_url(url) == prefix
         assert calls == []
-        for url, (fmt, data) in web.pages.items():
+        for url, (fmt, text) in web.pages.items():
             if fmt == "html":
-                for href, _ in parse_html(data.decode())[1]:
+                for href, _ in parse_html(text)[1]:
                     assert (_CANONICAL_RE.match(href)
                             or _ROOT_RELATIVE_RE.match(href)), (url, href)
 
