@@ -136,9 +136,10 @@ def _load(cfg: dict, key: str, loader):
         raise CliError(f"bad {key} file: {exc}")
 
 
-def _resolved_records(recs, detections, allow_unknown: bool):
-    """recs with the detections' verdicts applied. UNKNOWN records are an
-    error unless allow_unknown drops them."""
+def _resolved_records(recs, detections,
+                      allow_unknown: bool) -> metrics.Reports:
+    """The reports over recs with the detections' verdicts applied. UNKNOWN
+    records are an error unless allow_unknown drops them."""
     merged = records.apply_detections(recs, detections)
     unknown = [r for r in merged if r.oa_status is OAStatus.UNKNOWN]
     if unknown:
@@ -150,7 +151,7 @@ def _resolved_records(recs, detections, allow_unknown: bool):
             raise CliError(
                 f"{len(unknown)} records have UNKNOWN status "
                 f"(run detect, or pass --allow-unknown)", EXIT_INCOMPLETE)
-    return merged
+    return metrics.Reports(merged)
 
 
 def _load_reports(cfg: dict) -> metrics.Reports:
@@ -159,10 +160,10 @@ def _load_reports(cfg: dict) -> metrics.Reports:
     allow = cfg.get("allow_unknown", "")
     if allow.lower() not in ("true", "1", "yes", "false", "0", "no", ""):
         raise CliError(f"bad value for allow_unknown: {allow!r}")
-    return metrics.Reports(_resolved_records(
+    return _resolved_records(
         _load(cfg, "records", load_records),
         _load(cfg, "detections", load_detections),
-        allow.lower() in ("true", "1", "yes")))
+        allow.lower() in ("true", "1", "yes"))
 
 
 # The inputs a command may declare. main loads a command's inputs from cfg in
@@ -293,9 +294,9 @@ def cmd_correlate(cfg: dict, reports) -> None:
     print(f"correlate: {sum(1 for _, r in rows if r is not None)} pairs")
 
 
-def cmd_audit(cfg: dict, detections, truth):
+def cmd_audit(cfg: dict, detections, truth) -> None:
     """Score a seeded sample of the detections against ground truth, write
-    sdt.csv and print the audit line; returns (matrix, sdt result)."""
+    sdt.csv and print the audit line."""
     audit = _build(corpusmod.AuditConfig, cfg)
     try:
         matrix = corpusmod.run_audit(detections, truth, audit.sample_size,
@@ -309,7 +310,6 @@ def cmd_audit(cfg: dict, detections, truth):
     print(f"audit: hits={matrix.hits} misses={matrix.misses} "
           f"fa={matrix.false_alarms} cr={matrix.correct_rejections} "
           f"d'={result.d_prime:.3f} beta={result.beta:.3f}")
-    return matrix, result
 
 
 def cmd_synth(cfg: dict) -> corpusmod.Corpus:
@@ -329,10 +329,8 @@ def cmd_synth(cfg: dict) -> corpusmod.Corpus:
 
 def cmd_evaluate(cfg: dict) -> None:
     """synth, detect, the reports and the audit, each stage handed what the
-    one before it returned."""
-    out = _out_dir(cfg)
-    corp = cmd_synth(dict(cfg, out=str(out / "corpus")))
-
+    one before it returned. Each stage prints its own line."""
+    out = Path(_require(cfg, "out"))
     # run.cfg lets a user rerun any one stage by hand on this run's files.
     base = {
         "records": str(out / "corpus" / "records.jsonl"),
@@ -343,31 +341,20 @@ def cmd_evaluate(cfg: dict) -> None:
         "sample_size": cfg["sample_size"],
         "seed": cfg.get("seed", "0"),
     }
+    # Bad audit settings stop the run before it writes anything.
+    _build(corpusmod.AuditConfig, base)
+    corp = cmd_synth(dict(cfg, out=str(out / "corpus")))
     (out / "run.cfg").write_text(
         "".join(f"{k} = {v}\n" for k, v in base.items()), encoding="utf-8")
 
     # The corpus was just regenerated: an older journal belongs to another.
     (out / "detections.jsonl").unlink(missing_ok=True)
     detections = cmd_detect(base, corp.records, corp.web)
-    merged = _resolved_records(corp.records, detections, allow_unknown=False)
-    reports = metrics.Reports(merged)
+    reports = _resolved_records(corp.records, detections, allow_unknown=False)
     cmd_analyze(base, reports)
     cmd_cohorts(base, reports)
     cmd_correlate(base, reports)
-    matrix, sdt = cmd_audit(base, detections, corp.ground_truth)
-
-    n_oa = sum(1 for r in merged if r.oa_status is OAStatus.OA)
-    advs = [rep.advantage for rep in reports.advantage("discipline")
-            if rep.advantage is not None]
-    print("evaluate summary")
-    print(f"  articles: {len(merged)}  percent OA: "
-          f"{100.0 * n_oa / len(merged):.1f}%")
-    if advs:
-        print(f"  mean citation advantage across disciplines: "
-              f"{100.0 * sum(advs) / len(advs):.1f}%")
-    print(f"  audit d'={sdt.d_prime:.3f} beta={sdt.beta:.3f} "
-          f"(hits={matrix.hits} misses={matrix.misses} "
-          f"fa={matrix.false_alarms} cr={matrix.correct_rejections})")
+    cmd_audit(base, detections, corp.ground_truth)
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ class MockFetcher:
     def fetch(self, url: str) -> FetchResult:
         page = self.web.pages.get(url)
         if page is None:
-            return FetchResult(url, 404, "text", "")
-        return FetchResult(url, 200, *page)
+            return FetchResult(404, "text", "")
+        return FetchResult(200, *page)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .match import NotFoundReason, extract_candidate_links, match_full_text
 
 @dataclass(frozen=True)
 class FetchResult:
-    url: str
     status: int
     format_tag: str
     text: str

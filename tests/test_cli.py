@@ -814,7 +814,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "0b6d5ec104716c2583ba78ce8eb9459035ee7b787d209741de46c95e1e558a32")
+    "af2ff76d598f8b9d4346e1b7f49fc9922e3bc7145f9fa1ad6a83929162be8913")
 
 
 def run_digest(out, stdout: str) -> str:
@@ -875,11 +875,22 @@ class TestSynthAndEvaluate:
         code = main(["evaluate", "--spec", str(spec), "--out", str(out),
                      "--seed", "3", "--sample-size", "20"])
         assert code == 0
-        captured = capsys.readouterr().out
-        assert "evaluate summary" in captured
+        # Each stage prints its own line, and evaluate adds none.
+        assert [line.partition(":")[0] for line in
+                capsys.readouterr().out.splitlines()] == [
+            "synth", "detect", "analyze", "cohorts", "correlate", "audit"]
         assert (out / "reports" / "sdt.csv").exists()
         assert (out / "reports" / "correlations.csv").exists()
         assert (out / "detections.jsonl").exists()
+
+    def test_evaluate_bad_sample_size_writes_nothing(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_articles = 30\n")
+        out = tmp_path / "run"
+        assert main(["evaluate", "--spec", str(spec), "--out", str(out),
+                     "--seed", "4", "--sample-size", "0"]) == 2
+        assert [name for name in ("corpus", "detections.jsonl", "reports",
+                                  "run.cfg") if (out / name).exists()] == []
 
     def test_evaluate_rerun_byte_identical(self, tmp_path):
         spec = tmp_path / "spec.cfg"

@@ -1,7 +1,9 @@
 """Crawl orchestration tests on hand-built mock webs: depth limits, visited
-set, query construction, an empty search response; malformed URLs planted
-in a generated one; and the canonical form of every URL the crawl
-fetches."""
+set, query construction, an empty search response, the low-confidence
+flag; malformed URLs planted in a generated one; and the canonical form of
+every URL the crawl fetches."""
+
+import dataclasses
 
 import pytest
 
@@ -177,6 +179,36 @@ class TestDetectOa:
             ["http://www.site.example/abs.html"]
         ev = detect_oa(RECORD, MockSearchProvider(web), MockFetcher(web))
         assert ev.verdict is Verdict.NOA
+
+
+class TestLowConfidence:
+    """low_confidence marks a verdict resting on a title of fewer than
+    match.MIN_CONFIDENT_TITLE_TOKENS tokens; it is set only once a
+    non-empty page was matched."""
+
+    URL = "http://www.site.example/fulltext.txt"
+
+    def detect(self, title, planted):
+        rec = dataclasses.replace(RECORD, title=title)
+        web = MockWeb()
+        if planted:
+            web.pages[self.URL] = ("text", FULLTEXT.replace(TITLE, title))
+        web.queries[format_query(SURNAME, title)] = \
+            [self.URL] if planted else []
+        return detect_oa(rec, MockSearchProvider(web), MockFetcher(web))
+
+    @pytest.mark.parametrize("title,low", [
+        ("Cohort dynamics", True),
+        ("Cohort dynamics under reform", False)])
+    def test_planted_full_text(self, title, low):
+        ev = self.detect(title, planted=True)
+        assert ev.verdict is Verdict.OA
+        assert ev.low_confidence is low
+
+    def test_short_title_without_search_results(self):
+        ev = self.detect("Cohort dynamics", planted=False)
+        assert ev.verdict is Verdict.NOA
+        assert ev.low_confidence is False
 
 
 class TestMalformedUrls:
