@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -180,8 +179,13 @@ _INPUTS = {
 
 
 def _out_dir(cfg: dict) -> Path:
+    """cfg's out directory, made if missing. A path that cannot be made a
+    directory (a file is in the way) is a CliError naming it."""
     out = Path(_require(cfg, "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot make out directory {out}: {exc}")
     return out
 
 
@@ -252,7 +256,7 @@ def cmd_detect(cfg: dict, recs, web) -> list:
     # Record ids are unique, so a journal this run started is already in
     # records order; one that held lines before it is compacted into it.
     if replayed:
-        records.save_detections(final, det_path)
+        records.save_rows(final, det_path)
     n_oa = sum(1 for ev in final if ev.verdict is records.Verdict.OA)
     n_noa = len(final) - n_oa
     print(f"detect: {len(recs)} records, OA={n_oa} NOA={n_noa}")
@@ -269,13 +273,7 @@ def cmd_analyze(cfg: dict, reports) -> None:
                                    out / f"oa_share_by_{dim}.csv")
         metrics.write_advantage_csv(reports.advantage(dim),
                                     out / f"advantage_by_{dim}.csv")
-    pct = [rep.percent_oa for rep in reports.oa_share("discipline")]
-    line = f"analyze: kept {len(kept)}/{len(reports.records)} records"
-    if len(pct) > 1:
-        line += (f"; %OA by discipline mean {100 * statistics.mean(pct):.1f} "
-                 f"median {100 * statistics.median(pct):.1f} "
-                 f"sd {100 * statistics.stdev(pct):.2f}")
-    print(line)
+    print(f"analyze: kept {len(kept)}/{len(reports.records)} records")
 
 
 def cmd_cohorts(cfg: dict, reports) -> None:

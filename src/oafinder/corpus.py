@@ -24,9 +24,7 @@ from .records import (
     ParseError,
     Verdict,
     _read_jsonl,
-    make_issue_key,
-    row_to_json,
-    save_records,
+    save_rows,
 )
 from .robot.crawl import MAX_DEPTH, FetchResult, format_query
 from .robot.extract import _parse_html_reference
@@ -306,7 +304,7 @@ def _draw_record(spec: CorpusSpec, rng: random.Random, i: int,
     year = spec.years[0] + rng.randrange(spec.years[1] - spec.years[0] + 1)
     year = shared.setdefault(year, year)
     issue = 1 + rng.randrange(spec.issues_per_year)
-    issue_key = make_issue_key(journal_id, year, issue)
+    issue_key = f"{journal_id}|{year}|{issue}"
     issue_key = shared.setdefault(issue_key, issue_key)
     surname = _SURNAMES[rng.randrange(len(_SURNAMES))]
     title = _make_title(i, rng)
@@ -325,7 +323,6 @@ def _draw_record(spec: CorpusSpec, rng: random.Random, i: int,
         citation_count=_sample_citations(spec, rng, intended_oa),
         oa_status=OAStatus.UNKNOWN,
     )
-    record.validate()
     return record, intended_oa
 
 
@@ -515,13 +512,13 @@ def export_corpus(corpus: Corpus, out_dir) -> None:
     line, in URL order). Deterministic byte-for-byte."""
     out = Path(out_dir)
     (out / "mockweb").mkdir(parents=True, exist_ok=True)
-    save_records(corpus.records, out / "records.jsonl")
-    with open(out / "ground_truth.jsonl", "w", encoding="utf-8") as fh:
-        for art_id in sorted(corpus.ground_truth):
-            fh.write(row_to_json(corpus.ground_truth[art_id]) + "\n")
-    with open(out / "mockweb" / "pages.jsonl", "w", encoding="utf-8") as fh:
-        for url, (fmt, text) in sorted(corpus.web.pages.items()):
-            fh.write(row_to_json(Page(url, fmt, text)) + "\n")
+    save_rows(corpus.records, out / "records.jsonl")
+    save_rows((corpus.ground_truth[art_id]
+               for art_id in sorted(corpus.ground_truth)),
+              out / "ground_truth.jsonl")
+    save_rows((Page(url, fmt, text)
+               for url, (fmt, text) in sorted(corpus.web.pages.items())),
+              out / "mockweb" / "pages.jsonl")
     with open(out / "mockweb" / "index.json", "w", encoding="utf-8") as fh:
         json.dump({"queries": corpus.web.queries}, fh, sort_keys=True, indent=1)
         fh.write("\n")

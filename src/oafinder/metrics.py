@@ -84,11 +84,12 @@ class OAShareReport:
 
 def percent_oa(records: list[ArticleRecord], group_by: str) -> list[OAShareReport]:
     """OA share n_oa / (n_oa + n_noa) per value of the record field
-    group_by, sorted by that value."""
+    group_by, sorted by its text as every table's groups are."""
     counts = defaultdict(lambda: [0, 0])  # group -> [n_oa, n_noa]
     for rec in records:
         counts[getattr(rec, group_by)][rec.oa_status is not OAStatus.OA] += 1
-    return [OAShareReport(g, counts[g][0], counts[g][1]) for g in sorted(counts)]
+    return [OAShareReport(g, counts[g][0], counts[g][1])
+            for g in sorted(counts, key=str)]
 
 
 # ---------------------------------------------------------------------------

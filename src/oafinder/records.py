@@ -7,11 +7,16 @@ referring to source text.
 
 _read_jsonl reads every JSONL row (record, evidence, ground truth, page) off
 the fields and type hints of its dataclass, by the rule the README gives
-under "Exit codes"; row_to_json writes it. A field whose metadata is SHARED
-holds a value that repeats across rows (a discipline, a year, a reason):
-once it has passed its type check, the reader replaces it with the first
-equal value read from the same file, so a file's rows hold each such value
-once. Nothing of that outlives the read.
+under "Exit codes"; row_to_json writes it as one line. save_rows is the one
+writer of a row file; only detect's resumable journal is appended a line at
+a time, by detection_to_json. A field whose metadata is SHARED holds a value
+that repeats across rows (a discipline, a year, a reason): once it has
+passed its type check, the reader replaces it with the first equal value
+read from the same file, so a file's rows hold each such value once.
+Nothing of that outlives the read.
+
+ArticleRecord.validate, run wherever records are read, is the one check of
+an issue key's "journal_id|year|issue" shape.
 """
 
 from __future__ import annotations
@@ -69,13 +74,6 @@ class ParseError(ValueError):
 SHARED = {"shared": True}
 
 
-def make_issue_key(journal_id: str, year: int, issue: int | str) -> str:
-    """Composite sortable key "journal_id|year|issue"; "|" is forbidden in parts."""
-    if "|" in journal_id or "|" in str(issue):
-        raise ValidationError("'|' is not allowed in issue key components")
-    return f"{journal_id}|{year}|{issue}"
-
-
 @dataclass(frozen=True)
 class ArticleRecord:
     """One bibliographic record with citation count and OA status."""
@@ -91,9 +89,9 @@ class ArticleRecord:
     citation_count: int
     oa_status: OAStatus = OAStatus.UNKNOWN
 
-    # Called where records are read or made, not from __post_init__: the
-    # row reader and apply_detections (which copies every record in each
-    # stage) build records without running __init__.
+    # Called where records are read, not from __post_init__: the row
+    # reader and apply_detections (which copies every record in each stage)
+    # build records without running __init__.
     def validate(self) -> None:
         if not self.id:
             raise ValidationError("record has empty id")
@@ -240,16 +238,11 @@ def load_records(path) -> list[ArticleRecord]:
     return recs
 
 
-def save_records(records: Iterable[ArticleRecord], path) -> None:
+def save_rows(rows: Iterable, path) -> None:
+    """Write a JSONL row file: one row_to_json line per row, in order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(row_to_json(rec) + "\n")
-
-
-def save_detections(evidence: Iterable[DetectionEvidence], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in evidence:
-            fh.write(detection_to_json(ev) + "\n")
+        for row in rows:
+            fh.write(row_to_json(row) + "\n")
 
 
 def detection_to_json(ev: DetectionEvidence) -> str:

@@ -17,6 +17,7 @@ CONVERTER_UNAVAILABLE.
 from __future__ import annotations
 
 import re
+import shlex
 import subprocess
 import tempfile
 from html import unescape
@@ -177,8 +178,9 @@ def parse_html(html: str) -> tuple[str, list[tuple[str, str]]]:
 class ExternalConverter:
     """Runs a configured command template to turn a document into text.
 
-    The template gets a temp file holding the document's UTF-8 bytes
-    substituted for ``{in}`` (and ``{format}`` for the format tag); the
+    The template gets the path of a temp file holding the document's UTF-8
+    bytes substituted for ``{in}``, already shell-quoted, so the template
+    must not quote it again (and ``{format}`` for the format tag); the
     command must print UTF-8 text on stdout and exit 0. A template that
     names any other field, or does not parse as a format string, is a
     ValueError here, before any document needs it.
@@ -199,7 +201,8 @@ class ExternalConverter:
             tf.write(text.encode("utf-8"))
             tmp = tf.name
         try:
-            cmd = self.command_template.format(**{"in": tmp, "format": format_tag})
+            cmd = self.command_template.format(
+                **{"in": shlex.quote(tmp), "format": format_tag})
             try:
                 proc = subprocess.run(
                     cmd, shell=True, capture_output=True, timeout=CONVERTER_TIMEOUT_S)

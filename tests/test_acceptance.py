@@ -29,8 +29,7 @@ from oafinder.records import (
     DetectionEvidence,
     OAStatus,
     Verdict,
-    save_detections,
-    save_records,
+    save_rows,
 )
 from oafinder.robot.crawl import detect_oa
 from oafinder.stats import (
@@ -338,8 +337,8 @@ def test_c10_correlations_flat_loop_oracle(tmp_path):
             add("j-allOA", 1, True, year)
         for _ in range(3 * (year % 2)):
             add("j1", 3, True, year)
-    save_records(records, tmp_path / "records.jsonl")
-    save_detections([
+    save_rows(records, tmp_path / "records.jsonl")
+    save_rows([
         DetectionEvidence(r.id, Verdict.OA, url=f"http://oa.test/{r.id}")
         if r.oa_status is OAStatus.OA else DetectionEvidence(r.id, Verdict.NOA)
         for r in records], tmp_path / "detections.jsonl")

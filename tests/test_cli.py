@@ -25,7 +25,7 @@ from oafinder.records import (
     DetectionEvidence,
     Verdict,
     load_detections,
-    save_detections,
+    save_rows,
 )
 
 
@@ -104,9 +104,31 @@ class TestExitCodes:
         assert main([cmd, flag, str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert f"cannot read config {cfg}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "below"])
+    @pytest.mark.parametrize("cmd", ["synth", "evaluate", "analyze", "cohorts",
+                                     "correlate", "audit"])
+    def test_out_that_cannot_be_a_directory(self, cmd, inside, corpus_dir,
+                                            detections, tmp_path, capsys):
+        # A file stands where the out directory, or its parent, would go.
+        blocker = tmp_path / "f"
+        blocker.write_text("a file\n")
+        out = blocker / "x" if inside else blocker
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_articles = 30\n")
+        cfg = write_report_config(tmp_path, corpus_dir, detections, "")
+        argv = (["--spec", str(spec)] if cmd in ("synth", "evaluate")
+                else ["--config", str(cfg)])
+        before = sorted(tmp_path.rglob("*"))
+        assert main([cmd, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make out directory {out}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_text() == "a file\n"
+
     def test_unknown_status_blocks_analysis(self, corpus_dir, tmp_path):
         empty = tmp_path / "empty.jsonl"
-        save_detections([], empty)
+        save_rows([], empty)
         assert main(["analyze",
                      "--records", str(corpus_dir / "records.jsonl"),
                      "--detections", str(empty),
@@ -116,7 +138,7 @@ class TestExitCodes:
                                               tmp_path, capsys):
         partial = tmp_path / "partial.jsonl"
         evs = load_detections(detections)
-        save_detections(evs[: len(evs) // 2], partial)
+        save_rows(evs[: len(evs) // 2], partial)
         code = main(["analyze",
                      "--records", str(corpus_dir / "records.jsonl"),
                      "--detections", str(partial),
@@ -272,7 +294,7 @@ class TestExitCodes:
     def test_allow_unknown_config_values(self, value, code, corpus_dir,
                                          detections, tmp_path):
         partial = tmp_path / "partial.jsonl"
-        save_detections(load_detections(detections)[:5], partial)
+        save_rows(load_detections(detections)[:5], partial)
         cfg = write_report_config(tmp_path, corpus_dir, partial,
                                   f"allow_unknown = {value}")
         assert main(["analyze", "--config", str(cfg)]) == code
@@ -580,7 +602,7 @@ class TestDetect:
             self, corpus_dir, detections, tmp_path, monkeypatch):
         # A journal this run started is already in records order, so
         # nothing is serialized a second time to compact it.
-        calls = {"detection_to_json": 0, "save_detections": 0}
+        calls = {"detection_to_json": 0, "save_rows": 0}
         for name in calls:
             def counted(*args, _inner=getattr(records, name), _name=name):
                 calls[_name] += 1
@@ -588,7 +610,7 @@ class TestDetect:
             monkeypatch.setattr(records, name, counted)
         fresh = tmp_path / "fresh.jsonl"
         assert run_detect(corpus_dir, fresh) == 0
-        assert calls == {"detection_to_json": 60, "save_detections": 0}
+        assert calls == {"detection_to_json": 60, "save_rows": 0}
         assert fresh.read_bytes() == detections.read_bytes()
 
     def test_resume_from_out_of_order_journal(self, corpus_dir, detections,
@@ -672,8 +694,8 @@ class TestReports:
 
     def test_analyze_summary_line(self, tmp_path, capsys):
         # Four disciplines of 8 records in one issue each, with 1, 2, 4 and
-        # 6 OA: %OA 12.5, 25, 50 and 75, so mean 40.625, median 37.5 and
-        # sample sd sqrt(2304.6875 / 3) = 27.717.
+        # 6 OA. The line gives only the counts: no report holds a summary
+        # of %OA across disciplines.
         merged = [records.ArticleRecord(
             id=f"{disc}{i}", first_author_surname="Smith", title="A title",
             journal_id=f"{disc}-j1", issue_key=f"{disc}-j1|1999|1",
@@ -684,10 +706,7 @@ class TestReports:
             for i in range(8)]
         cfg = {"out": str(tmp_path / "r")}
         cli.cmd_analyze(cfg, metrics.Reports(merged))
-        assert capsys.readouterr().out == (
-            "analyze: kept 32/32 records; %OA by discipline mean 40.6 "
-            "median 37.5 sd 27.72\n")
-        # One discipline has no sample sd, so the line has no summary.
+        assert capsys.readouterr().out == "analyze: kept 32/32 records\n"
         cli.cmd_analyze(cfg, metrics.Reports(merged[:8]))
         assert capsys.readouterr().out == "analyze: kept 8/8 records\n"
 
@@ -700,7 +719,7 @@ class TestReports:
         # as a run over those records alone does.
         half = tmp_path / "half.jsonl"
         evs = load_detections(detections)[::2]
-        save_detections(evs, half)
+        save_rows(evs, half)
         ids = {ev.article_id for ev in evs}
         all_records = corpus_dir / "records.jsonl"
         detected = tmp_path / "detected.jsonl"
@@ -786,7 +805,7 @@ class TestReports:
         # shows in sdt.csv.
         recs = records.load_records(corpus_dir / "records.jsonl")
         guesses = tmp_path / "guesses.jsonl"
-        save_detections([
+        save_rows([
             DetectionEvidence(r.id, Verdict.OA, url="http://x.example/")
             if i % 2 else DetectionEvidence(r.id, Verdict.NOA,
                                             reason="EXHAUSTED")
@@ -814,7 +833,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "af2ff76d598f8b9d4346e1b7f49fc9922e3bc7145f9fa1ad6a83929162be8913")
+    "66dc2dec5d0abcf30570b0da315d02ccb936e8876f9b2d115078695b62a6e227")
 
 
 def run_digest(out, stdout: str) -> str:

@@ -346,7 +346,7 @@ class TestScale:
             verdict=Verdict.OA if rng.random() < 0.1 else Verdict.NOA,
             url="http://h.example/p.txt", depth=rng.randrange(4))
             for i in range(10_000)]
-        from oafinder.records import load_detections, save_detections
+        from oafinder.records import load_detections, save_rows
         path = tmp_path / "det.jsonl"
-        save_detections(evs, path)
+        save_rows(evs, path)
         assert load_detections(path) == evs

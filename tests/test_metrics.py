@@ -273,6 +273,26 @@ class TestCsvDeterminism:
         metrics.write_oa_share_csv(percent_oa(records, "year"), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_every_table_lists_years_in_one_order(self, tmp_path):
+        # Years 999-1001 sort one way as numbers and another as text; each
+        # year has an issue with cited OA and NOA records, so it appears in
+        # all three tables.
+        records = [rec(4 * (year - 999) + k, year=year, cites=k + 1,
+                       oa=k < 2)
+                   for year in (999, 1000, 1001) for k in range(4)]
+        reports = metrics.Reports(records)
+        metrics.write_oa_share_csv(reports.oa_share("year"),
+                                   tmp_path / "oa_share_by_year.csv")
+        metrics.write_advantage_csv(reports.advantage("year"),
+                                    tmp_path / "advantage_by_year.csv")
+        metrics.write_cohort_csv(reports.cohorts(per_year=True),
+                                 tmp_path / "cohorts_yearly.csv")
+        for name in ("oa_share_by_year.csv", "advantage_by_year.csv",
+                     "cohorts_yearly.csv"):
+            with open(tmp_path / name, encoding="utf-8") as fh:
+                groups = [row[0] for row in csv.reader(fh)][1:]
+            assert list(dict.fromkeys(groups)) == ["1000", "1001", "999"], name
+
     def test_empty_report_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         metrics.write_advantage_csv([], path)

@@ -16,10 +16,8 @@ from oafinder.records import (
     bin_citations,
     load_detections,
     load_records,
-    make_issue_key,
     row_to_json,
-    save_detections,
-    save_records,
+    save_rows,
 )
 
 
@@ -76,11 +74,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             make_record(issue_key="other|1999|2").validate()
 
-    def test_make_issue_key(self):
-        assert make_issue_key("j1", 1999, 2) == "j1|1999|2"
-        with pytest.raises(ValidationError):
-            make_issue_key("j|1", 1999, 2)
-
     def test_same_issue_shares_key(self):
         a = make_record(id="a")
         b = make_record(id="b")
@@ -91,7 +84,7 @@ class TestRecordsFile:
     def test_roundtrip(self, tmp_path):
         recs = [make_record(id=f"a{i}", citation_count=i) for i in range(3)]
         path = tmp_path / "records.jsonl"
-        save_records(recs, path)
+        save_rows(recs, path)
         assert load_records(path) == recs
 
     def test_empty_file(self, tmp_path):
@@ -108,7 +101,7 @@ class TestRecordsFile:
     def test_invariant_violation_reports_lineno_and_field(self, tmp_path):
         path = tmp_path / "records.jsonl"
         good = make_record()
-        save_records([good], path)
+        save_rows([good], path)
         obj = json.loads(path.read_text())
         obj["citation_count"] = -1
         path.write_text(json.dumps(obj) + "\n")
@@ -117,8 +110,8 @@ class TestRecordsFile:
 
     def test_duplicate_id_names_both_lines(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        save_records([make_record(id="a1"), make_record(id="a2"),
-                      make_record(id="a1", citation_count=9)], path)
+        save_rows([make_record(id="a1"), make_record(id="a2"),
+                   make_record(id="a1", citation_count=9)], path)
         with pytest.raises(ParseError,
                            match=r":3: duplicate record id 'a1', first on line 1"):
             load_records(path)
@@ -146,7 +139,7 @@ class TestSharedValues:
                             country=("US", "UK", "DE")[i % 3])
                 for i in range(40)]
         path = tmp_path / "records.jsonl"
-        save_records(recs, path)
+        save_rows(recs, path)
         loaded = load_records(path)
         assert loaded == recs
         for name in ("first_author_surname", "journal_id", "issue_key",
@@ -162,7 +155,7 @@ class TestSharedValues:
                                  reason=("NO_RESULTS", "EXHAUSTED")[i % 2])
                for i in range(20)]
         path = tmp_path / "det.jsonl"
-        save_detections(evs, path)
+        save_rows(evs, path)
         loaded = load_detections(path)
         assert loaded == evs
         assert distinct_objects(loaded, "reason") == (2, 2)
@@ -170,9 +163,9 @@ class TestSharedValues:
 
     def test_nothing_shared_across_reads(self, tmp_path):
         path = tmp_path / "det.jsonl"
-        save_detections([DetectionEvidence(article_id="a1",
-                                           verdict=Verdict.NOA,
-                                           reason="EXHAUSTED")], path)
+        save_rows([DetectionEvidence(article_id="a1",
+                                     verdict=Verdict.NOA,
+                                     reason="EXHAUSTED")], path)
         (first,), (second,) = load_detections(path), load_detections(path)
         assert first.reason == second.reason
         assert first.reason is not second.reason
@@ -194,7 +187,7 @@ evidence_strategy = st.builds(
 class TestDetectionsFile:
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "det.jsonl"
-        save_detections([], path)
+        save_rows([], path)
         assert load_detections(path) == []
 
     def test_single_oa_roundtrip(self, tmp_path):
@@ -203,7 +196,7 @@ class TestDetectionsFile:
             match_head_offset=10, match_tail_marker="heading:references",
             depth=1)
         path = tmp_path / "det.jsonl"
-        save_detections([ev], path)
+        save_rows([ev], path)
         assert load_detections(path) == [ev]
 
     def test_repeated_id_kept_in_file_order(self, tmp_path):
@@ -213,7 +206,7 @@ class TestDetectionsFile:
         last = DetectionEvidence(article_id="a1", verdict=Verdict.OA,
                                  url="http://h.example/p.pdf")
         path = tmp_path / "det.jsonl"
-        save_detections([first, last], path)
+        save_rows([first, last], path)
         assert load_detections(path) == [first, last]
 
     def test_oa_without_url_rejected(self):
@@ -223,7 +216,7 @@ class TestDetectionsFile:
     @given(evs=st.lists(evidence_strategy, max_size=25))
     def test_roundtrip_property(self, evs, tmp_path_factory):
         path = tmp_path_factory.mktemp("rt") / "det.jsonl"
-        save_detections(evs, path)
+        save_rows(evs, path)
         assert load_detections(path) == evs
 
 

@@ -1,6 +1,7 @@
 """Text extraction, full-text matching and candidate-link selection."""
 
 import re
+import tempfile
 from difflib import SequenceMatcher
 
 import pytest
@@ -60,6 +61,17 @@ class TestExtractText:
         conv = ExternalConverter("cat {in}")
         assert extract_text("converted body", "pdf", conv) == \
             ("converted body", [])
+
+    def test_external_converter_input_path_is_quoted(self, tmp_path,
+                                                     monkeypatch):
+        # The temp file's path holds a space; {in} arrives shell-quoted.
+        tmpdir = tmp_path / "tmp dir"
+        tmpdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmpdir))
+        conv = ExternalConverter("cat {in}")
+        assert extract_text("converted body", "pdf", conv) == \
+            ("converted body", [])
+        assert list(tmpdir.iterdir()) == []
 
     def test_external_converter_failure(self):
         conv = ExternalConverter("false")
