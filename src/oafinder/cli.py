@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import corpus as corpusmod
 from . import metrics, records, stats
-from .records import OAStatus, load_detections, load_records
+from .records import load_detections, load_records
 from .robot.crawl import detect_oa
 from .robot.extract import ExternalConverter
 
@@ -137,20 +137,21 @@ def _load(cfg: dict, key: str, loader):
 
 def _resolved_records(recs, detections,
                       allow_unknown: bool) -> metrics.Reports:
-    """The reports over recs with the detections' verdicts applied. UNKNOWN
-    records are an error unless allow_unknown drops them."""
-    merged = records.apply_detections(recs, detections)
-    unknown = [r for r in merged if r.oa_status is OAStatus.UNKNOWN]
-    if unknown:
-        if allow_unknown:
-            print(f"warning: dropping {len(unknown)} UNKNOWN records",
-                  file=sys.stderr)
-            merged = [r for r in merged if r.oa_status is not OAStatus.UNKNOWN]
-        else:
+    """The reports over recs, each paired with its detection's verdict, the
+    one join of records and verdicts. A record with no detection is
+    UNKNOWN: an error unless allow_unknown drops it."""
+    is_oa = {ev.article_id: ev.verdict is records.Verdict.OA
+             for ev in detections}
+    resolved = [(rec, is_oa[rec.id]) for rec in recs if rec.id in is_oa]
+    n_unknown = len(recs) - len(resolved)
+    if n_unknown:
+        if not allow_unknown:
             raise CliError(
-                f"{len(unknown)} records have UNKNOWN status "
+                f"{n_unknown} records have UNKNOWN status "
                 f"(run detect, or pass --allow-unknown)", EXIT_INCOMPLETE)
-    return metrics.Reports(merged)
+        print(f"warning: dropping {n_unknown} UNKNOWN records",
+              file=sys.stderr)
+    return metrics.Reports(resolved)
 
 
 def _load_reports(cfg: dict) -> metrics.Reports:
@@ -266,14 +267,15 @@ def cmd_detect(cfg: dict, recs, web) -> list:
 def cmd_analyze(cfg: dict, reports) -> None:
     """Write the exclusion log and the %OA and advantage tables."""
     out = _out_dir(cfg)
-    kept, log = reports.exclusions
+    _, log = reports.exclusions
     metrics.write_exclusions_csv(log, out / "exclusions.csv")
     for dim in ("discipline", "country", "year"):
         metrics.write_oa_share_csv(reports.oa_share(dim),
                                    out / f"oa_share_by_{dim}.csv")
         metrics.write_advantage_csv(reports.advantage(dim),
                                     out / f"advantage_by_{dim}.csv")
-    print(f"analyze: kept {len(kept)}/{len(reports.records)} records")
+    print(f"analyze: kept {len(reports.kept)}/{len(reports.resolved)} "
+          "records")
 
 
 def cmd_cohorts(cfg: dict, reports) -> None:
@@ -282,7 +284,7 @@ def cmd_cohorts(cfg: dict, reports) -> None:
                              out / "cohorts_yearly.csv")
     metrics.write_cohort_csv(reports.cohorts(per_year=False),
                              out / "cohorts_pooled.csv")
-    print(f"cohorts: {len(reports.records)} records")
+    print(f"cohorts: {len(reports.resolved)} records")
 
 
 def cmd_correlate(cfg: dict, reports) -> None:
@@ -316,8 +318,11 @@ def cmd_synth(cfg: dict) -> corpusmod.Corpus:
     spec_cfg = read_config(cfg["spec"], SPEC_KEYS) if cfg.get("spec") else {}
     if "seed" in cfg:
         spec_cfg["seed"] = cfg["seed"]
-    corp = corpusmod.generate_corpus(_build(corpusmod.CorpusSpec, spec_cfg))
+    spec = _build(corpusmod.CorpusSpec, spec_cfg)
+    # After the spec, so a bad spec writes nothing; before the corpus, so an
+    # out path that cannot be a directory costs no generation.
     out = _out_dir(cfg)
+    corp = corpusmod.generate_corpus(spec)
     corpusmod.export_corpus(corp, out)
     n_oa = sum(1 for gt in corp.ground_truth.values() if gt.oa)
     print(f"synth: {len(corp.records)} records, {n_oa} reachable full texts, "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urljoin
 
@@ -20,7 +20,6 @@ from .records import (
     SHARED,
     ArticleRecord,
     DetectionEvidence,
-    OAStatus,
     ParseError,
     Verdict,
     _read_jsonl,
@@ -321,7 +320,6 @@ def _draw_record(spec: CorpusSpec, rng: random.Random, i: int,
         discipline=discipline,
         country=country,
         citation_count=_sample_citations(spec, rng, intended_oa),
-        oa_status=OAStatus.UNKNOWN,
     )
     return record, intended_oa
 
@@ -407,13 +405,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
                 gt = _plant_offline(record)
         truth[record.id] = gt
     return Corpus(records=records, ground_truth=truth, web=web)
-
-
-def resolved_records(corpus: Corpus) -> list[ArticleRecord]:
-    """Records with oa_status set straight from ground truth, bypassing the
-    robot. For analytics-only corpora where no crawl is needed."""
-    return [replace(rec, oa_status=OAStatus.OA if corpus.ground_truth[rec.id].oa
-                    else OAStatus.NOA) for rec in corpus.records]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ deterministic CSV report writers.
 
 The table functions are pure and sort each report by group key, so reruns are
 byte-identical; Reports keeps one run's tables and decides which records each
-counts. All take resolved records, each OA or NOA: cli._resolved_records is
-the one place that decides what happens to an UNKNOWN record.
+counts. All read resolved records, each a (record, is_oa) pair:
+cli._resolved_records is the one place that makes the pairs and decides what
+happens to an UNKNOWN record. The exclusions and the advantage read one
+per-issue table of OA and NOA counts and citation sums, built by issue_sums;
+%OA and the cohort tables are flat passes over the pairs.
 """
 
 from __future__ import annotations
@@ -17,13 +20,45 @@ from functools import cached_property
 from typing import Optional
 
 from . import stats
-from .records import ALL_RANGES, ArticleRecord, CitationRange, OAStatus
+from .records import ALL_RANGES, ArticleRecord, CitationRange
+
+# A resolved record: the record and whether its verdict is OA.
+Resolved = tuple[ArticleRecord, bool]
 
 # Exclusion reasons
 ALL_OA_JOURNAL = "ALL_OA_JOURNAL"
 ALL_OA_ISSUE = "ALL_OA_ISSUE"
 ALL_NOA_ISSUE = "ALL_NOA_ISSUE"
 ZERO_NOA_CITATIONS = "ZERO_NOA_CITATIONS"
+
+
+# ---------------------------------------------------------------------------
+# Per-issue sums
+# ---------------------------------------------------------------------------
+
+class IssueSums:
+    """One issue's first record in records order, and its record counts and
+    citation sums, each [OA, NOA]."""
+
+    __slots__ = ("first", "n", "cites")
+
+    def __init__(self, first: ArticleRecord):
+        self.first = first
+        self.n = [0, 0]
+        self.cites = [0, 0]
+
+
+def issue_sums(resolved: list[Resolved]) -> dict[str, IssueSums]:
+    """Issue key -> its IssueSums, in the order issues first appear."""
+    sums: dict[str, IssueSums] = {}
+    for rec, is_oa in resolved:
+        issue = sums.get(rec.issue_key)
+        if issue is None:
+            issue = sums[rec.issue_key] = IssueSums(rec)
+        noa = not is_oa  # index 0 counts OA, 1 NOA
+        issue.n[noa] += 1
+        issue.cites[noa] += rec.citation_count
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -38,33 +73,25 @@ class Exclusion:
     n_records: int
 
 
-def _drop_all_oa(records: list[ArticleRecord], attr: str, kind: str,
-                 reason: str, log: list[Exclusion]) -> list[ArticleRecord]:
-    """records minus the groups by attr whose members are all OA; each
-    dropped group is appended to log in key order."""
-    groups = defaultdict(list)
-    for rec in records:
-        groups[getattr(rec, attr)].append(rec)
-    bad = set()
-    for key in sorted(groups):
-        members = groups[key]
-        if all(r.oa_status is OAStatus.OA for r in members):
-            bad.add(key)
-            log.append(Exclusion(kind, key, reason, len(members)))
-    return [r for r in records if getattr(r, attr) not in bad]
-
-
-def apply_exclusions(records: list[ArticleRecord]
-                     ) -> tuple[list[ArticleRecord], list[Exclusion]]:
+def apply_exclusions(sums: dict[str, IssueSums]
+                     ) -> tuple[dict[str, IssueSums], list[Exclusion]]:
     """Drop all-OA journals, then all-OA issues among the survivors.
 
-    Returns the kept records (input order preserved) and a log naming each
-    excluded journal/issue. Idempotent.
+    Returns the kept issues (input order preserved) and a log naming each
+    excluded journal, then each excluded issue, in key order. Idempotent.
     """
-    log: list[Exclusion] = []
-    survivors = _drop_all_oa(records, "journal_id", "journal", ALL_OA_JOURNAL, log)
-    kept = _drop_all_oa(survivors, "issue_key", "issue", ALL_OA_ISSUE, log)
-    return kept, log
+    journals = defaultdict(lambda: [0, 0])  # journal -> [n_oa, n_noa]
+    for issue in sums.values():
+        counts = journals[issue.first.journal_id]
+        counts[0] += issue.n[0]
+        counts[1] += issue.n[1]
+    log = [Exclusion("journal", key, ALL_OA_JOURNAL, n_oa)
+           for key, (n_oa, n_noa) in sorted(journals.items()) if not n_noa]
+    # An issue of an all-OA journal is all OA too: it goes with its journal.
+    log += [Exclusion("issue", key, ALL_OA_ISSUE, sums[key].n[0])
+            for key in sorted(sums)
+            if not sums[key].n[1] and journals[sums[key].first.journal_id][1]]
+    return {key: issue for key, issue in sums.items() if issue.n[1]}, log
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +109,12 @@ class OAShareReport:
         return self.n_oa / (self.n_oa + self.n_noa)
 
 
-def percent_oa(records: list[ArticleRecord], group_by: str) -> list[OAShareReport]:
+def percent_oa(resolved: list[Resolved], group_by: str) -> list[OAShareReport]:
     """OA share n_oa / (n_oa + n_noa) per value of the record field
     group_by, sorted by its text as every table's groups are."""
     counts = defaultdict(lambda: [0, 0])  # group -> [n_oa, n_noa]
-    for rec in records:
-        counts[getattr(rec, group_by)][rec.oa_status is not OAStatus.OA] += 1
+    for rec, is_oa in resolved:
+        counts[getattr(rec, group_by)][not is_oa] += 1
     return [OAShareReport(g, counts[g][0], counts[g][1])
             for g in sorted(counts, key=str)]
 
@@ -96,24 +123,22 @@ def percent_oa(records: list[ArticleRecord], group_by: str) -> list[OAShareRepor
 # Within-issue citation advantage
 # ---------------------------------------------------------------------------
 
-def issue_advantage(issue_records: list[ArticleRecord]
-                    ) -> tuple[Optional[float], Optional[str]]:
+def issue_advantage(issue: IssueSums) -> tuple[Optional[float], Optional[str]]:
     """(mean_cit_oa - mean_cit_noa) / mean_cit_noa for one issue.
 
     Returns (value, None) when includable, else (None, exclusion reason):
     issues that are 100% or 0% OA, or whose NOA members are all uncited, have
     no defined ratio.
     """
-    oa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.OA]
-    noa = [r.citation_count for r in issue_records if r.oa_status is OAStatus.NOA]
-    if not oa:
+    n_oa, n_noa = issue.n
+    if not n_oa:
         return None, ALL_NOA_ISSUE
-    if not noa:
+    if not n_noa:
         return None, ALL_OA_ISSUE
-    mean_noa = sum(noa) / len(noa)
+    mean_noa = issue.cites[1] / n_noa
     if mean_noa == 0.0:
         return None, ZERO_NOA_CITATIONS
-    return (sum(oa) / len(oa) - mean_noa) / mean_noa, None
+    return (issue.cites[0] / n_oa - mean_noa) / mean_noa, None
 
 
 @dataclass(frozen=True)
@@ -125,27 +150,24 @@ class AdvantageReport:
     exclusion_reasons: tuple[str, ...]
 
 
-def aggregate_advantage(records: list[ArticleRecord], group_by: str
+def aggregate_advantage(sums: dict[str, IssueSums], group_by: str
                         ) -> list[AdvantageReport]:
     """Per-issue ratios averaged to journal, then journals averaged to the
-    group, a value of the record field group_by, each with equal weight (the
-    within-issue ratio of Lawrence 2001)."""
-    by_issue = defaultdict(list)
-    for rec in records:
-        by_issue[rec.issue_key].append(rec)
-
+    group, the value of the record field group_by on each issue's first
+    record, each with equal weight (the within-issue ratio of Lawrence
+    2001)."""
     # group -> journal -> issue ratios; a journal spans groups when grouping
     # by year, so the journal level is keyed per group.
     ratios = defaultdict(lambda: defaultdict(list))
     excluded = defaultdict(list)
-    for issue_key in sorted(by_issue):
-        members = by_issue[issue_key]
-        group = getattr(members[0], group_by)
-        ratio, reason = issue_advantage(members)
+    for issue_key in sorted(sums):
+        issue = sums[issue_key]
+        group = getattr(issue.first, group_by)
+        ratio, reason = issue_advantage(issue)
         if ratio is None:
             excluded[group].append(reason)
         else:
-            ratios[group][members[0].journal_id].append(ratio)
+            ratios[group][issue.first.journal_id].append(ratio)
 
     reports = []
     for group in sorted(set(ratios) | set(excluded), key=str):
@@ -187,16 +209,16 @@ def cohort_cell(oa_in_range: int, oa_total: int,
                       (oa_share - noa_share) / noa_share)
 
 
-def cohort_table(records: list[ArticleRecord], per_year: bool = True
+def cohort_table(resolved: list[Resolved], per_year: bool = True
                  ) -> dict[object, dict[CitationRange, CohortCell]]:
     """OA_c / NOA_c shares per citation range, keyed by year (per_year) or by
     the single key "all" (pooled over all years). Groups where either
     population is empty have no defined shares and are omitted."""
     counts = defaultdict(lambda: defaultdict(lambda: [0, 0]))  # key -> range -> [oa, noa]
     totals = defaultdict(lambda: [0, 0])
-    for rec in records:
+    for rec, is_oa in resolved:
         key = rec.year if per_year else "all"
-        noa = rec.oa_status is not OAStatus.OA  # index 0 counts OA, 1 NOA
+        noa = not is_oa  # index 0 counts OA, 1 NOA
         counts[key][rec.citation_range][noa] += 1
         totals[key][noa] += 1
     table = {}
@@ -217,13 +239,14 @@ def cohort_table(records: list[ArticleRecord], per_year: bool = True
 # ---------------------------------------------------------------------------
 
 class Reports:
-    """One run's report tables, each computed on first read and then kept.
-    It alone decides which records a table counts: %OA and the advantage
-    count the records kept after exclusions; the cohort tables, and the
-    correlations' %OA and totals by year, count them all."""
+    """One run's report tables over its resolved records, each computed on
+    first read and then kept. It alone decides which records a table counts:
+    %OA and the advantage count the records kept after exclusions; the
+    cohort tables, and the correlations' %OA and totals by year, count them
+    all."""
 
-    def __init__(self, records: list[ArticleRecord]):
-        self.records = records
+    def __init__(self, resolved: list[Resolved]):
+        self.resolved = resolved
         self._tables: dict = {}
 
     def _once(self, key, build):
@@ -232,13 +255,19 @@ class Reports:
         return self._tables[key]
 
     @cached_property
-    def exclusions(self) -> tuple[list[ArticleRecord], list[Exclusion]]:
-        """The kept records and the exclusion log."""
-        return apply_exclusions(self.records)
+    def exclusions(self) -> tuple[dict[str, IssueSums], list[Exclusion]]:
+        """The kept issues' sums and the exclusion log."""
+        return apply_exclusions(issue_sums(self.resolved))
+
+    @cached_property
+    def kept(self) -> list[Resolved]:
+        """The resolved records of the kept issues, in records order."""
+        issues = self.exclusions[0]
+        return [pair for pair in self.resolved if pair[0].issue_key in issues]
 
     def oa_share(self, dim: str) -> list[OAShareReport]:
         return self._once(("oa_share", dim),
-                          lambda: percent_oa(self.exclusions[0], dim))
+                          lambda: percent_oa(self.kept, dim))
 
     def advantage(self, dim: str) -> list[AdvantageReport]:
         return self._once(("advantage", dim),
@@ -246,12 +275,12 @@ class Reports:
 
     def cohorts(self, per_year: bool) -> dict:
         return self._once(("cohorts", per_year),
-                          lambda: cohort_table(self.records, per_year))
+                          lambda: cohort_table(self.resolved, per_year))
 
     @cached_property
     def correlations(self) -> list:
         """The rows of correlations.csv: (pair name, result or None)."""
-        shares = percent_oa(self.records, "year")
+        shares = percent_oa(self.resolved, "year")
         years = {rep.group: rep.group for rep in shares}  # the x_year series
         total = {rep.group: rep.n_oa + rep.n_noa for rep in shares}
         pct = {rep.group: rep.percent_oa for rep in shares}

@@ -16,7 +16,9 @@ read from the same file, so a file's rows hold each such value once.
 Nothing of that outlives the read.
 
 ArticleRecord.validate, run wherever records are read, is the one check of
-an issue key's "journal_id|year|issue" shape.
+an issue key's "journal_id|year|issue" shape. A record holds no OA verdict:
+its detection does, and cli._resolved_records is the one place that pairs
+each record with its detection's verdict.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, get_args, get_type_hints
-
-
-class OAStatus(enum.Enum):
-    OA = "OA"
-    NOA = "NOA"
-    UNKNOWN = "UNKNOWN"
 
 
 class CitationRange(enum.Enum):
@@ -76,7 +72,8 @@ SHARED = {"shared": True}
 
 @dataclass(frozen=True)
 class ArticleRecord:
-    """One bibliographic record with citation count and OA status."""
+    """One bibliographic record with its citation count. Its OA verdict is
+    not a field: it is the verdict of the record's detection."""
 
     id: str
     first_author_surname: str = field(metadata=SHARED)
@@ -87,11 +84,9 @@ class ArticleRecord:
     discipline: str = field(metadata=SHARED)
     country: str = field(metadata=SHARED)
     citation_count: int
-    oa_status: OAStatus = OAStatus.UNKNOWN
 
     # Called where records are read, not from __post_init__: the row
-    # reader and apply_detections (which copies every record in each stage)
-    # build records without running __init__.
+    # reader builds records without running __init__.
     def validate(self) -> None:
         if not self.id:
             raise ValidationError("record has empty id")
@@ -254,25 +249,3 @@ def load_detections(path) -> list[DetectionEvidence]:
     reader that keys them by id keeps the last."""
     return [ev for _, ev in _read_jsonl(path, DetectionEvidence)]
 
-
-def apply_detections(
-    records: Iterable[ArticleRecord], detections: Iterable[DetectionEvidence]
-) -> list[ArticleRecord]:
-    """Return records with oa_status set from detection verdicts (by article id).
-
-    Records with no detection keep their current status.
-    """
-    status = {ev.article_id: OAStatus.OA if ev.verdict is Verdict.OA
-              else OAStatus.NOA for ev in detections}
-    out = []
-    for rec in records:
-        if rec.id in status:
-            # dataclasses.replace without its frozen __init__: the same
-            # fields, oa_status set, filled in as the row reader fills them.
-            new = object.__new__(ArticleRecord)
-            values = new.__dict__
-            values.update(rec.__dict__)
-            values["oa_status"] = status[rec.id]
-            rec = new
-        out.append(rec)
-    return out

@@ -22,12 +22,10 @@ from oafinder.corpus import (
     MockSearchProvider,
     generate_corpus,
     reachable_within_depth,
-    resolved_records,
 )
 from oafinder.records import (
     ArticleRecord,
     DetectionEvidence,
-    OAStatus,
     Verdict,
     save_rows,
 )
@@ -150,34 +148,33 @@ def test_c5_depth_cutoff():
 
 
 def _rec(i, journal, issue, oa, cites, year=2000):
+    """A resolved record: (record, is_oa)."""
     return ArticleRecord(
         id=f"x{i}", first_author_surname="Reed", title=f"Item {i}",
         journal_id=journal, issue_key=f"{journal}|{year}|{issue}", year=year,
-        discipline="biology", country="US", citation_count=cites,
-        oa_status=OAStatus.OA if oa else OAStatus.NOA)
+        discipline="biology", country="US", citation_count=cites), oa
 
 
 def brute_force_advantage(records):
-    """Flat-loop recomputation: issue ratios -> journal means -> grand mean,
-    skipping all-OA journals and any issue without both populations and
-    cited NOA articles."""
+    """Flat-loop recomputation over (record, is_oa) pairs: issue ratios ->
+    journal means -> grand mean, skipping all-OA journals and any issue
+    without both populations and cited NOA articles."""
     by_journal = defaultdict(list)
-    for r in records:
-        by_journal[r.journal_id].append(r)
+    for r, is_oa in records:
+        by_journal[r.journal_id].append((r, is_oa))
     journal_means = []
     for journal in sorted(by_journal):
         members = by_journal[journal]
-        if all(r.oa_status is OAStatus.OA for r in members):
+        if all(is_oa for _, is_oa in members):
             continue
         by_issue = defaultdict(list)
-        for r in members:
-            by_issue[r.issue_key].append(r)
+        for r, is_oa in members:
+            by_issue[r.issue_key].append((r, is_oa))
         ratios = []
         for issue in sorted(by_issue):
-            oa = [r.citation_count for r in by_issue[issue]
-                  if r.oa_status is OAStatus.OA]
-            noa = [r.citation_count for r in by_issue[issue]
-                   if r.oa_status is OAStatus.NOA]
+            oa = [r.citation_count for r, is_oa in by_issue[issue] if is_oa]
+            noa = [r.citation_count for r, is_oa in by_issue[issue]
+                   if not is_oa]
             if not oa or not noa or sum(noa) == 0:
                 continue
             m_oa, m_noa = sum(oa) / len(oa), sum(noa) / len(noa)
@@ -206,7 +203,7 @@ def test_c6_exclusion_rules_and_oracle():
                 _rec(next(i), "j-other", 2, True, 10),
                 _rec(next(i), "j-other", 2, False, 4)]
 
-    kept, log = metrics.apply_exclusions(records)
+    kept, log = metrics.apply_exclusions(metrics.issue_sums(records))
     logged = {(e.kind, e.key, e.reason) for e in log}
     assert ("journal", "j-allOA", metrics.ALL_OA_JOURNAL) in logged
     assert ("issue", "j-mixed|2000|1", metrics.ALL_OA_ISSUE) in logged
@@ -225,8 +222,10 @@ def test_c6_exclusion_rules_and_oracle():
 def test_c7_null_and_planted_advantage():
     t0 = time.time()
     null_spec = CorpusSpec(n_articles=50_000, oa_probability=0.12, seed=4)
-    null_recs = resolved_records(generate_corpus(null_spec))
-    kept, _ = metrics.apply_exclusions(null_recs)
+    # Records resolved from ground truth, bypassing the robot.
+    null = generate_corpus(null_spec)
+    null_recs = [(r, null.ground_truth[r.id].oa) for r in null.records]
+    kept, _ = metrics.apply_exclusions(metrics.issue_sums(null_recs))
     reports = metrics.aggregate_advantage(kept, "discipline")
     advs = [r.advantage for r in reports if r.advantage is not None]
     null_adv = sum(advs) / len(advs)
@@ -234,8 +233,10 @@ def test_c7_null_and_planted_advantage():
 
     planted_spec = CorpusSpec(n_articles=50_000, oa_probability=0.12, seed=4,
                               oa_citation_multiplier=2.0)
-    planted_recs = resolved_records(generate_corpus(planted_spec))
-    kept2, _ = metrics.apply_exclusions(planted_recs)
+    planted = generate_corpus(planted_spec)
+    planted_recs = [(r, planted.ground_truth[r.id].oa)
+                    for r in planted.records]
+    kept2, _ = metrics.apply_exclusions(metrics.issue_sums(planted_recs))
     reports2 = metrics.aggregate_advantage(kept2, "discipline")
     advs2 = [r.advantage for r in reports2 if r.advantage is not None]
     planted_adv = sum(advs2) / len(advs2)
@@ -337,22 +338,22 @@ def test_c10_correlations_flat_loop_oracle(tmp_path):
             add("j-allOA", 1, True, year)
         for _ in range(3 * (year % 2)):
             add("j1", 3, True, year)
-    save_rows(records, tmp_path / "records.jsonl")
+    save_rows([r for r, _ in records], tmp_path / "records.jsonl")
     save_rows([
         DetectionEvidence(r.id, Verdict.OA, url=f"http://oa.test/{r.id}")
-        if r.oa_status is OAStatus.OA else DetectionEvidence(r.id, Verdict.NOA)
-        for r in records], tmp_path / "detections.jsonl")
+        if is_oa else DetectionEvidence(r.id, Verdict.NOA)
+        for r, is_oa in records], tmp_path / "detections.jsonl")
     assert main(["correlate", "--records", str(tmp_path / "records.jsonl"),
                  "--detections", str(tmp_path / "detections.jsonl"),
                  "--out", str(tmp_path / "r")]) == 0
     with open(tmp_path / "r" / "correlations.csv", encoding="utf-8") as fh:
         rows = {row["pair"]: row for row in csv.DictReader(fh)}
 
-    years = sorted({r.year for r in records})
-    by_year = {y: [r for r in records if r.year == y] for y in years}
+    years = sorted({r.year for r, _ in records})
+    by_year = {y: [(r, is_oa) for r, is_oa in records if r.year == y]
+               for y in years}
     total = {y: len(by_year[y]) for y in years}
-    pct = {y: sum(r.oa_status is OAStatus.OA for r in by_year[y]) / total[y]
-           for y in years}
+    pct = {y: sum(is_oa for _, is_oa in by_year[y]) / total[y] for y in years}
     series = {
         "advantage": {y: brute_force_advantage(by_year[y]) for y in years},
         "total_articles": total,
@@ -364,10 +365,8 @@ def test_c10_correlations_flat_loop_oracle(tmp_path):
                          ("16+", 16, math.inf)):
         ratio = series[f"ratio_{name}"] = {}
         for y in years:
-            oa = [r.citation_count for r in by_year[y]
-                  if r.oa_status is OAStatus.OA]
-            noa = [r.citation_count for r in by_year[y]
-                   if r.oa_status is OAStatus.NOA]
+            oa = [r.citation_count for r, is_oa in by_year[y] if is_oa]
+            noa = [r.citation_count for r, is_oa in by_year[y] if not is_oa]
             noa_in = sum(lo <= c <= hi for c in noa)
             if oa and noa_in:
                 ratio[y] = (sum(lo <= c <= hi for c in oa) / len(oa)
@@ -390,7 +389,7 @@ def test_c10_correlations_flat_loop_oracle(tmp_path):
             assert int(row["n"]) == len(xy), pair
 
     # The file's %OA counts the all-OA journal: without it, r differs.
-    pct_mixed = [statistics.mean(r.oa_status is OAStatus.OA for r in by_year[y]
+    pct_mixed = [statistics.mean(is_oa for r, is_oa in by_year[y]
                                  if r.journal_id != "j-allOA") for y in years]
     assert statistics.correlation(pct_mixed, years) != \
         pytest.approx(float(rows["pct_oa_x_year"]["r"]), abs=1e-3)

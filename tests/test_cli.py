@@ -108,8 +108,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("cmd", ["synth", "evaluate", "analyze", "cohorts",
                                      "correlate", "audit"])
     def test_out_that_cannot_be_a_directory(self, cmd, inside, corpus_dir,
-                                            detections, tmp_path, capsys):
+                                            detections, tmp_path, capsys,
+                                            monkeypatch):
         # A file stands where the out directory, or its parent, would go.
+        # synth and evaluate find that out before they generate the corpus.
+        generated = Counter()
+        real_generate = corpus.generate_corpus
+
+        def counted_generate(spec):
+            generated["generate_corpus"] += 1
+            return real_generate(spec)
+
+        monkeypatch.setattr(corpus, "generate_corpus", counted_generate)
         blocker = tmp_path / "f"
         blocker.write_text("a file\n")
         out = blocker / "x" if inside else blocker
@@ -125,6 +135,7 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
         assert blocker.read_text() == "a file\n"
+        assert generated == Counter()
 
     def test_unknown_status_blocks_analysis(self, corpus_dir, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -133,6 +144,20 @@ class TestExitCodes:
                      "--records", str(corpus_dir / "records.jsonl"),
                      "--detections", str(empty),
                      "--out", str(tmp_path / "r")]) == 3
+
+    def test_records_line_oa_status_is_not_a_verdict(self, tmp_path, capsys):
+        # Records files of an older format carry an "oa_status" key. A
+        # record's verdict is its detection's alone: with no detection the
+        # record is UNKNOWN, whatever the key says.
+        recs = tmp_path / "records.jsonl"
+        recs.write_text(json.dumps(dict(GOOD_RECORD, oa_status="OA")) + "\n")
+        empty = tmp_path / "empty.jsonl"
+        save_rows([], empty)
+        assert main(["analyze", "--records", str(recs),
+                     "--detections", str(empty),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "1 records have UNKNOWN status" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_allow_unknown_drops_and_succeeds(self, corpus_dir, detections,
                                               tmp_path, capsys):
@@ -696,18 +721,17 @@ class TestReports:
         # Four disciplines of 8 records in one issue each, with 1, 2, 4 and
         # 6 OA. The line gives only the counts: no report holds a summary
         # of %OA across disciplines.
-        merged = [records.ArticleRecord(
+        resolved = [(records.ArticleRecord(
             id=f"{disc}{i}", first_author_surname="Smith", title="A title",
             journal_id=f"{disc}-j1", issue_key=f"{disc}-j1|1999|1",
-            year=1999, discipline=disc, country="US", citation_count=i,
-            oa_status=records.OAStatus.OA if i < n_oa
-            else records.OAStatus.NOA)
+            year=1999, discipline=disc, country="US", citation_count=i),
+            i < n_oa)
             for disc, n_oa in (("a", 1), ("b", 2), ("c", 4), ("d", 6))
             for i in range(8)]
         cfg = {"out": str(tmp_path / "r")}
-        cli.cmd_analyze(cfg, metrics.Reports(merged))
+        cli.cmd_analyze(cfg, metrics.Reports(resolved))
         assert capsys.readouterr().out == "analyze: kept 32/32 records\n"
-        cli.cmd_analyze(cfg, metrics.Reports(merged[:8]))
+        cli.cmd_analyze(cfg, metrics.Reports(resolved[:8]))
         assert capsys.readouterr().out == "analyze: kept 8/8 records\n"
 
     @pytest.mark.parametrize("cmd", ["analyze", "cohorts", "correlate"])
@@ -743,6 +767,27 @@ class TestReports:
             assert (tmp_path / "dropped" / name).read_bytes() == \
                 (tmp_path / "detected" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("cmd", ["analyze", "cohorts", "correlate"])
+    def test_older_records_format_gives_same_reports(
+            self, cmd, corpus_dir, detections, tmp_path):
+        # Records files of an older format carry an "oa_status" key, which
+        # the reader ignores: the reports are those of the current format.
+        older = tmp_path / "older.jsonl"
+        older.write_text("".join(
+            json.dumps(dict(json.loads(line),
+                            oa_status=("OA", "NOA", "UNKNOWN")[i % 3])) + "\n"
+            for i, line in enumerate((corpus_dir / "records.jsonl")
+                                     .read_text().splitlines())))
+        current = tmp_path / "current"
+        assert self.run_reports(cmd, corpus_dir, detections, current) == 0
+        assert main([cmd, "--records", str(older), "--detections",
+                     str(detections), "--out", str(tmp_path / "older")]) == 0
+        files = sorted(p.name for p in current.iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "older").iterdir())
+        for name in files:
+            assert (tmp_path / "older" / name).read_bytes() == \
+                (current / name).read_bytes(), name
+
     @staticmethod
     def count_table_calls(monkeypatch):
         """Wrap the metrics table functions; returns a Counter of calls by
@@ -755,14 +800,15 @@ class TestReports:
                 return fn(records, *args, **kwargs)
             return wrapper
 
-        for name in ("apply_exclusions", "percent_oa", "aggregate_advantage",
-                     "cohort_table"):
+        for name in ("issue_sums", "apply_exclusions", "percent_oa",
+                     "aggregate_advantage", "cohort_table"):
             monkeypatch.setattr(metrics, name,
                                 counted(name, getattr(metrics, name)))
         return calls
 
     @pytest.mark.parametrize("cmd,expected", [
-        ("analyze", {("apply_exclusions",): 1,
+        ("analyze", {("issue_sums",): 1,
+                     ("apply_exclusions",): 1,
                      ("percent_oa", "discipline"): 1,
                      ("percent_oa", "country"): 1,
                      ("percent_oa", "year"): 1,
@@ -770,7 +816,8 @@ class TestReports:
                      ("aggregate_advantage", "country"): 1,
                      ("aggregate_advantage", "year"): 1}),
         ("cohorts", {("cohort_table", True): 1, ("cohort_table", False): 1}),
-        ("correlate", {("apply_exclusions",): 1,
+        ("correlate", {("issue_sums",): 1,
+                       ("apply_exclusions",): 1,
                        ("percent_oa", "year"): 1,
                        ("aggregate_advantage", "year"): 1,
                        ("cohort_table", True): 1}),
@@ -789,7 +836,8 @@ class TestReports:
                      "--sample-size", "10"]) == 0
         # %OA by year is two tables: over the kept records for
         # oa_share_by_year.csv, over all of them for correlations.csv.
-        assert calls == {("apply_exclusions",): 1,
+        assert calls == {("issue_sums",): 1,
+                         ("apply_exclusions",): 1,
                          ("percent_oa", "discipline"): 1,
                          ("percent_oa", "country"): 1,
                          ("percent_oa", "year"): 2,
@@ -833,7 +881,7 @@ class TestReports:
 # sha256 of `evaluate --seed 4 --sample-size 50` (see run_digest). A change
 # that alters outputs on purpose updates it and says so.
 GOLDEN_EVALUATE_SHA256 = (
-    "66dc2dec5d0abcf30570b0da315d02ccb936e8876f9b2d115078695b62a6e227")
+    "9e46fb972ec92f96e392f3af8667ac9266fde86361abc143992ea4787ec5d7f0")
 
 
 def run_digest(out, stdout: str) -> str:

@@ -2,7 +2,8 @@
 cohort tables, CSV determinism.
 
 Oracle style: where a spec value is derived, it is recomputed here with
-flat, independent loops over the raw records (no shared pipeline helpers).
+flat, independent loops over the raw (record, is_oa) pairs (no shared
+pipeline helpers).
 """
 
 import csv
@@ -23,27 +24,38 @@ from oafinder.metrics import (
     cohort_cell,
     cohort_table,
     issue_advantage,
+    issue_sums,
     percent_oa,
 )
-from oafinder.records import ALL_RANGES, ArticleRecord, CitationRange, OAStatus
+from oafinder.records import ALL_RANGES, ArticleRecord, CitationRange
 from oafinder.stats import ConfusionMatrix, sdt_analysis
 
 
 def rec(i, journal="j1", year=2000, issue=1, cites=0, oa=False,
         discipline="biology", country="US"):
+    """A resolved record: (record, is_oa)."""
     return ArticleRecord(
         id=f"r{i}", first_author_surname="Weiss", title=f"Paper number {i}",
         journal_id=journal, issue_key=f"{journal}|{year}|{issue}", year=year,
-        discipline=discipline, country=country, citation_count=cites,
-        oa_status=OAStatus.OA if oa else OAStatus.NOA)
+        discipline=discipline, country=country, citation_count=cites), oa
+
+
+def n_records(sums):
+    return sum(sum(issue.n) for issue in sums.values())
+
+
+def one_issue(records):
+    """The IssueSums of records that share one issue."""
+    [issue] = issue_sums(records).values()
+    return issue
 
 
 class TestExclusions:
     def test_all_oa_journal_dropped(self):
         records = [rec(i, journal="goldoa", oa=True) for i in range(10)]
         records += [rec(10 + i, journal="mixed", oa=(i == 0)) for i in range(4)]
-        kept, log = apply_exclusions(records)
-        assert len(kept) == 4
+        kept, log = apply_exclusions(issue_sums(records))
+        assert n_records(kept) == 4
         assert any(e.kind == "journal" and e.key == "goldoa"
                    and e.reason == ALL_OA_JOURNAL and e.n_records == 10
                    for e in log)
@@ -51,22 +63,22 @@ class TestExclusions:
     def test_all_oa_issue_dropped_inside_mixed_journal(self):
         records = [rec(i, issue=1, oa=True) for i in range(3)]
         records += [rec(3 + i, issue=2, oa=(i < 2)) for i in range(7)]
-        kept, log = apply_exclusions(records)
-        assert len(kept) == 7
+        kept, log = apply_exclusions(issue_sums(records))
+        assert n_records(kept) == 7
         assert any(e.kind == "issue" and e.key == "j1|2000|1"
                    and e.reason == ALL_OA_ISSUE for e in log)
 
     def test_mixed_issue_kept(self):
-        records = [rec(i, oa=(i < 2)) for i in range(7)]
-        kept, log = apply_exclusions(records)
-        assert kept == records
+        sums = issue_sums([rec(i, oa=(i < 2)) for i in range(7)])
+        kept, log = apply_exclusions(sums)
+        assert kept == sums
         assert log == []
 
     def test_idempotent(self):
         records = [rec(i, journal="goldoa", oa=True) for i in range(5)]
         records += [rec(5 + i, journal="m", issue=1, oa=True) for i in range(2)]
         records += [rec(7 + i, journal="m", issue=2, oa=(i == 0)) for i in range(5)]
-        kept1, _ = apply_exclusions(records)
+        kept1, _ = apply_exclusions(issue_sums(records))
         kept2, log2 = apply_exclusions(kept1)
         assert kept2 == kept1
         assert log2 == []
@@ -100,25 +112,25 @@ class TestIssueAdvantage:
         # OA mean 3.0, NOA mean 2.0 -> (3-2)/2 = +0.5
         records = [rec(0, cites=3, oa=True),
                    rec(1, cites=1), rec(2, cites=3)]
-        value, reason = issue_advantage(records)
+        value, reason = issue_advantage(one_issue(records))
         assert reason is None
         assert value == pytest.approx(0.5)
 
     def test_equal_means(self):
         records = [rec(0, cites=2, oa=True), rec(1, cites=2)]
-        value, _ = issue_advantage(records)
+        value, _ = issue_advantage(one_issue(records))
         assert value == 0.0
 
     def test_zero_noa_citations_excluded(self):
         records = [rec(0, cites=5, oa=True), rec(1, cites=0)]
-        value, reason = issue_advantage(records)
+        value, reason = issue_advantage(one_issue(records))
         assert value is None
         assert reason == ZERO_NOA_CITATIONS
 
     def test_one_sided_issues_excluded(self):
-        _, r1 = issue_advantage([rec(0, cites=1, oa=True)])
+        _, r1 = issue_advantage(one_issue([rec(0, cites=1, oa=True)]))
         assert r1 == ALL_OA_ISSUE
-        _, r2 = issue_advantage([rec(0, cites=1)])
+        _, r2 = issue_advantage(one_issue([rec(0, cites=1)]))
         assert r2 == ALL_NOA_ISSUE
 
     @given(st.integers(1, 50))
@@ -126,8 +138,8 @@ class TestIssueAdvantage:
         base = [rec(0, cites=6, oa=True), rec(1, cites=2), rec(2, cites=4)]
         scaled = [rec(0, cites=6 * k, oa=True), rec(1, cites=2 * k),
                   rec(2, cites=4 * k)]
-        v1, _ = issue_advantage(base)
-        v2, _ = issue_advantage(scaled)
+        v1, _ = issue_advantage(one_issue(base))
+        v2, _ = issue_advantage(one_issue(scaled))
         assert v2 == pytest.approx(v1, abs=1e-12)
 
 
@@ -136,18 +148,18 @@ class TestAggregateAdvantage:
         # issue 1 ratio +1.0, issue 2 ratio 0.0 -> journal advantage +0.5
         records = [rec(0, issue=1, cites=4, oa=True), rec(1, issue=1, cites=2),
                    rec(2, issue=2, cites=3, oa=True), rec(3, issue=2, cites=3)]
-        [report] = aggregate_advantage(records, "journal_id")
+        [report] = aggregate_advantage(issue_sums(records), "journal_id")
         assert report.advantage == pytest.approx(0.5)
         assert report.n_issues_included == 2
 
     def test_single_issue_identity(self):
         records = [rec(0, cites=6, oa=True), rec(1, cites=4)]
-        [report] = aggregate_advantage(records, "discipline")
+        [report] = aggregate_advantage(issue_sums(records), "discipline")
         assert report.advantage == pytest.approx(0.5)
 
     def test_no_data_group(self):
         records = [rec(0, cites=1), rec(1, cites=2)]  # all NOA
-        [report] = aggregate_advantage(records, "discipline")
+        [report] = aggregate_advantage(issue_sums(records), "discipline")
         assert report.advantage is None
         assert report.exclusion_reasons == (ALL_NOA_ISSUE,)
 
@@ -170,9 +182,8 @@ class TestAggregateAdvantage:
 
         # flat oracle: nested dict loops, no pipeline code
         per_issue = defaultdict(lambda: ([], []))
-        for r in records:
-            (per_issue[r.issue_key][0 if r.oa_status is OAStatus.OA else 1]
-             .append(r.citation_count))
+        for r, is_oa in records:
+            per_issue[r.issue_key][0 if is_oa else 1].append(r.citation_count)
         per_journal = defaultdict(list)
         for key, (oa, noa) in per_issue.items():
             if oa and noa and sum(noa) > 0:
@@ -181,7 +192,7 @@ class TestAggregateAdvantage:
         jmeans = [sum(v) / len(v) for v in per_journal.values()]
         oracle = sum(jmeans) / len(jmeans)
 
-        [report] = aggregate_advantage(records, "discipline")
+        [report] = aggregate_advantage(issue_sums(records), "discipline")
         assert report.advantage == pytest.approx(oracle, abs=1e-9)
         assert report.advantage == pytest.approx(0.8, abs=0.05)
 
@@ -192,8 +203,8 @@ class TestAggregateAdvantage:
                    for i in range(60)]
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert aggregate_advantage(records, "journal_id") == \
-            aggregate_advantage(shuffled, "journal_id")
+        assert aggregate_advantage(issue_sums(records), "journal_id") == \
+            aggregate_advantage(issue_sums(shuffled), "journal_id")
 
 
 class TestCohorts:
@@ -242,10 +253,8 @@ class TestCohorts:
         bins = {"0": lambda c: c == 0, "1": lambda c: c == 1,
                 "2-3": lambda c: 2 <= c <= 3, "4-7": lambda c: 4 <= c <= 7,
                 "8-15": lambda c: 8 <= c <= 15, "16+": lambda c: c >= 16}
-        oa_counts = [r.citation_count for r in records
-                     if r.oa_status is OAStatus.OA]
-        noa_counts = [r.citation_count for r in records
-                      if r.oa_status is OAStatus.NOA]
+        oa_counts = [r.citation_count for r, is_oa in records if is_oa]
+        noa_counts = [r.citation_count for r, is_oa in records if not is_oa]
         for rng_enum in ALL_RANGES:
             member = bins[rng_enum.value]
             oa_share = sum(1 for c in oa_counts if member(c)) / len(oa_counts)

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +7,9 @@ from oafinder.records import (
     ArticleRecord,
     CitationRange,
     DetectionEvidence,
-    OAStatus,
     ParseError,
     ValidationError,
     Verdict,
-    apply_detections,
     bin_citations,
     load_detections,
     load_records,
@@ -26,7 +23,6 @@ def make_record(**kw):
         id="a1", first_author_surname="Archer", title="A study of things",
         journal_id="j1", issue_key="j1|1999|2", year=1999,
         discipline="biology", country="US", citation_count=3,
-        oa_status=OAStatus.UNKNOWN,
     )
     base.update(kw)
     return ArticleRecord(**base)
@@ -219,24 +215,3 @@ class TestDetectionsFile:
         save_rows(evs, path)
         assert load_detections(path) == evs
 
-
-class TestApplyDetections:
-    def test_equals_dataclasses_replace(self):
-        recs = [make_record(id=f"a{i}", oa_status=status)
-                for i, status in enumerate(OAStatus)]
-        recs.append(make_record(id="none"))
-        dets = [DetectionEvidence(article_id=f"a{i}", verdict=verdict,
-                                  url="http://h.example/a")
-                for i, verdict in enumerate((Verdict.OA, Verdict.NOA,
-                                             Verdict.OA))]
-        out = apply_detections(recs, dets)
-        status = {"a0": OAStatus.OA, "a1": OAStatus.NOA, "a2": OAStatus.OA}
-        assert out == [replace(r, oa_status=status[r.id]) if r.id in status
-                       else r for r in recs]
-        assert out[-1] is recs[-1]
-        for rec, new in zip(recs[:3], out):
-            assert new is not rec and type(new) is ArticleRecord
-            with pytest.raises(AttributeError):
-                new.oa_status = OAStatus.UNKNOWN
-        # the inputs are left as they were
-        assert [r.oa_status for r in recs[:3]] == list(OAStatus)

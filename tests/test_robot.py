@@ -15,7 +15,7 @@ from oafinder.corpus import (
     generate_corpus,
     reachable_within_depth,
 )
-from oafinder.records import ArticleRecord, OAStatus, Verdict
+from oafinder.records import ArticleRecord, Verdict
 from oafinder.robot import extract, match
 from oafinder.robot.crawl import detect_oa, format_query
 from oafinder.robot.urls import normalize_url
@@ -26,7 +26,7 @@ SURNAME = "Lindqvist"
 RECORD = ArticleRecord(
     id="a1", first_author_surname=SURNAME, title=TITLE, journal_id="j",
     issue_key="j|2001|1", year=2001, discipline="sociology", country="SE",
-    citation_count=1, oa_status=OAStatus.UNKNOWN)
+    citation_count=1)
 
 FILLER = ("Measurement and estimation details are reported in the appendix "
           "alongside the robustness checks for the panel. ") * 30

@@ -119,8 +119,9 @@ def traced_names(modules: dict) -> set[str]:
 
 
 # Spans of functions that are already gone, which leave the benchmark in a
-# change of their own (ROADMAP item 8). Until then they read 0.
-STALE_SPANS = {"match.contains_title", "urls.dedup_urls"}
+# change of their own (ROADMAP item 2). Until then they read 0.
+STALE_SPANS = {"match.contains_title", "urls.dedup_urls",
+               "records.apply_detections"}
 
 
 def test_perfbench_spans_are_traced():

@@ -7,7 +7,7 @@ from difflib import SequenceMatcher
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oafinder.records import ArticleRecord, OAStatus
+from oafinder.records import ArticleRecord
 from oafinder.robot.extract import (
     ExternalConverter,
     ExtractionError,
@@ -28,7 +28,7 @@ SURNAME = "Fontaine"
 RECORD = ArticleRecord(
     id="a1", first_author_surname=SURNAME, title=TITLE, journal_id="j",
     issue_key="j|2000|1", year=2000, discipline="economics", country="FR",
-    citation_count=2, oa_status=OAStatus.UNKNOWN)
+    citation_count=2)
 
 FILLER = ("The estimation strategy follows standard practice and the "
           "residual diagnostics showed no cause for concern. ")
