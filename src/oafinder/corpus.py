@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from urllib.parse import urljoin
 
 from .records import (
     SHARED,
@@ -26,8 +25,6 @@ from .records import (
     save_rows,
 )
 from .robot.crawl import MAX_DEPTH, FetchResult, format_query
-from .robot.extract import _parse_html_reference
-from .robot.urls import _canonicalize
 from .stats import ConfusionMatrix, build_confusion_from_audit
 
 AD_HOST = "ads.mock-search.example"
@@ -117,16 +114,36 @@ class CorpusSpec:
         for v in oa.values() if isinstance(oa, dict) else (oa,):
             if not 0.0 <= v <= 1.0:
                 raise CorpusError(f"oa_probability must be in [0, 1], got {v}")
-        if not self.oa_citation_multiplier >= 0:
-            raise CorpusError("oa_citation_multiplier must be >= 0, got "
-                              f"{self.oa_citation_multiplier}")
-        if any(p < 0 for _, p in self.chain_depth_distribution):
+        # A key oa_prob_for never looks up would silently match nothing.
+        for key in oa if isinstance(oa, dict) else ():
+            disc, bar, year = key.rpartition("|")
+            if not (key == "default" or key in self.disciplines
+                    or (self._is_year(year)
+                        and (not bar or disc in self.disciplines))):
+                raise CorpusError(f"oa_probability: key {key!r} names no "
+                                  f"discipline or year of this spec")
+        # _sample_citations divides by log(1 - 1/mean), which is 0 once
+        # 1 - 1/mean rounds to 1. Each "not x >= y" also rejects NaN.
+        multiplier = self.oa_citation_multiplier
+        mean = MEAN_CITED * multiplier
+        if not multiplier >= 0 or (mean > 1.0 and 1.0 - 1.0 / mean == 1.0):
+            raise CorpusError("oa_citation_multiplier must be >= 0 and below "
+                              f"about 4.5e15, got {multiplier}")
+        if not all(p >= 0 for _, p in self.chain_depth_distribution):
             raise CorpusError("chain_depth_distribution probabilities must be >= 0")
         total = sum(p for _, p in self.chain_depth_distribution)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise CorpusError("chain_depth_distribution must sum to 1")
         if any(d < 0 or d > 5 for d, _ in self.chain_depth_distribution):
             raise CorpusError("chain depths must be in 0..5")
+
+    def _is_year(self, text: str) -> bool:
+        """Whether text is str(year) for a year in the spec's range."""
+        try:
+            year = int(text)
+        except ValueError:
+            return False
+        return str(year) == text and self.years[0] <= year <= self.years[1]
 
     def oa_prob_for(self, discipline: str, year: int) -> float:
         p = self.oa_probability
@@ -405,49 +422,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
                 gt = _plant_offline(record)
         truth[record.id] = gt
     return Corpus(records=records, ground_truth=truth, web=web)
-
-
-# ---------------------------------------------------------------------------
-# Independent reachability checker
-# ---------------------------------------------------------------------------
-
-def reachable_within_depth(web: MockWeb, record: ArticleRecord, target: str,
-                           max_depth: int = MAX_DEPTH) -> bool:
-    """Exhaustive breadth-first check, independent of the robot: follow every
-    anchor of every HTML page (no candidate heuristics, no caps, no
-    blocklist) from the search results, and report whether the page at
-    target, the web.pages key where the full text was planted, is reached
-    within max_depth. No page's text is judged, so no matcher error leaks
-    in, and "" is never reached. Pages are parsed by html.parser, not by the
-    robot's scanner; URLs are canonicalized and joined by urllib.parse alone,
-    not by the robot's canonical-URL fast path."""
-    start = web.queries.get(format_query(record.first_author_surname,
-                                         record.title), [])
-    frontier = [(u, 0) for u in start]
-    seen: set[str] = set()
-    while frontier:
-        url, depth = frontier.pop(0)
-        try:
-            canon = _canonicalize(url)
-        except ValueError:
-            continue
-        if canon in seen:
-            continue
-        seen.add(canon)
-        page = web.pages.get(canon)
-        if page is None:
-            continue
-        if canon == target:
-            return True
-        fmt, text = page
-        if fmt in ("html", "xml") and depth < max_depth:
-            _, anchors = _parse_html_reference(text)
-            for href, _ in anchors:
-                try:
-                    frontier.append((urljoin(canon, href), depth + 1))
-                except ValueError:
-                    continue
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Statistics kernel: normal/probit primitives, Pearson correlation with
+"""Statistics kernel: the probit, Pearson correlation with
 Student-t significance, and the signal-detection analysis (d', beta,
 criterion) of the robot's accuracy audit.
 
@@ -23,14 +23,7 @@ class StatsError(ValueError):
 # Normal distribution
 # ---------------------------------------------------------------------------
 
-_SQRT2 = math.sqrt(2.0)
 _STANDARD_NORMAL = NormalDist()
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via erfc, accurate in both tails. NormalDist.cdf
-    computes 1 + erf, which reads 0.0 from x = -8.5 down."""
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def probit(p: float) -> float:

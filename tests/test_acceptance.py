@@ -21,7 +21,6 @@ from oafinder.corpus import (
     MockFetcher,
     MockSearchProvider,
     generate_corpus,
-    reachable_within_depth,
 )
 from oafinder.records import (
     ArticleRecord,
@@ -33,12 +32,13 @@ from oafinder.robot.crawl import detect_oa
 from oafinder.stats import (
     ConfusionMatrix,
     build_confusion_from_audit,
-    norm_cdf,
     pearson_r,
     probit,
     r_to_p,
     sdt_analysis,
 )
+
+from oracles import norm_cdf, reachable_within_depth
 
 # Shared with the other suites: Simpson quadrature of the t density gives an
 # implementation-independent p-value oracle.

@@ -370,6 +370,14 @@ mock_web = {corpus_dir / 'mockweb'}
         "disciplines = biology, , chemistry",
         # "|" separates discipline and year in oa_probability keys.
         "disciplines = bio|logy, chemistry",
+        # _sample_citations would divide by log(1 - 1/mean) = 0.
+        "oa_citation_multiplier = inf",
+        "oa_citation_multiplier = 1e17",
+        # NaN compares false with everything, so no range check sees it.
+        "chain_depth_distribution = 0:nan,1:1",
+        # Keys that name no discipline or year of the spec match nothing.
+        "oa_probability = biolgy:0.5",
+        "oa_probability = 1899:0.5",
     ])
     def test_bad_spec_value(self, line, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"

@@ -4,13 +4,14 @@ soundness against an independent reachability check, and the audit sampler."""
 import ast
 import inspect
 import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from oafinder import corpus as corpus_module
 from oafinder.corpus import (
-    Corpus,
     CorpusError,
     CorpusSpec,
     GroundTruth,
@@ -21,7 +22,6 @@ from oafinder.corpus import (
     generate_corpus,
     load_ground_truth,
     load_mock_web,
-    reachable_within_depth,
     run_audit,
 )
 from oafinder.records import DetectionEvidence, Verdict, load_records
@@ -29,6 +29,8 @@ from oafinder.robot.crawl import MAX_DEPTH, detect_oa, format_query
 from oafinder.robot.extract import extract_text
 from oafinder.robot.urls import host_of
 from oafinder.stats import sdt_analysis
+
+from oracles import reachable_within_depth
 
 
 def tree_bytes(root):
@@ -61,6 +63,23 @@ class TestSpecValidation:
         assert spec.oa_prob_for("economics", 1999) == 0.3
         assert spec.oa_prob_for("biology", 2000) == 0.2
         assert spec.oa_prob_for("physics", 2000) == 0.1
+
+    def test_oa_prob_key_names_spec_values(self):
+        # Each is a key oa_prob_for never looks up for this spec.
+        for key in ("physics", "1991", "2004", "01999", "|1999",
+                    "biology|1899", "physics|1999", "biology|", "Default"):
+            with pytest.raises(CorpusError, match=re.escape(repr(key))):
+                CorpusSpec(oa_probability={key: 0.5})
+
+    def test_multiplier_limit_is_the_samplers(self):
+        # Just below the limit the geometric draw still has a value; just
+        # above it 1 - 1/mean rounds to 1, and the draw would divide by 0.
+        spec = CorpusSpec(n_articles=50, oa_probability=1.0,
+                          oa_citation_multiplier=4.5e15)
+        assert max(r.citation_count
+                   for r in generate_corpus(spec).records) > 1e14
+        with pytest.raises(CorpusError, match="oa_citation_multiplier"):
+            CorpusSpec(oa_citation_multiplier=4.6e15)
 
 
 class TestDeterminism:
@@ -249,8 +268,21 @@ class TestGroundTruthSoundness:
 
 class TestOracleIndependence:
     def test_corpus_imports_no_matcher(self):
-        # The reachability oracle must not share the robot's matcher or its
-        # blocklist filter, or it shares their errors.
+        # The reachability oracle takes from oafinder only the mock web's
+        # contract, the depth cut-off and the query key, or it shares the
+        # robot's errors.
+        oracle_names = set()
+        oracle = Path(__file__).with_name("oracles.py")
+        for node in ast.walk(ast.parse(oracle.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("oafinder")
+                               for alias in node.names), ast.unparse(node)
+            elif (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("oafinder")):
+                oracle_names.update(alias.name for alias in node.names)
+        assert oracle_names == {"MAX_DEPTH", "format_query"}
+        # The planters it checks take nothing private from the robot, nor
+        # its matcher or its blocklist filter.
         for node in ast.walk(ast.parse(inspect.getsource(corpus_module))):
             if isinstance(node, ast.ImportFrom):
                 module = node.module or ""
@@ -260,6 +292,9 @@ class TestOracleIndependence:
                                     "match_full_text"}, ast.unparse(node)
                 if module.endswith("robot"):
                     assert "match" not in names, ast.unparse(node)
+                if module.startswith("robot"):
+                    assert not any(name.startswith("_") for name in names), \
+                        ast.unparse(node)
 
 
 class TestMockFetcher:

@@ -11,7 +11,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from oafinder import metrics
 from oafinder.metrics import (

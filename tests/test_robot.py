@@ -13,12 +13,13 @@ from oafinder.corpus import (
     MockSearchProvider,
     MockWeb,
     generate_corpus,
-    reachable_within_depth,
 )
 from oafinder.records import ArticleRecord, Verdict
 from oafinder.robot import extract, match
 from oafinder.robot.crawl import detect_oa, format_query
 from oafinder.robot.urls import normalize_url
+
+from oracles import reachable_within_depth
 
 TITLE = "Structural survey of policy diffusion mechanisms"
 SURNAME = "Lindqvist"

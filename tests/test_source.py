@@ -1,6 +1,7 @@
 """Checks on the source of src/oafinder itself: its modules read with ast,
 its compiled patterns read with re's own parser, and the names perfbench
-traces in it."""
+traces in it. The tests' own modules are held to the same unused-import
+check."""
 
 import ast
 import importlib
@@ -15,7 +16,11 @@ import oafinder
 
 PACKAGE = Path(oafinder.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+# Each module the unused-import check reads, by its test id.
+SOURCES = {str(p.relative_to(PACKAGE)): p for p in MODULES}
+SOURCES.update((f"tests/{p.name}", p) for p in sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -34,8 +39,7 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
                   if name not in read)
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=lambda p: str(p.relative_to(PACKAGE)))
+@pytest.mark.parametrize("path", SOURCES.values(), ids=list(SOURCES))
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []

@@ -16,13 +16,14 @@ from oafinder.stats import (
     StatsError,
     build_confusion_from_audit,
     correlate,
-    norm_cdf,
     pearson_r,
     probit,
     r_to_p,
     sdt_analysis,
     t_sf,
 )
+
+from oracles import norm_cdf
 
 
 # ---------------------------------------------------------------------------
