@@ -3,7 +3,8 @@ evaluate.
 
 Configuration is a flat key=value text file; command-line flags override
 file values. Exit codes are a stable contract: 0 success, 2 configuration
-or input error, 3 incomplete detections, 4 audit infeasible.
+or input error, 3 incomplete detections, 4 audit infeasible. The report
+commands stream their records into counts (metrics.Reports) and hold none.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import corpus as corpusmod
 from . import metrics, records, stats
-from .records import load_detections, load_records
+from .records import iter_records, load_detections, load_records, load_verdicts
 from .robot.crawl import detect_oa
 from .robot.extract import ExternalConverter
 
@@ -135,15 +136,21 @@ def _load(cfg: dict, key: str, loader):
         raise CliError(f"bad {key} file: {exc}")
 
 
-def _resolved_records(recs, detections,
+def _resolved_records(recs, is_oa: dict[str, bool],
                       allow_unknown: bool) -> metrics.Reports:
-    """The reports over recs, each paired with its detection's verdict, the
-    one join of records and verdicts. A record with no detection is
-    UNKNOWN: an error unless allow_unknown drops it."""
-    is_oa = {ev.article_id: ev.verdict is records.Verdict.OA
-             for ev in detections}
-    resolved = [(rec, is_oa[rec.id]) for rec in recs if rec.id in is_oa]
-    n_unknown = len(recs) - len(resolved)
+    """The reports over recs, a list or a stream, each paired with its
+    verdict in is_oa as read, the one join of records and verdicts. A record
+    with no verdict is UNKNOWN: an error unless allow_unknown drops it."""
+    n_read = 0
+
+    def resolved():
+        nonlocal n_read
+        for n_read, rec in enumerate(recs, start=1):
+            if rec.id in is_oa:
+                yield rec, is_oa[rec.id]
+
+    reports = metrics.Reports(resolved())
+    n_unknown = n_read - reports.n_records(kept=False)
     if n_unknown:
         if not allow_unknown:
             raise CliError(
@@ -151,28 +158,38 @@ def _resolved_records(recs, detections,
                 f"(run detect, or pass --allow-unknown)", EXIT_INCOMPLETE)
         print(f"warning: dropping {n_unknown} UNKNOWN records",
               file=sys.stderr)
-    return metrics.Reports(resolved)
+    return reports
 
 
 def _load_reports(cfg: dict) -> metrics.Reports:
-    """The reports over cfg's records resolved by its detections. The
-    allow_unknown value is checked before either file is read."""
+    """The reports over cfg's records, streamed inside _load, resolved by its
+    detections. allow_unknown is checked before either file is read."""
     allow = cfg.get("allow_unknown", "")
     if allow.lower() not in ("true", "1", "yes", "false", "0", "no", ""):
         raise CliError(f"bad value for allow_unknown: {allow!r}")
-    return _resolved_records(
-        _load(cfg, "records", load_records),
-        _load(cfg, "detections", load_detections),
-        allow.lower() in ("true", "1", "yes"))
+    is_oa = _load(cfg, "detections", load_verdicts)
+    return _load(cfg, "records", lambda path: _resolved_records(
+        iter_records(path), is_oa, allow.lower() in ("true", "1", "yes")))
 
 
-# The inputs a command may declare. main loads a command's inputs from cfg in
-# the order it declares them; evaluate passes in what the stage before made.
-# Each looks its loader up when called, so a wrapped loader is the one run.
+def _converter(cfg: dict):
+    """The ExternalConverter cfg's converter template names, or None."""
+    template = cfg.get("converter")
+    try:
+        return ExternalConverter(template) if template else None
+    except ValueError as exc:
+        raise CliError(f"bad value for converter: {exc}")
+
+
+# The inputs a command may declare, loaded from cfg in the order it declares
+# them, settings first; evaluate passes in what the stage before made. Each
+# looks its loader up when called, so a wrapped loader is the one run.
 _INPUTS = {
+    "audit": lambda cfg: _build(corpusmod.AuditConfig, cfg),
+    "converter": _converter,
     "recs": lambda cfg: _load(cfg, "records", load_records),
     "web": lambda cfg: _load(cfg, "mock_web", corpusmod.load_mock_web),
-    "detections": lambda cfg: _load(cfg, "detections", load_detections),
+    "verdicts": lambda cfg: _load(cfg, "detections", load_verdicts),
     "truth": lambda cfg: _load(cfg, "ground_truth",
                                corpusmod.load_ground_truth),
     "reports": _load_reports,
@@ -220,17 +237,12 @@ def _replay_journal(path) -> list:
     return load_detections(path)
 
 
-def cmd_detect(cfg: dict, recs, web) -> list:
-    """Detect every record not already in the journal; returns the
-    detections in records order."""
+def cmd_detect(cfg: dict, converter, recs, web) -> list:
+    """Detect every record not already in the journal, with converter (or
+    None) for non-HTML pages; returns the detections in records order."""
     det_path = Path(_require(cfg, "detections"))
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
-    converter_cmd = cfg.get("converter")
-    try:
-        converter = ExternalConverter(converter_cmd) if converter_cmd else None
-    except ValueError as exc:
-        raise CliError(f"bad value for converter: {exc}")
 
     # Resumable append-only journal: replay keeps the last entry per id.
     done: dict[str, records.DetectionEvidence] = {}
@@ -274,8 +286,8 @@ def cmd_analyze(cfg: dict, reports) -> None:
                                    out / f"oa_share_by_{dim}.csv")
         metrics.write_advantage_csv(reports.advantage(dim),
                                     out / f"advantage_by_{dim}.csv")
-    print(f"analyze: kept {len(reports.kept)}/{len(reports.resolved)} "
-          "records")
+    print(f"analyze: kept {reports.n_records(kept=True)}/"
+          f"{reports.n_records(kept=False)} records")
 
 
 def cmd_cohorts(cfg: dict, reports) -> None:
@@ -284,7 +296,7 @@ def cmd_cohorts(cfg: dict, reports) -> None:
                              out / "cohorts_yearly.csv")
     metrics.write_cohort_csv(reports.cohorts(per_year=False),
                              out / "cohorts_pooled.csv")
-    print(f"cohorts: {len(reports.resolved)} records")
+    print(f"cohorts: {reports.n_records(kept=False)} records")
 
 
 def cmd_correlate(cfg: dict, reports) -> None:
@@ -294,12 +306,11 @@ def cmd_correlate(cfg: dict, reports) -> None:
     print(f"correlate: {sum(1 for _, r in rows if r is not None)} pairs")
 
 
-def cmd_audit(cfg: dict, detections, truth) -> None:
-    """Score a seeded sample of the detections against ground truth, write
-    sdt.csv and print the audit line."""
-    audit = _build(corpusmod.AuditConfig, cfg)
+def cmd_audit(cfg: dict, audit, is_oa, truth) -> None:
+    """Score a seeded sample of the verdicts is_oa against ground truth, as
+    the AuditConfig audit says, write sdt.csv and print the audit line."""
     try:
-        matrix = corpusmod.run_audit(detections, truth, audit.sample_size,
+        matrix = corpusmod.run_audit(is_oa, truth, audit.sample_size,
                                      audit.seed)
     except (corpusmod.CorpusError, stats.StatsError) as exc:
         # StatsError: the sample lacks a true class, so d' has no value.
@@ -345,19 +356,19 @@ def cmd_evaluate(cfg: dict) -> None:
         "seed": cfg.get("seed", "0"),
     }
     # Bad audit settings stop the run before it writes anything.
-    _build(corpusmod.AuditConfig, base)
+    audit = _build(corpusmod.AuditConfig, base)
     corp = cmd_synth(dict(cfg, out=str(out / "corpus")))
     (out / "run.cfg").write_text(
         "".join(f"{k} = {v}\n" for k, v in base.items()), encoding="utf-8")
 
     # The corpus was just regenerated: an older journal belongs to another.
     (out / "detections.jsonl").unlink(missing_ok=True)
-    detections = cmd_detect(base, corp.records, corp.web)
-    reports = _resolved_records(corp.records, detections, allow_unknown=False)
+    is_oa = records.verdicts(cmd_detect(base, None, corp.records, corp.web))
+    reports = _resolved_records(corp.records, is_oa, allow_unknown=False)
     cmd_analyze(base, reports)
     cmd_cohorts(base, reports)
     cmd_correlate(base, reports)
-    cmd_audit(base, detections, corp.ground_truth)
+    cmd_audit(base, audit, is_oa, corp.ground_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, inputs=inputs)
 
     common(sub.add_parser("detect", help="classify each record OA/NOA"),
-           cmd_detect, ("recs", "web"), "records", "detections", "mock_web")
+           cmd_detect, ("converter", "recs", "web"), "records", "detections",
+           "mock_web")
 
     for name, fn in (("analyze", cmd_analyze), ("cohorts", cmd_cohorts),
                      ("correlate", cmd_correlate)):
@@ -387,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-unknown", action="store_true")
 
     p = sub.add_parser("audit", help="signal-detection audit vs ground truth")
-    common(p, cmd_audit, ("detections", "truth"), "detections", "out",
+    common(p, cmd_audit, ("audit", "verdicts", "truth"), "detections", "out",
            "ground_truth")
     p.add_argument("--seed", type=int)
 

@@ -18,9 +18,7 @@ from pathlib import Path
 from .records import (
     SHARED,
     ArticleRecord,
-    DetectionEvidence,
     ParseError,
-    Verdict,
     _read_jsonl,
     save_rows,
 )
@@ -441,15 +439,13 @@ class AuditConfig:
                 f"sample_size must be >= 1, got {self.sample_size}")
 
 
-def run_audit(detections: list[DetectionEvidence],
+def run_audit(is_oa: dict[str, bool],
               ground_truth: dict[str, GroundTruth],
               sample_size: int, seed: int) -> ConfusionMatrix:
-    """Draw sample_size robot-OA and robot-NOA articles uniformly without
-    replacement (seeded) and score them against ground truth."""
-    oa_tagged = sorted(ev.article_id for ev in detections
-                       if ev.verdict is Verdict.OA)
-    noa_tagged = sorted(ev.article_id for ev in detections
-                        if ev.verdict is Verdict.NOA)
+    """Draw sample_size robot-OA and robot-NOA articles of is_oa uniformly
+    without replacement (seeded) and score them against ground truth."""
+    oa_tagged = sorted(a for a, oa in is_oa.items() if oa)
+    noa_tagged = sorted(a for a, oa in is_oa.items() if not oa)
     for name, pool in (("OA", oa_tagged), ("NOA", noa_tagged)):
         if len(pool) < sample_size:
             raise CorpusError(

@@ -4,11 +4,10 @@ deterministic CSV report writers.
 
 The table functions are pure and sort each report by group key, so reruns are
 byte-identical; Reports keeps one run's tables and decides which records each
-counts. All read resolved records, each a (record, is_oa) pair:
-cli._resolved_records is the one place that makes the pairs and decides what
-happens to an UNKNOWN record. The exclusions and the advantage read one
-per-issue table of OA and NOA counts and citation sums, built by issue_sums;
-%OA and the cohort tables are flat passes over the pairs.
+counts. Every table folds one Tally, filled in one pass over resolved records,
+each a (record, is_oa) pair, which may be a stream: cli._resolved_records is
+the one place that makes the pairs and decides what happens to an UNKNOWN
+record. No table holds a record.
 """
 
 from __future__ import annotations
@@ -17,13 +16,10 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import stats
-from .records import ALL_RANGES, ArticleRecord, CitationRange
-
-# A resolved record: the record and whether its verdict is OA.
-Resolved = tuple[ArticleRecord, bool]
+from .records import ALL_RANGES, ArticleRecord, CitationRange, bin_citations
 
 # Exclusion reasons
 ALL_OA_JOURNAL = "ALL_OA_JOURNAL"
@@ -33,32 +29,45 @@ ZERO_NOA_CITATIONS = "ZERO_NOA_CITATIONS"
 
 
 # ---------------------------------------------------------------------------
-# Per-issue sums
+# The tally
 # ---------------------------------------------------------------------------
 
 class IssueSums:
-    """One issue's first record in records order, and its record counts and
-    citation sums, each [OA, NOA]."""
+    """One issue's group fields, copied from its first record in records
+    order, and its record counts and citation sums, each [OA, NOA]."""
 
-    __slots__ = ("first", "n", "cites")
+    __slots__ = ("journal_id", "discipline", "country", "year", "n", "cites")
 
     def __init__(self, first: ArticleRecord):
-        self.first = first
+        self.journal_id, self.year = first.journal_id, first.year
+        self.discipline, self.country = first.discipline, first.country
         self.n = [0, 0]
         self.cites = [0, 0]
 
 
-def issue_sums(resolved: list[Resolved]) -> dict[str, IssueSums]:
-    """Issue key -> its IssueSums, in the order issues first appear."""
-    sums: dict[str, IssueSums] = {}
-    for rec, is_oa in resolved:
-        issue = sums.get(rec.issue_key)
-        if issue is None:
-            issue = sums[rec.issue_key] = IssueSums(rec)
-        noa = not is_oa  # index 0 counts OA, 1 NOA
-        issue.n[noa] += 1
-        issue.cites[noa] += rec.citation_count
-    return sums
+# The record fields of a Tally.cells key, before its class (0 OA, 1 NOA).
+CELL_FIELDS = ("issue_key", "discipline", "country", "year")
+
+
+class Tally:
+    """Counts of resolved records, filled in one pass. sums: issue key ->
+    IssueSums, in the order issues first appear. cells: records by
+    CELL_FIELDS (each by its own discipline and country) and class.
+    citations: records by year, citation count and class."""
+
+    def __init__(self, resolved: Iterable[tuple[ArticleRecord, bool]]):
+        self.sums: dict[str, IssueSums] = {}
+        self.cells, self.citations = defaultdict(int), defaultdict(int)
+        for rec, is_oa in resolved:
+            issue = self.sums.get(rec.issue_key)
+            if issue is None:
+                issue = self.sums[rec.issue_key] = IssueSums(rec)
+            noa = not is_oa  # index 0 counts OA, 1 NOA
+            issue.n[noa] += 1
+            issue.cites[noa] += rec.citation_count
+            self.cells[rec.issue_key, rec.discipline, rec.country, rec.year,
+                       noa] += 1
+            self.citations[rec.year, rec.citation_count, noa] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +91,7 @@ def apply_exclusions(sums: dict[str, IssueSums]
     """
     journals = defaultdict(lambda: [0, 0])  # journal -> [n_oa, n_noa]
     for issue in sums.values():
-        counts = journals[issue.first.journal_id]
+        counts = journals[issue.journal_id]
         counts[0] += issue.n[0]
         counts[1] += issue.n[1]
     log = [Exclusion("journal", key, ALL_OA_JOURNAL, n_oa)
@@ -90,7 +99,7 @@ def apply_exclusions(sums: dict[str, IssueSums]
     # An issue of an all-OA journal is all OA too: it goes with its journal.
     log += [Exclusion("issue", key, ALL_OA_ISSUE, sums[key].n[0])
             for key in sorted(sums)
-            if not sums[key].n[1] and journals[sums[key].first.journal_id][1]]
+            if not sums[key].n[1] and journals[sums[key].journal_id][1]]
     return {key: issue for key, issue in sums.items() if issue.n[1]}, log
 
 
@@ -109,12 +118,15 @@ class OAShareReport:
         return self.n_oa / (self.n_oa + self.n_noa)
 
 
-def percent_oa(resolved: list[Resolved], group_by: str) -> list[OAShareReport]:
-    """OA share n_oa / (n_oa + n_noa) per value of the record field
-    group_by, sorted by its text as every table's groups are."""
+def percent_oa(tally: Tally, group_by: str, issues=None
+               ) -> list[OAShareReport]:
+    """OA share n_oa / (n_oa + n_noa) per value of group_by, a CELL_FIELDS
+    field, over issues (None: all), sorted by text as every table is."""
+    at = CELL_FIELDS.index(group_by)
     counts = defaultdict(lambda: [0, 0])  # group -> [n_oa, n_noa]
-    for rec, is_oa in resolved:
-        counts[getattr(rec, group_by)][not is_oa] += 1
+    for key, n in tally.cells.items():
+        if issues is None or key[0] in issues:
+            counts[key[at]][key[-1]] += n
     return [OAShareReport(g, counts[g][0], counts[g][1])
             for g in sorted(counts, key=str)]
 
@@ -153,8 +165,8 @@ class AdvantageReport:
 def aggregate_advantage(sums: dict[str, IssueSums], group_by: str
                         ) -> list[AdvantageReport]:
     """Per-issue ratios averaged to journal, then journals averaged to the
-    group, the value of the record field group_by on each issue's first
-    record, each with equal weight (the within-issue ratio of Lawrence
+    group, the IssueSums field group_by (the value on each issue's first
+    record), each with equal weight (the within-issue ratio of Lawrence
     2001)."""
     # group -> journal -> issue ratios; a journal spans groups when grouping
     # by year, so the journal level is keyed per group.
@@ -162,12 +174,12 @@ def aggregate_advantage(sums: dict[str, IssueSums], group_by: str
     excluded = defaultdict(list)
     for issue_key in sorted(sums):
         issue = sums[issue_key]
-        group = getattr(issue.first, group_by)
+        group = getattr(issue, group_by)
         ratio, reason = issue_advantage(issue)
         if ratio is None:
             excluded[group].append(reason)
         else:
-            ratios[group][issue.first.journal_id].append(ratio)
+            ratios[group][issue.journal_id].append(ratio)
 
     reports = []
     for group in sorted(set(ratios) | set(excluded), key=str):
@@ -209,18 +221,17 @@ def cohort_cell(oa_in_range: int, oa_total: int,
                       (oa_share - noa_share) / noa_share)
 
 
-def cohort_table(resolved: list[Resolved], per_year: bool = True
+def cohort_table(tally: Tally, per_year: bool = True
                  ) -> dict[object, dict[CitationRange, CohortCell]]:
     """OA_c / NOA_c shares per citation range, keyed by year (per_year) or by
     the single key "all" (pooled over all years). Groups where either
     population is empty have no defined shares and are omitted."""
     counts = defaultdict(lambda: defaultdict(lambda: [0, 0]))  # key -> range -> [oa, noa]
     totals = defaultdict(lambda: [0, 0])
-    for rec, is_oa in resolved:
-        key = rec.year if per_year else "all"
-        noa = not is_oa  # index 0 counts OA, 1 NOA
-        counts[key][rec.citation_range][noa] += 1
-        totals[key][noa] += 1
+    for (year, cites, noa), n in tally.citations.items():
+        key = year if per_year else "all"
+        counts[key][bin_citations(cites)][noa] += n
+        totals[key][noa] += n
     table = {}
     for key in sorted(counts, key=str):
         oa_total, noa_total = totals[key]
@@ -239,14 +250,14 @@ def cohort_table(resolved: list[Resolved], per_year: bool = True
 # ---------------------------------------------------------------------------
 
 class Reports:
-    """One run's report tables over its resolved records, each computed on
-    first read and then kept. It alone decides which records a table counts:
-    %OA and the advantage count the records kept after exclusions; the
-    cohort tables, and the correlations' %OA and totals by year, count them
-    all."""
+    """One run's report tables over its resolved records' Tally, each
+    computed on first read and then kept. It alone decides which records a
+    table counts: %OA and the advantage count the records kept after
+    exclusions; the cohort tables, and the correlations' %OA and totals by
+    year, count them all."""
 
-    def __init__(self, resolved: list[Resolved]):
-        self.resolved = resolved
+    def __init__(self, resolved: Iterable[tuple[ArticleRecord, bool]]):
+        self.tally = Tally(resolved)
         self._tables: dict = {}
 
     def _once(self, key, build):
@@ -257,17 +268,15 @@ class Reports:
     @cached_property
     def exclusions(self) -> tuple[dict[str, IssueSums], list[Exclusion]]:
         """The kept issues' sums and the exclusion log."""
-        return apply_exclusions(issue_sums(self.resolved))
+        return apply_exclusions(self.tally.sums)
 
-    @cached_property
-    def kept(self) -> list[Resolved]:
-        """The resolved records of the kept issues, in records order."""
-        issues = self.exclusions[0]
-        return [pair for pair in self.resolved if pair[0].issue_key in issues]
+    def n_records(self, kept: bool) -> int:
+        issues = self.exclusions[0] if kept else self.tally.sums
+        return sum(sum(issue.n) for issue in issues.values())
 
     def oa_share(self, dim: str) -> list[OAShareReport]:
-        return self._once(("oa_share", dim),
-                          lambda: percent_oa(self.kept, dim))
+        return self._once(("oa_share", dim), lambda: percent_oa(
+            self.tally, dim, self.exclusions[0]))
 
     def advantage(self, dim: str) -> list[AdvantageReport]:
         return self._once(("advantage", dim),
@@ -275,12 +284,12 @@ class Reports:
 
     def cohorts(self, per_year: bool) -> dict:
         return self._once(("cohorts", per_year),
-                          lambda: cohort_table(self.resolved, per_year))
+                          lambda: cohort_table(self.tally, per_year))
 
     @cached_property
     def correlations(self) -> list:
         """The rows of correlations.csv: (pair name, result or None)."""
-        shares = percent_oa(self.resolved, "year")
+        shares = percent_oa(self.tally, "year")
         years = {rep.group: rep.group for rep in shares}  # the x_year series
         total = {rep.group: rep.n_oa + rep.n_noa for rep in shares}
         pct = {rep.group: rep.percent_oa for rep in shares}

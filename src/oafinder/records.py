@@ -17,8 +17,8 @@ Nothing of that outlives the read.
 
 ArticleRecord.validate, run wherever records are read, is the one check of
 an issue key's "journal_id|year|issue" shape. A record holds no OA verdict:
-its detection does, and cli._resolved_records is the one place that pairs
-each record with its detection's verdict.
+its detection does: verdicts keys the last one of each id, for the reports
+and the audit, and cli._resolved_records pairs each streamed record with it.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class ArticleRecord:
                 f"record {self.id}: issue_key {self.issue_key!r} is not "
                 f"'{self.journal_id}|{self.year}|<issue>'"
             )
-
-    @property
-    def citation_range(self) -> CitationRange:
-        return bin_citations(self.citation_count)
 
 
 class Verdict(enum.Enum):
@@ -220,17 +216,21 @@ def row_to_json(row) -> str:
     return _ROW_ENCODER.encode(vars(row))
 
 
-def load_records(path) -> list[ArticleRecord]:
-    """Load and validate a JSONL records file, one object per line. Ids are
-    unique: a repeated id is a ParseError naming both lines."""
-    recs, first_line = [], {}
+def iter_records(path) -> Iterator[ArticleRecord]:
+    """Stream and validate a JSONL records file, one object per line. Ids
+    are unique: a repeated id is a ParseError naming both lines."""
+    first_line = {}
     for lineno, rec in _read_jsonl(path, ArticleRecord):
         if rec.id in first_line:
             raise ParseError(f"{path}:{lineno}: duplicate record id "
                              f"{rec.id!r}, first on line {first_line[rec.id]}")
         first_line[rec.id] = lineno
-        recs.append(rec)
-    return recs
+        yield rec
+
+
+def load_records(path) -> list[ArticleRecord]:
+    """Every record of a JSONL records file, as iter_records reads them."""
+    return list(iter_records(path))
 
 
 def save_rows(rows: Iterable, path) -> None:
@@ -249,3 +249,12 @@ def load_detections(path) -> list[DetectionEvidence]:
     reader that keys them by id keeps the last."""
     return [ev for _, ev in _read_jsonl(path, DetectionEvidence)]
 
+
+def verdicts(detections: Iterable[DetectionEvidence]) -> dict[str, bool]:
+    """Article id -> whether its last detection's verdict is OA."""
+    return {ev.article_id: ev.verdict is Verdict.OA for ev in detections}
+
+
+def load_verdicts(path) -> dict[str, bool]:
+    """The verdicts of a detections file, read without keeping its rows."""
+    return verdicts(ev for _, ev in _read_jsonl(path, DetectionEvidence))

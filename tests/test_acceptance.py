@@ -11,6 +11,7 @@ import random
 import statistics
 import time
 from collections import defaultdict
+from urllib.parse import urlsplit, urlunsplit
 
 import pytest
 
@@ -20,6 +21,7 @@ from oafinder.corpus import (
     CorpusSpec,
     MockFetcher,
     MockSearchProvider,
+    MockWeb,
     generate_corpus,
 )
 from oafinder.records import (
@@ -135,6 +137,38 @@ def test_c4_end_to_end_mock_web_detection():
           f"rejections in {elapsed:.1f}s (<30s)")
 
 
+def test_c4_non_canonical_search_results():
+    # Every search result rewritten to an equivalent but non-canonical URL
+    # (upper-case scheme and host, the default port, a "./" segment), so the
+    # robot must canonicalize each one before it fetches: the evidence is
+    # that of the original web, article for article.
+    corpus = generate_corpus(CorpusSpec(n_articles=300, seed=3))
+
+    def non_canonical(url):
+        parts = urlsplit(url)
+        assert parts.scheme == "http" and parts.port is None, url
+        return urlunsplit(("HTTP", parts.hostname.upper() + ":80",
+                           "/." + parts.path, parts.query, parts.fragment))
+
+    queries = {query: [non_canonical(url) for url in results]
+               for query, results in corpus.web.queries.items()}
+    rewritten = MockWeb(pages=corpus.web.pages, queries=queries)
+    assert sum(map(len, queries.values())) > 200
+    assert not set(corpus.web.pages) & {url for results in queries.values()
+                                        for url in results}
+
+    def evidence(web):
+        provider, fetcher = MockSearchProvider(web), MockFetcher(web)
+        return [detect_oa(rec, provider, fetcher) for rec in corpus.records]
+
+    original = evidence(corpus.web)
+    assert evidence(rewritten) == original
+    n_oa = sum(ev.verdict is Verdict.OA for ev in original)
+    assert n_oa == 33
+    ok(4, f"300 articles with non-canonical search results: the same "
+          f"evidence as the canonical web, {n_oa} OA")
+
+
 def test_c5_depth_cutoff():
     from test_robot import RECORD, make_web
 
@@ -147,12 +181,13 @@ def test_c5_depth_cutoff():
     ok(5, "3-link chain -> OA at depth 3; 4-link chain -> NOA{EXHAUSTED}")
 
 
-def _rec(i, journal, issue, oa, cites, year=2000):
+def _rec(i, journal, issue, oa, cites, year=2000, discipline="biology",
+         country="US"):
     """A resolved record: (record, is_oa)."""
     return ArticleRecord(
         id=f"x{i}", first_author_surname="Reed", title=f"Item {i}",
         journal_id=journal, issue_key=f"{journal}|{year}|{issue}", year=year,
-        discipline="biology", country="US", citation_count=cites), oa
+        discipline=discipline, country=country, citation_count=cites), oa
 
 
 def brute_force_advantage(records):
@@ -203,7 +238,7 @@ def test_c6_exclusion_rules_and_oracle():
                 _rec(next(i), "j-other", 2, True, 10),
                 _rec(next(i), "j-other", 2, False, 4)]
 
-    kept, log = metrics.apply_exclusions(metrics.issue_sums(records))
+    kept, log = metrics.apply_exclusions(metrics.Tally(records).sums)
     logged = {(e.kind, e.key, e.reason) for e in log}
     assert ("journal", "j-allOA", metrics.ALL_OA_JOURNAL) in logged
     assert ("issue", "j-mixed|2000|1", metrics.ALL_OA_ISSUE) in logged
@@ -225,7 +260,7 @@ def test_c7_null_and_planted_advantage():
     # Records resolved from ground truth, bypassing the robot.
     null = generate_corpus(null_spec)
     null_recs = [(r, null.ground_truth[r.id].oa) for r in null.records]
-    kept, _ = metrics.apply_exclusions(metrics.issue_sums(null_recs))
+    kept, _ = metrics.apply_exclusions(metrics.Tally(null_recs).sums)
     reports = metrics.aggregate_advantage(kept, "discipline")
     advs = [r.advantage for r in reports if r.advantage is not None]
     null_adv = sum(advs) / len(advs)
@@ -236,7 +271,7 @@ def test_c7_null_and_planted_advantage():
     planted = generate_corpus(planted_spec)
     planted_recs = [(r, planted.ground_truth[r.id].oa)
                     for r in planted.records]
-    kept2, _ = metrics.apply_exclusions(metrics.issue_sums(planted_recs))
+    kept2, _ = metrics.apply_exclusions(metrics.Tally(planted_recs).sums)
     reports2 = metrics.aggregate_advantage(kept2, "discipline")
     advs2 = [r.advantage for r in reports2 if r.advantage is not None]
     planted_adv = sum(advs2) / len(advs2)
@@ -321,13 +356,15 @@ def test_c10_correlations_flat_loop_oracle(tmp_path):
     # Eight years of three mixed journals, a growing all-OA journal and, in
     # odd years, an all-OA issue of j1. The %OA, the article totals and the
     # range ratios count every record, the all-OA ones too; the advantage
-    # counts the records the exclusions keep (an all-OA issue has no ratio).
+    # and the %OA tables of analyze count the records the exclusions keep
+    # (an all-OA issue has no ratio). One issue of j2 holds records of
+    # three disciplines and countries.
     rng = random.Random(10)
     records = []
 
-    def add(journal, issue, oa, year):
+    def add(journal, issue, oa, year, discipline="biology", country="US"):
         records.append(_rec(len(records), journal, issue, oa,
-                            rng.randrange(25), year))
+                            rng.randrange(25), year, discipline, country))
 
     for year in range(1995, 2003):
         for journal in ("j1", "j2", "j3"):
@@ -338,14 +375,19 @@ def test_c10_correlations_flat_loop_oracle(tmp_path):
             add("j-allOA", 1, True, year)
         for _ in range(3 * (year % 2)):
             add("j1", 3, True, year)
+    for k in range(9):
+        add("j2", 4, k % 4 == 0, 1999,
+            discipline=("physics", "chemistry", "biology")[k % 3],
+            country=("DE", "US", "FR")[k // 3])
     save_rows([r for r, _ in records], tmp_path / "records.jsonl")
     save_rows([
         DetectionEvidence(r.id, Verdict.OA, url=f"http://oa.test/{r.id}")
         if is_oa else DetectionEvidence(r.id, Verdict.NOA)
         for r, is_oa in records], tmp_path / "detections.jsonl")
-    assert main(["correlate", "--records", str(tmp_path / "records.jsonl"),
-                 "--detections", str(tmp_path / "detections.jsonl"),
-                 "--out", str(tmp_path / "r")]) == 0
+    for cmd in ("correlate", "analyze"):
+        assert main([cmd, "--records", str(tmp_path / "records.jsonl"),
+                     "--detections", str(tmp_path / "detections.jsonl"),
+                     "--out", str(tmp_path / "r")]) == 0
     with open(tmp_path / "r" / "correlations.csv", encoding="utf-8") as fh:
         rows = {row["pair"]: row for row in csv.DictReader(fh)}
 
@@ -393,5 +435,20 @@ def test_c10_correlations_flat_loop_oracle(tmp_path):
                                  if r.journal_id != "j-allOA") for y in years]
     assert statistics.correlation(pct_mixed, years) != \
         pytest.approx(float(rows["pct_oa_x_year"]["r"]), abs=1e-3)
+
+    # %OA by each record's own discipline and country, over the records of
+    # the issues that hold a NOA record.
+    kept = [(r, is_oa) for r, is_oa in records
+            if any(not o for q, o in records if q.issue_key == r.issue_key)]
+    for dim in ("discipline", "country", "year"):
+        counts = defaultdict(lambda: [0, 0])
+        for r, is_oa in kept:
+            counts[str(getattr(r, dim))][0 if is_oa else 1] += 1
+        with open(tmp_path / "r" / f"oa_share_by_{dim}.csv",
+                  encoding="utf-8") as fh:
+            table = {row["group"]: [int(row["n_oa"]), int(row["n_noa"])]
+                     for row in csv.DictReader(fh)}
+        assert table == counts, dim
     ok(10, f"{len(rows)} correlations.csv rows match a flat-loop recount, "
-           "%OA and totals over every record, the advantage over kept ones")
+           "%OA and totals over every record, the advantage and analyze's "
+           "%OA over kept ones")

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, config handling, resumable
 detection, and byte-identical reruns."""
 
+import csv
 import hashlib
 import json
 import os
@@ -47,6 +48,21 @@ def detections(corpus_dir, tmp_path_factory):
     path = tmp_path_factory.mktemp("det") / "detections.jsonl"
     assert run_detect(corpus_dir, path) == 0
     return path
+
+
+def count_loads(monkeypatch):
+    """Wrap every reader of a command's input files; returns a Counter of
+    calls by reader name."""
+    calls = Counter()
+    for mod, name in ((cli, "load_records"), (cli, "iter_records"),
+                      (cli, "load_detections"), (cli, "load_verdicts"),
+                      (corpus, "load_mock_web"),
+                      (corpus, "load_ground_truth")):
+        def counted(*args, _load=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _load(*args)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def write_report_config(tmp_path, corpus_dir, detections, extra):
@@ -798,33 +814,36 @@ class TestReports:
 
     @staticmethod
     def count_table_calls(monkeypatch):
-        """Wrap the metrics table functions; returns a Counter of calls by
-        (function, dimension) and, for cohort_table, by per_year."""
+        """Wrap the tally and the metrics table functions; returns a Counter
+        of calls by (function, dimension) and, for cohort_table, by
+        per_year; a percent_oa over the kept issues adds "kept"."""
         calls = Counter()
 
         def counted(name, fn):
-            def wrapper(records, *args, **kwargs):
-                calls[(name, *args, *kwargs.values())] += 1
-                return fn(records, *args, **kwargs)
+            def wrapper(counts, *args, **kwargs):
+                calls[(name, *("kept" if isinstance(arg, dict) else arg
+                               for arg in (*args, *kwargs.values())))] += 1
+                return fn(counts, *args, **kwargs)
             return wrapper
 
-        for name in ("issue_sums", "apply_exclusions", "percent_oa",
+        for name in ("Tally", "apply_exclusions", "percent_oa",
                      "aggregate_advantage", "cohort_table"):
             monkeypatch.setattr(metrics, name,
                                 counted(name, getattr(metrics, name)))
         return calls
 
     @pytest.mark.parametrize("cmd,expected", [
-        ("analyze", {("issue_sums",): 1,
+        ("analyze", {("Tally",): 1,
                      ("apply_exclusions",): 1,
-                     ("percent_oa", "discipline"): 1,
-                     ("percent_oa", "country"): 1,
-                     ("percent_oa", "year"): 1,
+                     ("percent_oa", "discipline", "kept"): 1,
+                     ("percent_oa", "country", "kept"): 1,
+                     ("percent_oa", "year", "kept"): 1,
                      ("aggregate_advantage", "discipline"): 1,
                      ("aggregate_advantage", "country"): 1,
                      ("aggregate_advantage", "year"): 1}),
-        ("cohorts", {("cohort_table", True): 1, ("cohort_table", False): 1}),
-        ("correlate", {("issue_sums",): 1,
+        ("cohorts", {("Tally",): 1, ("cohort_table", True): 1,
+                     ("cohort_table", False): 1}),
+        ("correlate", {("Tally",): 1,
                        ("apply_exclusions",): 1,
                        ("percent_oa", "year"): 1,
                        ("aggregate_advantage", "year"): 1,
@@ -844,11 +863,12 @@ class TestReports:
                      "--sample-size", "10"]) == 0
         # %OA by year is two tables: over the kept records for
         # oa_share_by_year.csv, over all of them for correlations.csv.
-        assert calls == {("issue_sums",): 1,
+        assert calls == {("Tally",): 1,
                          ("apply_exclusions",): 1,
-                         ("percent_oa", "discipline"): 1,
-                         ("percent_oa", "country"): 1,
-                         ("percent_oa", "year"): 2,
+                         ("percent_oa", "discipline", "kept"): 1,
+                         ("percent_oa", "country", "kept"): 1,
+                         ("percent_oa", "year", "kept"): 1,
+                         ("percent_oa", "year"): 1,
                          ("aggregate_advantage", "discipline"): 1,
                          ("aggregate_advantage", "country"): 1,
                          ("aggregate_advantage", "year"): 1,
@@ -878,6 +898,36 @@ class TestReports:
             assert main(["audit", "--config", str(cfg), *argv]) == 0
             sdt[name] = (tmp_path / name / "sdt.csv").read_bytes()
         assert sdt["flag"] == sdt["cfg0"] != sdt["cfg5"]
+
+    def test_audit_takes_the_last_verdict_of_an_id(self, tmp_path):
+        # a0 and b0 change verdict on a later line, as in a resumed journal:
+        # each is audited by its last verdict only, in one pool, so each
+        # pool holds two articles: OA {a1, b0}, NOA {a0, b1}. A sample of 3
+        # is infeasible, and one of 2 draws each pool whole.
+        lines = [("a0", Verdict.OA), ("a1", Verdict.OA), ("b0", Verdict.NOA),
+                 ("b1", Verdict.NOA), ("a0", Verdict.NOA), ("b0", Verdict.OA)]
+        journal = tmp_path / "journal.jsonl"
+        save_rows([DetectionEvidence(art, v, url="http://x.example/")
+                   if v is Verdict.OA else DetectionEvidence(art, v)
+                   for art, v in lines], journal)
+        truth = tmp_path / "truth.jsonl"
+        save_rows([corpus.GroundTruth(art, art.startswith("a"))
+                   for art in ("a0", "a1", "b0", "b1")], truth)
+        out = tmp_path / "r"
+
+        def audit(sample_size):
+            cfg = tmp_path / "audit.cfg"
+            cfg.write_text(f"sample_size = {sample_size}\n")
+            return main(["audit", "--config", str(cfg), "--detections",
+                         str(journal), "--ground-truth", str(truth),
+                         "--out", str(out), "--seed", "0"])
+
+        assert audit(3) == 4
+        assert audit(2) == 0
+        row = dict(zip(*csv.reader(
+            (out / "sdt.csv").read_text().splitlines())))
+        assert [row[k] for k in ("hits", "misses", "false_alarms",
+                                 "correct_rejections")] == ["1", "1", "1", "1"]
 
     def test_audit_writes_sdt_csv(self, corpus_dir, detections, tmp_path):
         cfg = write_report_config(tmp_path, corpus_dir, detections, "")
@@ -997,22 +1047,13 @@ class TestSynthAndEvaluate:
     def test_evaluate_reads_nothing_back(self, tmp_path, monkeypatch):
         # Each stage gets what the one before it returned, so evaluate
         # loads none of the files it writes.
-        calls = {}
-        for mod, name in ((cli, "load_records"), (cli, "load_detections"),
-                          (corpus, "load_mock_web"),
-                          (corpus, "load_ground_truth")):
-            def counted(*args, _load=getattr(mod, name), _name=name):
-                calls[_name] += 1
-                return _load(*args)
-            calls[name] = 0
-            monkeypatch.setattr(mod, name, counted)
+        calls = count_loads(monkeypatch)
         spec = tmp_path / "spec.cfg"
         spec.write_text("n_articles = 60\noa_probability = 0.3\n")
         assert main(["evaluate", "--spec", str(spec), "--out",
                      str(tmp_path / "run"), "--seed", "4",
                      "--sample-size", "10"]) == 0
-        assert calls == {"load_records": 0, "load_detections": 0,
-                         "load_mock_web": 0, "load_ground_truth": 0}
+        assert calls == Counter()
 
     def test_evaluate_rerun_other_seed(self, tmp_path):
         # Article ids repeat across seeds, so a journal left by another
@@ -1037,27 +1078,35 @@ class TestSynthAndEvaluate:
 class TestInputLoading:
     @pytest.mark.parametrize("cmd,loads", [
         ("detect", {"load_records": 1, "load_mock_web": 1}),
-        ("analyze", {"load_records": 1, "load_detections": 1}),
-        ("cohorts", {"load_records": 1, "load_detections": 1}),
-        ("correlate", {"load_records": 1, "load_detections": 1}),
-        ("audit", {"load_detections": 1, "load_ground_truth": 1}),
+        ("analyze", {"iter_records": 1, "load_verdicts": 1}),
+        ("cohorts", {"iter_records": 1, "load_verdicts": 1}),
+        ("correlate", {"iter_records": 1, "load_verdicts": 1}),
+        ("audit", {"load_verdicts": 1, "load_ground_truth": 1}),
     ])
     def test_standalone_command_loads_each_input_once(
             self, cmd, loads, corpus_dir, detections, tmp_path, monkeypatch):
-        calls = Counter()
-        for mod, name in ((cli, "load_records"), (cli, "load_detections"),
-                          (corpus, "load_mock_web"),
-                          (corpus, "load_ground_truth")):
-            def counted(*args, _load=getattr(mod, name), _name=name):
-                calls[_name] += 1
-                return _load(*args)
-            monkeypatch.setattr(mod, name, counted)
+        calls = count_loads(monkeypatch)
         cfg = write_report_config(tmp_path, corpus_dir, detections, "")
         argv = [cmd, "--config", str(cfg)]
         if cmd == "detect":  # a fresh journal, so none is replayed
             argv += ["--detections", str(tmp_path / "d.jsonl")]
         assert main(argv) == 0
         assert calls == Counter(loads)
+
+    @pytest.mark.parametrize("cmd,line", [
+        ("audit", "sample_size = 0"),
+        ("audit", "seed = x"),
+        ("detect", "converter = cat {input}"),
+    ])
+    def test_bad_setting_reads_no_input(self, cmd, line, corpus_dir,
+                                        detections, tmp_path, monkeypatch):
+        calls = count_loads(monkeypatch)
+        cfg = write_report_config(tmp_path, corpus_dir, detections, line)
+        argv = [cmd, "--config", str(cfg)]
+        if cmd == "detect":  # a fresh journal, so none is replayed
+            argv += ["--detections", str(tmp_path / "d.jsonl")]
+        assert main(argv) == 2
+        assert calls == Counter()
 
 
 class TestConfigParsing:

@@ -24,7 +24,7 @@ from oafinder.corpus import (
     load_mock_web,
     run_audit,
 )
-from oafinder.records import DetectionEvidence, Verdict, load_records
+from oafinder.records import DetectionEvidence, Verdict, load_records, verdicts
 from oafinder.robot.crawl import MAX_DEPTH, detect_oa, format_query
 from oafinder.robot.extract import extract_text
 from oafinder.robot.urls import host_of
@@ -313,11 +313,11 @@ class TestMockFetcher:
 
 class TestAudit:
     @staticmethod
-    def detections(tags):
-        return [DetectionEvidence(article_id=f"a{i}", verdict=v,
-                                  url="http://h.example/p.txt" if v is Verdict.OA else None,
-                                  depth=0)
-                for i, v in enumerate(tags)]
+    def verdicts(tags):
+        return verdicts([DetectionEvidence(
+            article_id=f"a{i}", verdict=v,
+            url="http://h.example/p.txt" if v is Verdict.OA else None,
+            depth=0) for i, v in enumerate(tags)])
 
     @staticmethod
     def truth(tags, truths):
@@ -327,7 +327,7 @@ class TestAudit:
     def test_perfect_robot_zero_errors(self):
         tags = [Verdict.OA] * 120 + [Verdict.NOA] * 150
         truths = [True] * 120 + [False] * 150
-        m = run_audit(self.detections(tags), self.truth(tags, truths),
+        m = run_audit(self.verdicts(tags), self.truth(tags, truths),
                       sample_size=100, seed=1)
         assert m.misses == 0 and m.false_alarms == 0
         assert m.hits == 100 and m.correct_rejections == 100
@@ -336,7 +336,7 @@ class TestAudit:
         # robot-OA pool: 81 true, 19 false; robot-NOA pool: 6 true, 94 false
         tags = [Verdict.OA] * 100 + [Verdict.NOA] * 100
         truths = [True] * 81 + [False] * 19 + [True] * 6 + [False] * 94
-        m = run_audit(self.detections(tags), self.truth(tags, truths),
+        m = run_audit(self.verdicts(tags), self.truth(tags, truths),
                       sample_size=100, seed=0)
         assert (m.hits, m.misses, m.false_alarms, m.correct_rejections) == \
             (81, 6, 19, 94)
@@ -349,7 +349,7 @@ class TestAudit:
         truths = ([i % 3 != 0 for i in range(200)]
                   + [i % 7 == 0 for i in range(200)])
         gt = self.truth(tags, truths)
-        dets = self.detections(tags)
+        dets = self.verdicts(tags)
         assert run_audit(dets, gt, sample_size=50, seed=4) == \
             run_audit(dets, gt, sample_size=50, seed=4)
         # counts can collide across seeds, but not for every seed
@@ -361,7 +361,7 @@ class TestAudit:
         tags = [Verdict.OA] * 10 + [Verdict.NOA] * 100
         truths = [True] * 10 + [False] * 100
         with pytest.raises(CorpusError, match="only 10"):
-            run_audit(self.detections(tags), self.truth(tags, truths),
+            run_audit(self.verdicts(tags), self.truth(tags, truths),
                       sample_size=100, seed=0)
 
     def test_missing_ground_truth_rejected(self):
@@ -370,7 +370,7 @@ class TestAudit:
         gt = self.truth(tags, truths)
         del gt["a3"]
         with pytest.raises(CorpusError, match="a3"):
-            run_audit(self.detections(tags), gt, sample_size=5, seed=0)
+            run_audit(self.verdicts(tags), gt, sample_size=5, seed=0)
 
 
 class TestScale:

@@ -7,8 +7,11 @@ pipeline helpers).
 """
 
 import csv
+import gc
 import random
+import weakref
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,12 +22,12 @@ from oafinder.metrics import (
     ALL_OA_ISSUE,
     ALL_OA_JOURNAL,
     ZERO_NOA_CITATIONS,
+    Tally,
     aggregate_advantage,
     apply_exclusions,
     cohort_cell,
     cohort_table,
     issue_advantage,
-    issue_sums,
     percent_oa,
 )
 from oafinder.records import ALL_RANGES, ArticleRecord, CitationRange
@@ -40,13 +43,18 @@ def rec(i, journal="j1", year=2000, issue=1, cites=0, oa=False,
         discipline=discipline, country=country, citation_count=cites), oa
 
 
+def sums(records):
+    """The per-issue sums of one pass over records."""
+    return Tally(records).sums
+
+
 def n_records(sums):
     return sum(sum(issue.n) for issue in sums.values())
 
 
 def one_issue(records):
     """The IssueSums of records that share one issue."""
-    [issue] = issue_sums(records).values()
+    [issue] = sums(records).values()
     return issue
 
 
@@ -54,7 +62,7 @@ class TestExclusions:
     def test_all_oa_journal_dropped(self):
         records = [rec(i, journal="goldoa", oa=True) for i in range(10)]
         records += [rec(10 + i, journal="mixed", oa=(i == 0)) for i in range(4)]
-        kept, log = apply_exclusions(issue_sums(records))
+        kept, log = apply_exclusions(sums(records))
         assert n_records(kept) == 4
         assert any(e.kind == "journal" and e.key == "goldoa"
                    and e.reason == ALL_OA_JOURNAL and e.n_records == 10
@@ -63,22 +71,22 @@ class TestExclusions:
     def test_all_oa_issue_dropped_inside_mixed_journal(self):
         records = [rec(i, issue=1, oa=True) for i in range(3)]
         records += [rec(3 + i, issue=2, oa=(i < 2)) for i in range(7)]
-        kept, log = apply_exclusions(issue_sums(records))
+        kept, log = apply_exclusions(sums(records))
         assert n_records(kept) == 7
         assert any(e.kind == "issue" and e.key == "j1|2000|1"
                    and e.reason == ALL_OA_ISSUE for e in log)
 
     def test_mixed_issue_kept(self):
-        sums = issue_sums([rec(i, oa=(i < 2)) for i in range(7)])
-        kept, log = apply_exclusions(sums)
-        assert kept == sums
+        issues = sums([rec(i, oa=(i < 2)) for i in range(7)])
+        kept, log = apply_exclusions(issues)
+        assert kept == issues
         assert log == []
 
     def test_idempotent(self):
         records = [rec(i, journal="goldoa", oa=True) for i in range(5)]
         records += [rec(5 + i, journal="m", issue=1, oa=True) for i in range(2)]
         records += [rec(7 + i, journal="m", issue=2, oa=(i == 0)) for i in range(5)]
-        kept1, _ = apply_exclusions(issue_sums(records))
+        kept1, _ = apply_exclusions(sums(records))
         kept2, log2 = apply_exclusions(kept1)
         assert kept2 == kept1
         assert log2 == []
@@ -91,18 +99,18 @@ class TestPercentOA:
 
     def test_counts(self):
         records = [rec(i, oa=(i < 5)) for i in range(10)]
-        [report] = percent_oa(records, "discipline")
+        [report] = percent_oa(Tally(records), "discipline")
         assert (report.n_oa, report.n_noa) == (5, 5)
         assert report.percent_oa == 0.5
 
     def test_zero_oa_group(self):
-        [report] = percent_oa([rec(1), rec(2)], "year")
+        [report] = percent_oa(Tally([rec(1), rec(2)]), "year")
         assert report.percent_oa == 0.0
 
     def test_group_count_conservation(self):
         records = [rec(i, country=("US" if i % 2 else "DE"), oa=(i % 3 == 0))
                    for i in range(30)]
-        reports = percent_oa(records, "country")
+        reports = percent_oa(Tally(records), "country")
         assert sum(r.n_oa + r.n_noa for r in reports) == len(records)
         assert all(0.0 <= r.percent_oa <= 1.0 for r in reports)
 
@@ -148,18 +156,18 @@ class TestAggregateAdvantage:
         # issue 1 ratio +1.0, issue 2 ratio 0.0 -> journal advantage +0.5
         records = [rec(0, issue=1, cites=4, oa=True), rec(1, issue=1, cites=2),
                    rec(2, issue=2, cites=3, oa=True), rec(3, issue=2, cites=3)]
-        [report] = aggregate_advantage(issue_sums(records), "journal_id")
+        [report] = aggregate_advantage(sums(records), "journal_id")
         assert report.advantage == pytest.approx(0.5)
         assert report.n_issues_included == 2
 
     def test_single_issue_identity(self):
         records = [rec(0, cites=6, oa=True), rec(1, cites=4)]
-        [report] = aggregate_advantage(issue_sums(records), "discipline")
+        [report] = aggregate_advantage(sums(records), "discipline")
         assert report.advantage == pytest.approx(0.5)
 
     def test_no_data_group(self):
         records = [rec(0, cites=1), rec(1, cites=2)]  # all NOA
-        [report] = aggregate_advantage(issue_sums(records), "discipline")
+        [report] = aggregate_advantage(sums(records), "discipline")
         assert report.advantage is None
         assert report.exclusion_reasons == (ALL_NOA_ISSUE,)
 
@@ -192,7 +200,7 @@ class TestAggregateAdvantage:
         jmeans = [sum(v) / len(v) for v in per_journal.values()]
         oracle = sum(jmeans) / len(jmeans)
 
-        [report] = aggregate_advantage(issue_sums(records), "discipline")
+        [report] = aggregate_advantage(sums(records), "discipline")
         assert report.advantage == pytest.approx(oracle, abs=1e-9)
         assert report.advantage == pytest.approx(0.8, abs=0.05)
 
@@ -203,8 +211,8 @@ class TestAggregateAdvantage:
                    for i in range(60)]
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert aggregate_advantage(issue_sums(records), "journal_id") == \
-            aggregate_advantage(issue_sums(shuffled), "journal_id")
+        assert aggregate_advantage(sums(records), "journal_id") == \
+            aggregate_advantage(sums(shuffled), "journal_id")
 
 
 class TestCohorts:
@@ -223,7 +231,7 @@ class TestCohorts:
         for i, cites in enumerate([0, 1, 3, 6, 10, 20] * 4):
             records.append(rec(2 * i, cites=cites, oa=True))
             records.append(rec(2 * i + 1, cites=cites, oa=False))
-        table = cohort_table(records, per_year=False)
+        table = cohort_table(Tally(records), per_year=False)
         for cell in table["all"].values():
             assert cell.delta == pytest.approx(0.0, abs=1e-12)
 
@@ -231,7 +239,7 @@ class TestCohorts:
         rng = random.Random(1)
         records = [rec(i, year=1992 + (i % 3), cites=rng.randrange(0, 30),
                        oa=(i % 4 == 0)) for i in range(300)]
-        table = cohort_table(records, per_year=True)
+        table = cohort_table(Tally(records), per_year=True)
         for year, cells in table.items():
             assert sum(c.oa_share for c in cells.values()) == \
                 pytest.approx(1.0, abs=1e-9)
@@ -247,7 +255,7 @@ class TestCohorts:
             if oa:
                 cites *= 2
             records.append(rec(i, cites=cites, oa=oa))
-        table = cohort_table(records, per_year=False)
+        table = cohort_table(Tally(records), per_year=False)
 
         # flat histogram recount
         bins = {"0": lambda c: c == 0, "1": lambda c: c == 1,
@@ -269,8 +277,43 @@ class TestCohorts:
     def test_undefined_ratio_when_noa_bin_empty(self):
         records = [rec(0, cites=20, oa=True), rec(1, cites=0, oa=True),
                    rec(2, cites=0)]
-        table = cohort_table(records, per_year=False)
+        table = cohort_table(Tally(records), per_year=False)
         assert table["all"][CitationRange.R16_PLUS].ratio is None
+
+
+class TestReports:
+    def test_stream_gives_the_tables_of_a_list_and_keeps_no_record(self):
+        # Mixed issues whose records differ in discipline and country (an
+        # issue's records are 12 apart), an all-OA and an all-NOA journal.
+        records = [rec(i, journal=f"j{i % 3}", year=1998 + i % 2,
+                       issue=i % 4, cites=i % 9, oa=(i % 5 == 0),
+                       discipline=("biology", "physics")[i // 12 % 2],
+                       country=("US", "DE", "FR")[i // 12 % 3])
+                   for i in range(84)]
+        records += [rec(84 + i, journal=("gold", "closed")[i % 2], cites=i,
+                        oa=(i % 2 == 0), country="SE") for i in range(6)]
+        refs = []
+
+        def stream():
+            # A copy of each record, which nothing but the stream holds.
+            for r, is_oa in records:
+                copy = replace(r)
+                refs.append(weakref.ref(copy))
+                yield copy, is_oa
+
+        listed, streamed = metrics.Reports(records), metrics.Reports(stream())
+        tables = [
+            (reports.exclusions[1],
+             [(reports.oa_share(dim), reports.advantage(dim))
+              for dim in ("discipline", "country", "year")],
+             reports.cohorts(per_year=True), reports.cohorts(per_year=False),
+             reports.correlations,
+             reports.n_records(kept=True), reports.n_records(kept=False))
+            for reports in (listed, streamed)]
+        assert tables[0] == tables[1]
+        gc.collect()
+        assert len(refs) == 90
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestCsvDeterminism:
@@ -278,8 +321,8 @@ class TestCsvDeterminism:
         records = [rec(i, year=1995 + i % 2, cites=i % 5, oa=(i % 3 == 0))
                    for i in range(40)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        metrics.write_oa_share_csv(percent_oa(records, "year"), p1)
-        metrics.write_oa_share_csv(percent_oa(records, "year"), p2)
+        metrics.write_oa_share_csv(percent_oa(Tally(records), "year"), p1)
+        metrics.write_oa_share_csv(percent_oa(Tally(records), "year"), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_every_table_lists_years_in_one_order(self, tmp_path):
@@ -319,7 +362,8 @@ class TestCsvDeterminism:
     def test_cohort_golden_shape(self, tmp_path):
         records = [rec(i, cites=i % 20, oa=(i % 2 == 0)) for i in range(40)]
         path = tmp_path / "cohorts.csv"
-        metrics.write_cohort_csv(cohort_table(records, per_year=False), path)
+        metrics.write_cohort_csv(cohort_table(Tally(records), per_year=False),
+                                 path)
         lines = path.read_text().splitlines()
         assert lines[0] == \
             "group,citation_range,oa_share_pct,noa_share_pct,ratio,delta_pct"
