@@ -7,7 +7,9 @@ referring to source text.
 
 _read_jsonl reads every JSONL row (record, evidence, ground truth, page) off
 the fields and type hints of its dataclass, by the rule the README gives
-under "Exit codes"; row_to_json writes it as one line. save_rows is the one
+under "Exit codes"; row_to_json writes it as one line. A line in that exact
+form is read off one compiled pattern per class, without the JSON decoder,
+which reads every other line and names its faults. save_rows is the one
 writer of a row file; only detect's resumable journal is appended a line at
 a time, by detection_to_json. A field whose metadata is SHARED holds a value
 that repeats across rows (a discipline, a year, a reason): once it has
@@ -24,7 +26,9 @@ and the audit, and cli._resolved_records pairs each streamed record with it.
 from __future__ import annotations
 
 import enum
+import functools
 import json
+import re
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
@@ -138,23 +142,76 @@ class DetectionEvidence:
 
 
 _ROW_DECODER = json.JSONDecoder()
+# Each type's value as row_to_json writes it, a group named by its field: a
+# string with no escape (so no ", \ or control character), a JSON int.
+_FORMS = {str: r'"(?P<{}>[^"\\\x00-\x1f]*)"',
+          int: r"(?P<{}>-?(?:0|[1-9][0-9]*))", bool: "(?P<{}>true|false)"}
 
 
-def _row_from_line(line: str, cls, rules):
-    """The row of class cls on a stripped JSONL line, each field checked by
-    its (name, default, types, memo) rule by exact type, so true is not an
-    int, then, where memo is a dict, swapped for the first equal value it
-    holds. raw_decode is json.loads without its scans for whitespace."""
-    obj, end = _ROW_DECODER.raw_decode(line)
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    if type(obj) is not dict:
-        raise ParseError(f"expected a JSON object, got {obj!r:.60}")
+@functools.cache
+def _field_rules(cls) -> tuple:
+    """(name, default, types, read, shared) of each field of a row class;
+    read takes a matched field's text, or an enum's value, to its value."""
+    hints = get_type_hints(cls)  # Optional[str] gives (str, NoneType)
+    rules = []
+    for f in fields(cls):
+        kinds = get_args(hints[f.name]) or (hints[f.name],)
+        read = {int: int, bool: "true".__eq__}.get(kinds[0])
+        if issubclass(kinds[0], enum.Enum):
+            read = {member.value: member for member in kinds[0]}.__getitem__
+        rules.append((f.name, f.default, kinds, read,
+                      bool(f.metadata.get("shared"))))
+    return tuple(rules)
+
+
+@functools.cache
+def _row_pattern(cls) -> re.Pattern:
+    """A line as row_to_json writes a row of class cls: every key once, in
+    sorted order, each value of its field's type in _FORMS' form."""
+    parts = []
+    for name, _, kinds, _, _ in sorted(_field_rules(cls)):
+        form = _FORMS[kinds[0]].format(name) if kinds[0] in _FORMS else (
+            f'"(?P<{name}>%s)"' % "|".join(re.escape(m.value) for m in kinds[0]))
+        if type(None) in kinds:  # a null leaves the group None
+            form = f"(?:{form}|null)"
+        parts.append(f'"{name}": {form}')
+    return re.compile("{%s}" % ", ".join(parts))
+
+
+def _row_from_line(line: str, cls, rules, match):
+    """The row of class cls on a stripped JSONL line, each field read by its
+    (name, default, types, read, memo) rule, then swapped for the first equal
+    value in memo where that is a dict. A line that match takes is read off
+    its groups; any other is decoded, each field checked by exact type, so
+    true is not an int (raw_decode is json.loads without whitespace scans)."""
     # Built as unpickling builds an object, without a frozen __init__'s
     # object.__setattr__ per field: rows check themselves in validate().
     row = object.__new__(cls)
     values = row.__dict__
-    for name, default, kinds, memo in rules:
+    m = match(line)
+    if m is not None:
+        try:
+            for name, _, _, read, memo in rules:
+                value = m[name]
+                if read is not None and value is not None:
+                    value = read(value)
+                if memo is not None:
+                    value = memo.setdefault(value, value)
+                values[name] = value
+            return row
+        except ValueError:  # an int past the digit limit: decoded below
+            pass
+    try:
+        obj, end = _ROW_DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise ParseError(str(exc)) from exc
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    if type(obj) is not dict:
+        raise ParseError(f"expected a JSON object, got {obj!r:.60}")
+    for name, default, kinds, read, memo in rules:
         value = obj.get(name, default)
         if type(value) not in kinds:
             if value is MISSING:
@@ -163,9 +220,10 @@ def _row_from_line(line: str, cls, rules):
                 names = " or ".join(k.__name__ for k in kinds)
                 raise ParseError(f"{name} must be {names}, got {value!r}")
             try:
-                value = kinds[0](value)
-            except ValueError as exc:
-                raise ParseError(f"{name}: {exc}") from exc
+                value = read(value)
+            except (KeyError, TypeError):  # TypeError: an unhashable value
+                raise ParseError(f"{name}: {value!r} is not a valid "
+                                 f"{kinds[0].__name__}") from None
         elif type(value) is str and not value.isascii():
             try:  # a \u escape can make a lone surrogate
                 value.encode("utf-8")
@@ -181,10 +239,9 @@ def _read_jsonl(path, cls) -> Iterator[tuple[int, object]]:
     """(1-based line number, row of class cls) for each non-blank line of a
     JSONL file, in file order, validated when cls has a validate(). Errors
     name the file and the line."""
-    hints = get_type_hints(cls)  # Optional[str] gives (str, NoneType)
-    rules = [(f.name, f.default, get_args(hints[f.name]) or (hints[f.name],),
-              {} if f.metadata.get("shared") else None)
-             for f in fields(cls)]
+    rules = [(name, default, kinds, read, {} if shared else None)
+             for name, default, kinds, read, shared in _field_rules(cls)]
+    match = _row_pattern(cls).fullmatch
     validate = getattr(cls, "validate", None)
     # Read as bytes and decoded line by line: a text-mode file decodes ahead
     # in chunks, so its UnicodeDecodeError could not name the line.
@@ -194,7 +251,7 @@ def _read_jsonl(path, cls) -> Iterator[tuple[int, object]]:
                 line = data.decode("utf-8").strip()
                 if not line:
                     continue
-                row = _row_from_line(line, cls, rules)
+                row = _row_from_line(line, cls, rules, match)
                 if validate:
                     validate(row)
             except UnicodeDecodeError as exc:
@@ -219,12 +276,14 @@ def row_to_json(row) -> str:
 def iter_records(path) -> Iterator[ArticleRecord]:
     """Stream and validate a JSONL records file, one object per line. Ids
     are unique: a repeated id is a ParseError naming both lines."""
-    first_line = {}
+    seen = set()  # ids alone: a repeat's first line is found by a reread
     for lineno, rec in _read_jsonl(path, ArticleRecord):
-        if rec.id in first_line:
+        if rec.id in seen:
+            first = next(n for n, r in _read_jsonl(path, ArticleRecord)
+                         if r.id == rec.id)
             raise ParseError(f"{path}:{lineno}: duplicate record id "
-                             f"{rec.id!r}, first on line {first_line[rec.id]}")
-        first_line[rec.id] = lineno
+                             f"{rec.id!r}, first on line {first}")
+        seen.add(rec.id)
         yield rec
 
 

@@ -289,6 +289,23 @@ class TestExitCodes:
         assert main([cmd, "--config", str(cfg)]) == 2
         assert f"{bad}:1" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits",
+                                    lambda: 0)(),
+                        reason="this Python reads an int of any length")
+    def test_over_long_int_names_the_line(self, corpus_dir, detections,
+                                          tmp_path, capsys):
+        # Past Python's digit limit json raises a plain ValueError, not a
+        # JSONDecodeError; the message still names the file and the line.
+        bad = tmp_path / "bad.jsonl"
+        long = json.dumps(GOOD_RECORD).replace(
+            '"citation_count": 0', '"citation_count": ' + "9" * 5000)
+        bad.write_text(json.dumps(dict(GOOD_RECORD, id="a1")) + "\n"
+                       + long + "\n")
+        cfg = write_report_config(tmp_path, corpus_dir, detections,
+                                  f"records = {bad}")
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert f"{bad}:2: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd,key,line,missing", [
         ("analyze", "records",
          {k: v for k, v in GOOD_RECORD.items() if k != "title"}, "title"),

@@ -1,8 +1,12 @@
 import json
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oafinder import records
+from oafinder.corpus import GroundTruth, Page
 from oafinder.records import (
     ArticleRecord,
     CitationRange,
@@ -205,6 +209,15 @@ class TestDetectionsFile:
         save_rows([first, last], path)
         assert load_detections(path) == [first, last]
 
+    @pytest.mark.parametrize("value", ["X", [1]])
+    def test_unknown_verdict_is_named(self, value, tmp_path):
+        path = tmp_path / "det.jsonl"
+        path.write_text(json.dumps({"article_id": "a1", "verdict": value})
+                        + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f":1: verdict: {value!r} is not a valid Verdict")):
+            load_detections(path)
+
     def test_oa_without_url_rejected(self):
         with pytest.raises(ValidationError):
             DetectionEvidence(article_id="a", verdict=Verdict.OA).validate()
@@ -214,4 +227,155 @@ class TestDetectionsFile:
         path = tmp_path_factory.mktemp("rt") / "det.jsonl"
         save_rows(evs, path)
         assert load_detections(path) == evs
+
+
+# Text the writer escapes (a quote, a backslash, control characters) beside
+# text it writes as it is, non-ASCII included; and text with no escape, so
+# that a row of it is written in the form the reader matches.
+ESCAPED = st.text(st.one_of(st.characters(exclude_categories=("Cs",)),
+                            st.sampled_from('"\\\x00\n\x1f\x7fé ')),
+                  max_size=8)
+PLAIN = st.text(st.characters(exclude_categories=("Cs", "Cc"),
+                              exclude_characters='"\\'), max_size=8)
+ints = st.integers(-10**20, 10**20)
+
+
+def article_records(text):
+    nonblank = text.filter(str.strip)
+    pipeless = text.filter(lambda s: "|" not in s)
+
+    @st.composite
+    def build(draw):
+        journal = draw(pipeless.filter(str.strip))
+        year = draw(ints)
+        issue_key = f"{journal}|{year}|{draw(pipeless)}"
+        return ArticleRecord(
+            id=draw(text.filter(bool)), first_author_surname=draw(nonblank),
+            title=draw(nonblank), journal_id=journal, issue_key=issue_key,
+            year=year, discipline=draw(text), country=draw(text),
+            citation_count=draw(st.integers(0, 10**30)))
+    return build()
+
+
+def detections(text):
+    optional = st.one_of(st.none(), text)
+
+    @st.composite
+    def build(draw):
+        verdict = draw(st.sampled_from(Verdict))
+        return DetectionEvidence(
+            article_id=draw(text), verdict=verdict,
+            url=draw(text.filter(bool) if verdict is Verdict.OA else optional),
+            match_head_offset=draw(st.one_of(st.none(), ints)),
+            match_tail_marker=draw(optional), reason=draw(optional),
+            depth=draw(st.integers(0, 10**20)),
+            low_confidence=draw(st.booleans()))
+    return build()
+
+
+# Each row class's rows: all of plain text, or of text with escapes.
+ROWS = {cls: st.one_of(build(PLAIN), build(ESCAPED)) for cls, build in [
+    (ArticleRecord, article_records),
+    (DetectionEvidence, detections),
+    (GroundTruth, lambda text: st.builds(
+        GroundTruth, article_id=text, oa=st.booleans(), kind=text,
+        chain_depth=ints, fulltext_url=text)),
+    (Page, lambda text: st.builds(Page, url=text, format=text, text=text)),
+]}
+
+
+@pytest.fixture(scope="module")
+def rows_path(tmp_path_factory):
+    """One file for a property test to write each example's rows to."""
+    return tmp_path_factory.mktemp("rows") / "rows.jsonl"
+
+
+row_classes = pytest.mark.parametrize("cls", ROWS, ids=lambda c: c.__name__)
+NO_LINE = re.compile(r"(?!)")
+
+
+def read_back(path, cls):
+    """The rows the file reader gives, or its error's type and message."""
+    try:
+        return [row for _, row in records._read_jsonl(path, cls)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def decoded(path, cls):
+    """read_back with every line read by the JSON decoder."""
+    with mock.patch.object(records, "_row_pattern", lambda cls: NO_LINE):
+        return read_back(path, cls)
+
+
+def perturb(pairs, how, at, draw):
+    """A writer's line, given as (key, JSON text) pairs, changed by how at
+    pair index at."""
+    pairs = list(pairs)
+    key, value = pairs[at]
+    sep, colon = ", ", ": "
+    if how == "reorder":
+        pairs = draw(st.permutations(pairs))
+    elif how == "space":
+        sep, colon = draw(st.sampled_from([(" , ", ": "), (", ", " :"),
+                                           (",", ":"), (",  ", ":\t")]))
+    elif how == "extra key":  # sorted in after key
+        pairs.insert(at + 1, (key + "0", json.dumps(draw(PLAIN))))
+    elif how == "missing key":
+        del pairs[at]
+    elif how == "escape" and value.startswith('"'):
+        escaped = json.dumps(json.loads(value) + draw(st.sampled_from('"é')))
+        pairs[at] = key, escaped  # with \" or \u00e9
+    elif how in ("1.0", "true", "null"):
+        pairs[at] = key, how
+    elif how == "unknown verdict":
+        pairs = [(k, '"MAYBE"' if k == "verdict" else v) for k, v in pairs]
+    elif how == "long int" and re.fullmatch(r"-?[0-9]+", value):
+        pairs[at] = key, "9" * 5000
+    return "{" + sep.join(f"{json.dumps(k)}{colon}{v}" for k, v in pairs) + "}"
+
+
+class TestWriterForm:
+    """A line in row_to_json's form is read off one pattern per row class;
+    any other line by the JSON decoder. Both read a line to one row."""
+
+    @pytest.mark.parametrize("row", [
+        make_record(),
+        DetectionEvidence(article_id="a1", verdict=Verdict.OA,
+                          url="http://h.example/p.pdf", match_head_offset=10,
+                          match_tail_marker="heading:references", depth=1),
+        DetectionEvidence(article_id="a2", verdict=Verdict.NOA,
+                          reason="EXHAUSTED", low_confidence=True),
+        GroundTruth(article_id="a1", oa=True, kind="fulltext", chain_depth=1,
+                    fulltext_url="http://h.example/p.pdf"),
+        Page(url="http://h.example/", format="html", text="<p>Ünïcode</p>"),
+    ], ids=lambda row: type(row).__name__)
+    def test_pattern_matches_the_writer(self, row):
+        # Were the writer's form to change (a json release, say), every
+        # line would quietly take the slower decoder path.
+        assert records._row_pattern(type(row)).fullmatch(row_to_json(row))
+
+    @row_classes
+    @given(data=st.data())
+    def test_written_rows_read_back(self, cls, data, rows_path):
+        rows = data.draw(st.lists(ROWS[cls], max_size=5))
+        save_rows(rows, rows_path)
+        assert read_back(rows_path, cls) == rows == decoded(rows_path, cls)
+
+    @pytest.mark.parametrize("cls,how", [
+        pytest.param(cls, how, id=f"{cls.__name__}-{how}") for cls in ROWS
+        for how in ("reorder", "space", "extra key", "missing key", "escape",
+                    "1.0", "true", "null", "unknown verdict", "long int")
+        if how != "unknown verdict" or cls is DetectionEvidence])
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_perturbed_line_reads_as_decoded(self, cls, how, data,
+                                             rows_path):
+        obj = json.loads(row_to_json(data.draw(ROWS[cls])))
+        pairs = [(key, json.dumps(obj[key], ensure_ascii=False))
+                 for key in sorted(obj)]
+        at = data.draw(st.integers(0, len(pairs) - 1))
+        rows_path.write_text(perturb(pairs, how, at, data.draw) + "\n",
+                             encoding="utf-8")
+        assert read_back(rows_path, cls) == decoded(rows_path, cls)
 
