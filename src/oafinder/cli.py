@@ -3,8 +3,9 @@ evaluate.
 
 Configuration is a flat key=value text file; command-line flags override
 file values. Exit codes are a stable contract: 0 success, 2 configuration
-or input error, 3 incomplete detections, 4 audit infeasible. The report
-commands stream their records into counts (metrics.Reports) and hold none.
+or input error, 3 incomplete detections, 4 audit infeasible. Records reach
+every command through one stream (_stream), and none holds them: the report
+commands count them (metrics.Reports) and detect keeps their verdicts.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields
+from itertools import chain, islice
 from pathlib import Path
 
 from . import corpus as corpusmod
 from . import metrics, records, stats
-from .records import iter_records, load_detections, load_records, load_verdicts
+from .records import iter_records, load_detections, load_verdicts
 from .robot.crawl import detect_oa
 from .robot.extract import ExternalConverter
 
@@ -128,12 +131,35 @@ def _load(cfg: dict, key: str, loader):
     """loader(path) for the file or directory cfg[key] names. A missing,
     unreadable or malformed input is a CliError."""
     path = _require(cfg, key)
-    try:
+    with _reading(key):
         return loader(path)
+
+
+@contextmanager
+def _reading(key: str):
+    """An OSError or ValueError reading cfg[key]'s file as a CliError."""
+    try:
+        yield
     except OSError as exc:
         raise CliError(f"cannot read {key}: {exc}")
     except ValueError as exc:
         raise CliError(f"bad {key} file: {exc}")
+
+
+def _stream(cfg: dict, key: str, reader):
+    """The rows reader(path) yields for the file cfg[key] names, read once;
+    a fault of the read, not of the loop over them, is a CliError as in
+    _load. The first row is read before this returns, so a file that cannot
+    be opened stops the command before it opens anything else."""
+    rows = reader(_require(cfg, key))
+    with _reading(key):
+        first = list(islice(rows, 1))
+
+    def stream():
+        with _reading(key):
+            yield from chain(first, rows)
+
+    return stream()
 
 
 def _resolved_records(recs, is_oa: dict[str, bool],
@@ -162,14 +188,14 @@ def _resolved_records(recs, is_oa: dict[str, bool],
 
 
 def _load_reports(cfg: dict) -> metrics.Reports:
-    """The reports over cfg's records, streamed inside _load, resolved by its
-    detections. allow_unknown is checked before either file is read."""
+    """The reports over cfg's streamed records, resolved by its detections.
+    allow_unknown is checked before either file is read."""
     allow = cfg.get("allow_unknown", "")
     if allow.lower() not in ("true", "1", "yes", "false", "0", "no", ""):
         raise CliError(f"bad value for allow_unknown: {allow!r}")
     is_oa = _load(cfg, "detections", load_verdicts)
-    return _load(cfg, "records", lambda path: _resolved_records(
-        iter_records(path), is_oa, allow.lower() in ("true", "1", "yes")))
+    return _resolved_records(_stream(cfg, "records", iter_records), is_oa,
+                             allow.lower() in ("true", "1", "yes"))
 
 
 def _converter(cfg: dict):
@@ -187,7 +213,7 @@ def _converter(cfg: dict):
 _INPUTS = {
     "audit": lambda cfg: _build(corpusmod.AuditConfig, cfg),
     "converter": _converter,
-    "recs": lambda cfg: _load(cfg, "records", load_records),
+    "recs": lambda cfg: _stream(cfg, "records", iter_records),
     "web": lambda cfg: _load(cfg, "mock_web", corpusmod.load_mock_web),
     "verdicts": lambda cfg: _load(cfg, "detections", load_verdicts),
     "truth": lambda cfg: _load(cfg, "ground_truth",
@@ -237,9 +263,10 @@ def _replay_journal(path) -> list:
     return load_detections(path)
 
 
-def cmd_detect(cfg: dict, converter, recs, web) -> list:
-    """Detect every record not already in the journal, with converter (or
-    None) for non-HTML pages; returns the detections in records order."""
+def cmd_detect(cfg: dict, converter, recs, web) -> dict[str, bool]:
+    """Detect every record of recs (a list or a stream, read once) not
+    already in the journal, with converter (or None) for non-HTML pages;
+    returns article id -> whether it is OA, in records order."""
     det_path = Path(_require(cfg, "detections"))
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
@@ -252,28 +279,41 @@ def cmd_detect(cfg: dict, converter, recs, web) -> list:
             done[ev.article_id] = ev
         replayed = det_path.stat().st_size > 0
 
-    try:
-        journal = open(det_path, "a", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write detections: {exc}")
-    with journal:
-        for rec in recs:
-            if rec.id in done:
-                continue
-            ev = detect_oa(rec, provider, fetcher, converter=converter)
-            done[rec.id] = ev
-            journal.write(records.detection_to_json(ev) + "\n")
-            journal.flush()
-
-    final = [done[r.id] for r in recs]
     # Record ids are unique, so a journal this run started is already in
-    # records order; one that held lines before it is compacted into it.
-    if replayed:
-        records.save_rows(final, det_path)
-    n_oa = sum(1 for ev in final if ev.verdict is records.Verdict.OA)
-    n_noa = len(final) - n_oa
-    print(f"detect: {len(recs)} records, OA={n_oa} NOA={n_noa}")
-    return final
+    # records order. One that held lines before it is compacted, in the same
+    # pass, into a copy that replaces it once whole: a run stopped part way
+    # leaves the journal as it was, plus its appended lines.
+    tmp = det_path.with_name(det_path.name + ".tmp")
+    is_oa: dict[str, bool] = {}
+    try:
+        with ExitStack() as files:
+            try:
+                journal = files.enter_context(
+                    open(det_path, "a", encoding="utf-8"))
+                copy = files.enter_context(
+                    open(tmp, "w", encoding="utf-8")) if replayed else None
+            except OSError as exc:
+                raise CliError(f"cannot write detections: {exc}")
+            for rec in recs:
+                ev = done.pop(rec.id, None)
+                if ev is None:
+                    ev = detect_oa(rec, provider, fetcher, converter=converter)
+                    line = records.detection_to_json(ev) + "\n"
+                    journal.write(line)
+                    journal.flush()
+                else:  # replayed: the journal held lines, so copy is open
+                    line = records.row_to_json(ev) + "\n"
+                if copy:
+                    copy.write(line)
+                is_oa[rec.id] = ev.verdict is records.Verdict.OA
+        if replayed:
+            os.replace(tmp, det_path)
+    finally:
+        if replayed:
+            tmp.unlink(missing_ok=True)
+    n_oa = sum(is_oa.values())
+    print(f"detect: {len(is_oa)} records, OA={n_oa} NOA={len(is_oa) - n_oa}")
+    return is_oa
 
 
 def cmd_analyze(cfg: dict, reports) -> None:
@@ -363,7 +403,7 @@ def cmd_evaluate(cfg: dict) -> None:
 
     # The corpus was just regenerated: an older journal belongs to another.
     (out / "detections.jsonl").unlink(missing_ok=True)
-    is_oa = records.verdicts(cmd_detect(base, None, corp.records, corp.web))
+    is_oa = cmd_detect(base, None, corp.records, corp.web)
     reports = _resolved_records(corp.records, is_oa, allow_unknown=False)
     cmd_analyze(base, reports)
     cmd_cohorts(base, reports)

@@ -10,17 +10,19 @@ the fields and type hints of its dataclass, by the rule the README gives
 under "Exit codes"; row_to_json writes it as one line. A line in that exact
 form is read off one compiled pattern per class, without the JSON decoder,
 which reads every other line and names its faults. save_rows is the one
-writer of a row file; only detect's resumable journal is appended a line at
-a time, by detection_to_json. A field whose metadata is SHARED holds a value
-that repeats across rows (a discipline, a year, a reason): once it has
-passed its type check, the reader replaces it with the first equal value
-read from the same file, so a file's rows hold each such value once.
+writer of a row file; only detect's resumable journal, and the copy that
+compacts it, are written a line at a time. A field whose metadata is SHARED
+holds a value that repeats across rows (a discipline, a year, a reason):
+once it has passed its type check, the reader replaces it with the first
+equal value read from the same file, so a file's rows hold each such value
+once.
 Nothing of that outlives the read.
 
 ArticleRecord.validate, run wherever records are read, is the one check of
 an issue key's "journal_id|year|issue" shape. A record holds no OA verdict:
-its detection does: verdicts keys the last one of each id, for the reports
-and the audit, and cli._resolved_records pairs each streamed record with it.
+its detection does: load_verdicts keys the last one of each id, for the
+reports and the audit, and cli._resolved_records pairs each streamed record
+with it.
 """
 
 from __future__ import annotations
@@ -287,11 +289,6 @@ def iter_records(path) -> Iterator[ArticleRecord]:
         yield rec
 
 
-def load_records(path) -> list[ArticleRecord]:
-    """Every record of a JSONL records file, as iter_records reads them."""
-    return list(iter_records(path))
-
-
 def save_rows(rows: Iterable, path) -> None:
     """Write a JSONL row file: one row_to_json line per row, in order."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -309,11 +306,8 @@ def load_detections(path) -> list[DetectionEvidence]:
     return [ev for _, ev in _read_jsonl(path, DetectionEvidence)]
 
 
-def verdicts(detections: Iterable[DetectionEvidence]) -> dict[str, bool]:
-    """Article id -> whether its last detection's verdict is OA."""
-    return {ev.article_id: ev.verdict is Verdict.OA for ev in detections}
-
-
 def load_verdicts(path) -> dict[str, bool]:
-    """The verdicts of a detections file, read without keeping its rows."""
-    return verdicts(ev for _, ev in _read_jsonl(path, DetectionEvidence))
+    """Article id -> whether its last detection in a detections file is OA,
+    read without keeping its rows."""
+    return {ev.article_id: ev.verdict is Verdict.OA
+            for _, ev in _read_jsonl(path, DetectionEvidence)}

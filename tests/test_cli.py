@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -54,8 +55,8 @@ def count_loads(monkeypatch):
     """Wrap every reader of a command's input files; returns a Counter of
     calls by reader name."""
     calls = Counter()
-    for mod, name in ((cli, "load_records"), (cli, "iter_records"),
-                      (cli, "load_detections"), (cli, "load_verdicts"),
+    for mod, name in ((cli, "iter_records"), (cli, "load_detections"),
+                      (cli, "load_verdicts"),
                       (corpus, "load_mock_web"),
                       (corpus, "load_ground_truth")):
         def counted(*args, _load=getattr(mod, name), _name=name):
@@ -99,10 +100,32 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "usage: oafinder" in proc.stdout
 
-    def test_missing_records_file(self, tmp_path):
+    def test_missing_records_file(self, corpus_dir, tmp_path, monkeypatch):
+        # The records stream opens its file before the mock web is read or
+        # the journal opened.
+        calls = count_loads(monkeypatch)
         assert main(["detect", "--records", str(tmp_path / "nope.jsonl"),
                      "--detections", str(tmp_path / "d.jsonl"),
-                     "--mock-web", str(tmp_path)]) == 2
+                     "--mock-web", str(corpus_dir / "mockweb")]) == 2
+        assert calls == Counter({"iter_records": 1})
+        assert not (tmp_path / "d.jsonl").exists()
+
+    @pytest.mark.parametrize("cmd,name", [("detect", "detect_oa"),
+                                          ("analyze", "Tally")])
+    def test_fault_past_the_read_is_not_a_bad_records_file(
+            self, cmd, name, corpus_dir, detections, tmp_path, monkeypatch):
+        # Only the records read is an input error: a fault of the work
+        # done on the streamed records propagates as itself.
+        def fault(*args, **kwargs):
+            raise ValueError("not a read fault")
+        monkeypatch.setattr(cli if name == "detect_oa" else metrics, name,
+                            fault)
+        cfg = write_report_config(tmp_path, corpus_dir, detections, "")
+        argv = [cmd, "--config", str(cfg)]
+        if cmd == "detect":
+            argv += ["--detections", str(tmp_path / "d.jsonl")]
+        with pytest.raises(ValueError, match="not a read fault"):
+            main(argv)
 
     def test_missing_required_key(self, tmp_path):
         assert main(["analyze", "--out", str(tmp_path / "r")]) == 2
@@ -719,6 +742,106 @@ class TestDetect:
         assert partial.read_bytes() == detections.read_bytes()
         assert b"timestamp" not in partial.read_bytes()
 
+    def test_resumed_run_serializes_each_article_once(
+            self, corpus_dir, detections, tmp_path, monkeypatch):
+        # The compacting copy takes each new row's appended line as it is,
+        # so only a replayed row is serialized again.
+        calls = Counter()
+        inner = records.row_to_json
+
+        def counted(row):
+            calls["row_to_json"] += 1
+            return inner(row)
+        monkeypatch.setattr(records, "row_to_json", counted)
+        lines = detections.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "resume.jsonl"
+        partial.write_bytes(b"".join(lines[:30]))
+        assert run_detect(corpus_dir, partial) == 0
+        assert calls == {"row_to_json": 60}
+        assert partial.read_bytes() == detections.read_bytes()
+
+    @pytest.mark.parametrize("fail_at", [10, 45])
+    def test_exception_in_compaction_keeps_the_journal(
+            self, fail_at, corpus_dir, detections, tmp_path, monkeypatch):
+        # Serialization 10 is a replayed row's copy; 45 is the 15th new row,
+        # before its line is appended. Either way the journal keeps its
+        # lines and those appended before the fault, and the copy goes.
+        calls = Counter()
+        inner = records.row_to_json
+
+        def failing(row):
+            calls["row_to_json"] += 1
+            if calls["row_to_json"] == fail_at:
+                raise RuntimeError("serializer fault")
+            return inner(row)
+        monkeypatch.setattr(records, "row_to_json", failing)
+        lines = detections.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "resume.jsonl"
+        partial.write_bytes(b"".join(lines[:30]))
+        with pytest.raises(RuntimeError, match="serializer fault"):
+            run_detect(corpus_dir, partial)
+        assert partial.read_bytes() == b"".join(lines[:max(30, fail_at - 1)])
+        assert os.listdir(tmp_path) == ["resume.jsonl"]
+        monkeypatch.setattr(records, "row_to_json", inner)
+        assert run_detect(corpus_dir, partial) == 0
+        assert partial.read_bytes() == detections.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
+                        reason="no SIGKILL on this platform")
+    def test_kill_during_compaction_loses_nothing(self, corpus_dir,
+                                                  detections, tmp_path):
+        # A child resumes a journal of 30 of the 60 lines and kills itself
+        # at the 45th serialization, mid-way through the compaction.
+        lines = detections.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "resume.jsonl"
+        partial.write_bytes(b"".join(lines[:30]))
+        child = (
+            "import os, signal, sys\n"
+            "from oafinder import cli, records\n"
+            "inner, calls = records.row_to_json, []\n"
+            "def row_to_json(row):\n"
+            "    calls.append(row)\n"
+            "    if len(calls) == 45:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return inner(row)\n"
+            "records.row_to_json = row_to_json\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "detect",
+             "--records", str(corpus_dir / "records.jsonl"),
+             "--detections", str(partial),
+             "--mock-web", str(corpus_dir / "mockweb")],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert partial.read_bytes().startswith(b"".join(lines[:30]))
+        assert run_detect(corpus_dir, partial) == 0
+        assert partial.read_bytes() == detections.read_bytes()
+        assert os.listdir(tmp_path) == ["resume.jsonl"]
+
+    def test_bad_records_line_mid_run(self, corpus_dir, detections, tmp_path,
+                                      capsys):
+        # The records are streamed: the journal keeps whole lines for the
+        # records before the bad one, and a rerun on the mended file
+        # completes it to the bytes of a fresh run.
+        good = (corpus_dir / "records.jsonl").read_text().splitlines(True)
+        recs = tmp_path / "records.jsonl"
+        recs.write_text("".join(good[:30]) + "not json\n" + "".join(good[30:]))
+        journal = tmp_path / "d.jsonl"
+        argv = ["detect", "--records", str(recs), "--detections",
+                str(journal), "--mock-web", str(corpus_dir / "mockweb")]
+        assert main(argv) == 2
+        assert f"bad records file: {recs}:31: malformed JSON" in \
+            capsys.readouterr().err
+        lines = detections.read_bytes().splitlines(keepends=True)
+        assert journal.read_bytes() == b"".join(lines[:30])
+        recs.write_text("".join(good))
+        assert main(argv) == 0
+        assert journal.read_bytes() == detections.read_bytes()
+
     def test_flag_overrides_config(self, corpus_dir, detections, tmp_path):
         cfg = tmp_path / "d.cfg"
         cfg.write_text(f"""
@@ -896,7 +1019,7 @@ class TestReports:
                                                     tmp_path):
         # Verdicts that ignore the truth, so that the sample the seed draws
         # shows in sdt.csv.
-        recs = records.load_records(corpus_dir / "records.jsonl")
+        recs = records.iter_records(corpus_dir / "records.jsonl")
         guesses = tmp_path / "guesses.jsonl"
         save_rows([
             DetectionEvidence(r.id, Verdict.OA, url="http://x.example/")
@@ -1094,7 +1217,7 @@ class TestSynthAndEvaluate:
 
 class TestInputLoading:
     @pytest.mark.parametrize("cmd,loads", [
-        ("detect", {"load_records": 1, "load_mock_web": 1}),
+        ("detect", {"iter_records": 1, "load_mock_web": 1}),
         ("analyze", {"iter_records": 1, "load_verdicts": 1}),
         ("cohorts", {"iter_records": 1, "load_verdicts": 1}),
         ("correlate", {"iter_records": 1, "load_verdicts": 1}),

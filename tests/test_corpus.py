@@ -24,7 +24,7 @@ from oafinder.corpus import (
     load_mock_web,
     run_audit,
 )
-from oafinder.records import DetectionEvidence, Verdict, load_records, verdicts
+from oafinder.records import DetectionEvidence, Verdict, iter_records
 from oafinder.robot.crawl import MAX_DEPTH, detect_oa, format_query
 from oafinder.robot.extract import extract_text
 from oafinder.robot.urls import host_of
@@ -104,7 +104,7 @@ class TestDeterminism:
         corpus.web.pages["http://h.example/u.html"] = (
             "html", f"<p>{words}</p>")
         export_corpus(corpus, tmp_path)
-        assert load_records(tmp_path / "records.jsonl") == corpus.records
+        assert list(iter_records(tmp_path / "records.jsonl")) == corpus.records
         web = load_mock_web(tmp_path / "mockweb")
         assert web.pages == corpus.web.pages
         fetcher = MockFetcher(web)
@@ -314,10 +314,7 @@ class TestMockFetcher:
 class TestAudit:
     @staticmethod
     def verdicts(tags):
-        return verdicts([DetectionEvidence(
-            article_id=f"a{i}", verdict=v,
-            url="http://h.example/p.txt" if v is Verdict.OA else None,
-            depth=0) for i, v in enumerate(tags)])
+        return {f"a{i}": v is Verdict.OA for i, v in enumerate(tags)}
 
     @staticmethod
     def truth(tags, truths):

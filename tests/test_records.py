@@ -15,8 +15,8 @@ from oafinder.records import (
     ValidationError,
     Verdict,
     bin_citations,
+    iter_records,
     load_detections,
-    load_records,
     row_to_json,
     save_rows,
 )
@@ -85,18 +85,18 @@ class TestRecordsFile:
         recs = [make_record(id=f"a{i}", citation_count=i) for i in range(3)]
         path = tmp_path / "records.jsonl"
         save_rows(recs, path)
-        assert load_records(path) == recs
+        assert list(iter_records(path)) == recs
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text("")
-        assert load_records(path) == []
+        assert list(iter_records(path)) == []
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ParseError, match=":1:"):
-            load_records(path)
+            list(iter_records(path))
 
     def test_invariant_violation_reports_lineno_and_field(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -106,7 +106,7 @@ class TestRecordsFile:
         obj["citation_count"] = -1
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(ValidationError, match="citation_count"):
-            load_records(path)
+            list(iter_records(path))
 
     def test_duplicate_id_names_both_lines(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -114,7 +114,7 @@ class TestRecordsFile:
                    make_record(id="a1", citation_count=9)], path)
         with pytest.raises(ParseError,
                            match=r":3: duplicate record id 'a1', first on line 1"):
-            load_records(path)
+            list(iter_records(path))
 
 
 def distinct_objects(rows, name):
@@ -140,7 +140,7 @@ class TestSharedValues:
                 for i in range(40)]
         path = tmp_path / "records.jsonl"
         save_rows(recs, path)
-        loaded = load_records(path)
+        loaded = list(iter_records(path))
         assert loaded == recs
         for name in ("first_author_surname", "journal_id", "issue_key",
                      "year", "discipline", "country"):
