@@ -4,8 +4,7 @@ evaluate.
 Configuration is a flat key=value text file; command-line flags override
 file values. Exit codes are a stable contract: 0 success, 2 configuration
 or input error, 3 incomplete detections, 4 audit infeasible. Records reach
-every command through one stream (_stream), and none holds them: the report
-commands count them (metrics.Reports) and detect keeps their verdicts.
+every command through one stream (_stream), and none holds them.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import fields
 from itertools import chain, islice
 from pathlib import Path
@@ -128,38 +127,25 @@ def _build(cls, cfg: dict):
 
 
 def _load(cfg: dict, key: str, loader):
-    """loader(path) for the file or directory cfg[key] names. A missing,
-    unreadable or malformed input is a CliError."""
-    path = _require(cfg, key)
-    with _reading(key):
-        return loader(path)
-
-
-@contextmanager
-def _reading(key: str):
-    """An OSError or ValueError reading cfg[key]'s file as a CliError."""
-    try:
-        yield
-    except OSError as exc:
-        raise CliError(f"cannot read {key}: {exc}")
-    except ValueError as exc:
-        raise CliError(f"bad {key} file: {exc}")
+    """loader(path) for the path cfg[key] names, read as _stream's one row."""
+    return next(_stream(cfg, key, lambda path: [loader(path)]))
 
 
 def _stream(cfg: dict, key: str, reader):
-    """The rows reader(path) yields for the file cfg[key] names, read once;
-    a fault of the read, not of the loop over them, is a CliError as in
-    _load. The first row is read before this returns, so a file that cannot
-    be opened stops the command before it opens anything else."""
-    rows = reader(_require(cfg, key))
-    with _reading(key):
-        first = list(islice(rows, 1))
+    """The rows reader(path) yields for the file cfg[key] names, the first
+    read now; a fault of the read, not of the loop over them, is a CliError."""
+    path = _require(cfg, key)
 
-    def stream():
-        with _reading(key):
-            yield from chain(first, rows)
+    def rows():
+        try:
+            yield from reader(path)
+        except OSError as exc:
+            raise CliError(f"cannot read {key}: {exc}")
+        except ValueError as exc:
+            raise CliError(f"bad {key} file: {exc}")
 
-    return stream()
+    stream = rows()
+    return chain(list(islice(stream, 1)), stream)
 
 
 def _resolved_records(recs, is_oa: dict[str, bool],
@@ -264,14 +250,13 @@ def _replay_journal(path) -> list:
 
 
 def cmd_detect(cfg: dict, converter, recs, web) -> dict[str, bool]:
-    """Detect every record of recs (a list or a stream, read once) not
-    already in the journal, with converter (or None) for non-HTML pages;
-    returns article id -> whether it is OA, in records order."""
+    """Detect each record of recs, read once, that the journal lacks, with
+    converter (or None) for non-HTML pages; returns id -> is OA, in order."""
     det_path = Path(_require(cfg, "detections"))
     provider = corpusmod.MockSearchProvider(web)
     fetcher = corpusmod.MockFetcher(web)
 
-    # Resumable append-only journal: replay keeps the last entry per id.
+    # Resumable, line-buffered journal: replay keeps the last entry per id.
     done: dict[str, records.DetectionEvidence] = {}
     replayed = False
     if det_path.exists():
@@ -279,17 +264,15 @@ def cmd_detect(cfg: dict, converter, recs, web) -> dict[str, bool]:
             done[ev.article_id] = ev
         replayed = det_path.stat().st_size > 0
 
-    # Record ids are unique, so a journal this run started is already in
-    # records order. One that held lines before it is compacted, in the same
-    # pass, into a copy that replaces it once whole: a run stopped part way
-    # leaves the journal as it was, plus its appended lines.
+    # Record ids are unique, so a journal this run started is in records
+    # order; one that held lines is compacted into a copy that replaces it.
     tmp = det_path.with_name(det_path.name + ".tmp")
     is_oa: dict[str, bool] = {}
     try:
         with ExitStack() as files:
             try:
                 journal = files.enter_context(
-                    open(det_path, "a", encoding="utf-8"))
+                    open(det_path, "a", encoding="utf-8", buffering=1))
                 copy = files.enter_context(
                     open(tmp, "w", encoding="utf-8")) if replayed else None
             except OSError as exc:
@@ -300,17 +283,18 @@ def cmd_detect(cfg: dict, converter, recs, web) -> dict[str, bool]:
                     ev = detect_oa(rec, provider, fetcher, converter=converter)
                     line = records.detection_to_json(ev) + "\n"
                     journal.write(line)
-                    journal.flush()
-                else:  # replayed: the journal held lines, so copy is open
+                else:
                     line = records.row_to_json(ev) + "\n"
-                if copy:
+                if copy is not None:
                     copy.write(line)
                 is_oa[rec.id] = ev.verdict is records.Verdict.OA
+            if copy is not None:
+                copy.flush()
+                os.fsync(copy.fileno())
         if replayed:
             os.replace(tmp, det_path)
     finally:
-        if replayed:
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
     n_oa = sum(is_oa.values())
     print(f"detect: {len(is_oa)} records, OA={n_oa} NOA={len(is_oa) - n_oa}")
     return is_oa

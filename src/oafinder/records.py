@@ -11,18 +11,16 @@ under "Exit codes"; row_to_json writes it as one line. A line in that exact
 form is read off one compiled pattern per class, without the JSON decoder,
 which reads every other line and names its faults. save_rows is the one
 writer of a row file; only detect's resumable journal, and the copy that
-compacts it, are written a line at a time. A field whose metadata is SHARED
-holds a value that repeats across rows (a discipline, a year, a reason):
-once it has passed its type check, the reader replaces it with the first
-equal value read from the same file, so a file's rows hold each such value
-once.
+compacts it, take a line at a time. A field whose metadata is SHARED holds
+a value that repeats across rows (a discipline, a year, a reason): once it
+has passed its type check, the reader replaces it with the first equal
+value read from the same file, so a file's rows hold each such value once.
 Nothing of that outlives the read.
 
 ArticleRecord.validate, run wherever records are read, is the one check of
 an issue key's "journal_id|year|issue" shape. A record holds no OA verdict:
 its detection does: load_verdicts keys the last one of each id, for the
-reports and the audit, and cli._resolved_records pairs each streamed record
-with it.
+reports and the audit; cli._resolved_records pairs each record with it.
 """
 
 from __future__ import annotations
@@ -307,7 +305,6 @@ def load_detections(path) -> list[DetectionEvidence]:
 
 
 def load_verdicts(path) -> dict[str, bool]:
-    """Article id -> whether its last detection in a detections file is OA,
-    read without keeping its rows."""
+    """Article id -> whether its last detection is OA, read keeping no rows."""
     return {ev.article_id: ev.verdict is Verdict.OA
             for _, ev in _read_jsonl(path, DetectionEvidence)}

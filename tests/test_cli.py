@@ -760,6 +760,34 @@ class TestDetect:
         assert calls == {"row_to_json": 60}
         assert partial.read_bytes() == detections.read_bytes()
 
+    def test_copy_is_synced_before_it_replaces_the_journal(
+            self, corpus_dir, detections, tmp_path, monkeypatch):
+        # So an OS crash after the rename cannot leave the journal's name on
+        # a copy whose data never reached the disk. A fresh journal gets no
+        # copy, so nothing is synced or renamed.
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def synced(fd):
+            events.append("fsync")
+            fsync(fd)
+
+        def replaced(src, dst):
+            events.append(("replace", Path(src).name, Path(dst).name))
+            replace(src, dst)
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", replaced)
+        fresh = tmp_path / "fresh.jsonl"
+        assert run_detect(corpus_dir, fresh) == 0
+        assert events == []
+        lines = detections.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "resume.jsonl"
+        partial.write_bytes(b"".join(lines[:30]))
+        assert run_detect(corpus_dir, partial) == 0
+        assert events == [
+            "fsync", ("replace", "resume.jsonl.tmp", "resume.jsonl")]
+        assert partial.read_bytes() == detections.read_bytes()
+
     @pytest.mark.parametrize("fail_at", [10, 45])
     def test_exception_in_compaction_keeps_the_journal(
             self, fail_at, corpus_dir, detections, tmp_path, monkeypatch):
@@ -818,6 +846,14 @@ class TestDetect:
             env=env, capture_output=True, timeout=120)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert partial.read_bytes().startswith(b"".join(lines[:30]))
+        stale = tmp_path / "resume.jsonl.tmp"
+        left = stale.read_bytes()
+        assert run_detect(corpus_dir, partial) == 0
+        assert partial.read_bytes() == detections.read_bytes()
+        assert os.listdir(tmp_path) == ["resume.jsonl"]
+        # A run that starts a fresh journal removes a stale copy too.
+        stale.write_bytes(left)
+        partial.unlink()
         assert run_detect(corpus_dir, partial) == 0
         assert partial.read_bytes() == detections.read_bytes()
         assert os.listdir(tmp_path) == ["resume.jsonl"]
