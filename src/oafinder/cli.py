@@ -148,18 +148,20 @@ def _stream(cfg: dict, key: str, reader):
     return chain(list(islice(stream, 1)), stream)
 
 
-def _resolved_records(recs, is_oa: dict[str, bool],
+def _resolved_records(rows, is_oa: dict[str, bool],
                       allow_unknown: bool) -> metrics.Reports:
-    """The reports over recs, a list or a stream, each paired with its
-    verdict in is_oa as read, the one join of records and verdicts. A record
-    with no verdict is UNKNOWN: an error unless allow_unknown drops it."""
+    """The reports over rows, each a record's metrics.TALLY_FIELDS, a list
+    or a stream, each paired with its verdict in is_oa as read, the one join
+    of records and verdicts. A record with no verdict is UNKNOWN: an error
+    unless allow_unknown drops it."""
     n_read = 0
 
     def resolved():
         nonlocal n_read
-        for n_read, rec in enumerate(recs, start=1):
-            if rec.id in is_oa:
-                yield rec, is_oa[rec.id]
+        for n_read, row in enumerate(rows, start=1):
+            verdict = is_oa.get(row[0])
+            if verdict is not None:
+                yield row, verdict
 
     reports = metrics.Reports(resolved())
     n_unknown = n_read - reports.n_records(kept=False)
@@ -174,13 +176,16 @@ def _resolved_records(recs, is_oa: dict[str, bool],
 
 
 def _load_reports(cfg: dict) -> metrics.Reports:
-    """The reports over cfg's streamed records, resolved by its detections.
-    allow_unknown is checked before either file is read."""
+    """The reports over the fields they read of cfg's streamed records,
+    resolved by its detections. allow_unknown is checked before either file
+    is read."""
     allow = cfg.get("allow_unknown", "")
     if allow.lower() not in ("true", "1", "yes", "false", "0", "no", ""):
         raise CliError(f"bad value for allow_unknown: {allow!r}")
     is_oa = _load(cfg, "detections", load_verdicts)
-    return _resolved_records(_stream(cfg, "records", iter_records), is_oa,
+    rows = _stream(cfg, "records",
+                   lambda path: iter_records(path, metrics.TALLY_FIELDS))
+    return _resolved_records(rows, is_oa,
                              allow.lower() in ("true", "1", "yes"))
 
 
@@ -331,8 +336,9 @@ def cmd_correlate(cfg: dict, reports) -> None:
 
 
 def cmd_audit(cfg: dict, audit, is_oa, truth) -> None:
-    """Score a seeded sample of the verdicts is_oa against ground truth, as
-    the AuditConfig audit says, write sdt.csv and print the audit line."""
+    """Score a seeded sample of the verdicts is_oa against truth, article id
+    -> GroundTruth.oa, as the AuditConfig audit says, write sdt.csv and
+    print the audit line."""
     try:
         matrix = corpusmod.run_audit(is_oa, truth, audit.sample_size,
                                      audit.seed)
@@ -388,11 +394,13 @@ def cmd_evaluate(cfg: dict) -> None:
     # The corpus was just regenerated: an older journal belongs to another.
     (out / "detections.jsonl").unlink(missing_ok=True)
     is_oa = cmd_detect(base, None, corp.records, corp.web)
-    reports = _resolved_records(corp.records, is_oa, allow_unknown=False)
+    reports = _resolved_records(map(metrics.tally_row, corp.records), is_oa,
+                                allow_unknown=False)
     cmd_analyze(base, reports)
     cmd_cohorts(base, reports)
     cmd_correlate(base, reports)
-    cmd_audit(base, audit, is_oa, corp.ground_truth)
+    cmd_audit(base, audit, is_oa,
+              {a: gt.oa for a, gt in corp.ground_truth.items()})
 
 
 # ---------------------------------------------------------------------------

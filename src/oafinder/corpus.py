@@ -20,6 +20,7 @@ from .records import (
     ArticleRecord,
     ParseError,
     _read_jsonl,
+    repeated_id,
     save_rows,
 )
 from .robot.crawl import MAX_DEPTH, FetchResult, format_query
@@ -439,18 +440,18 @@ class AuditConfig:
                 f"sample_size must be >= 1, got {self.sample_size}")
 
 
-def run_audit(is_oa: dict[str, bool],
-              ground_truth: dict[str, GroundTruth],
+def run_audit(is_oa: dict[str, bool], truth: dict[str, bool],
               sample_size: int, seed: int) -> ConfusionMatrix:
     """Draw sample_size robot-OA and robot-NOA articles of is_oa uniformly
-    without replacement (seeded) and score them against ground truth."""
+    without replacement (seeded) and score them against truth, article id
+    -> GroundTruth.oa."""
     oa_tagged = sorted(a for a, oa in is_oa.items() if oa)
     noa_tagged = sorted(a for a, oa in is_oa.items() if not oa)
     for name, pool in (("OA", oa_tagged), ("NOA", noa_tagged)):
         if len(pool) < sample_size:
             raise CorpusError(
                 f"need {sample_size} robot-{name} articles, only {len(pool)}")
-    missing = [a for a in oa_tagged + noa_tagged if a not in ground_truth]
+    missing = [a for a in oa_tagged + noa_tagged if a not in truth]
     if missing:
         raise CorpusError(f"no ground truth for {missing[0]} "
                           f"(+{len(missing) - 1} more)")
@@ -458,8 +459,8 @@ def run_audit(is_oa: dict[str, bool],
     oa_sample = rng.sample(oa_tagged, sample_size)
     noa_sample = rng.sample(noa_tagged, sample_size)
     return build_confusion_from_audit(
-        [ground_truth[a].oa for a in oa_sample],
-        [ground_truth[a].oa for a in noa_sample],
+        [truth[a] for a in oa_sample],
+        [truth[a] for a in noa_sample],
     )
 
 
@@ -507,6 +508,15 @@ def load_mock_web(mockweb_dir) -> MockWeb:
     return web
 
 
-def load_ground_truth(path) -> dict[str, GroundTruth]:
-    return {gt.article_id: gt
-            for _, gt in _read_jsonl(path, GroundTruth)}
+def load_ground_truth(path) -> dict[str, bool]:
+    """Article id -> GroundTruth.oa, read off each line's id and oa: no
+    row is built. Ids are unique: a repeat is a ParseError naming both
+    lines."""
+    truth: dict[str, bool] = {}
+    for lineno, (article_id, oa) in _read_jsonl(path, GroundTruth,
+                                                ("article_id", "oa")):
+        if article_id in truth:
+            raise repeated_id(path, lineno, GroundTruth, article_id,
+                              "ground truth")
+        truth[article_id] = oa
+    return truth

@@ -5,9 +5,10 @@ deterministic CSV report writers.
 The table functions are pure and sort each report by group key, so reruns are
 byte-identical; Reports keeps one run's tables and decides which records each
 counts. Every table folds one Tally, filled in one pass over resolved records,
-each a (record, is_oa) pair, which may be a stream: cli._resolved_records is
-the one place that makes the pairs and decides what happens to an UNKNOWN
-record. No table holds a record.
+each a (row, is_oa) pair whose row holds the record's TALLY_FIELDS, which may
+be a stream read off those fields alone: cli._resolved_records is the one
+place that makes the pairs and decides what happens to an UNKNOWN record. No
+table holds a record.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from . import stats
-from .records import ALL_RANGES, ArticleRecord, CitationRange, bin_citations
+from .records import ALL_RANGES, CitationRange, bin_citations
 
 # Exclusion reasons
 ALL_OA_JOURNAL = "ALL_OA_JOURNAL"
@@ -38,36 +40,46 @@ class IssueSums:
 
     __slots__ = ("journal_id", "discipline", "country", "year", "n", "cites")
 
-    def __init__(self, first: ArticleRecord):
-        self.journal_id, self.year = first.journal_id, first.year
-        self.discipline, self.country = first.discipline, first.country
+    def __init__(self, journal_id: str, discipline: str, country: str,
+                 year: int):
+        self.journal_id, self.year = journal_id, year
+        self.discipline, self.country = discipline, country
         self.n = [0, 0]
         self.cites = [0, 0]
 
 
+# The record fields of a Tally row, in order: what the reports read of a
+# record. The id counts nothing; it joins the record to its verdict.
+TALLY_FIELDS = ("id", "issue_key", "journal_id", "discipline", "country",
+                "year", "citation_count")
+# The Tally row of a record already built (evaluate's).
+tally_row = attrgetter(*TALLY_FIELDS)
 # The record fields of a Tally.cells key, before its class (0 OA, 1 NOA).
 CELL_FIELDS = ("issue_key", "discipline", "country", "year")
 
 
 class Tally:
-    """Counts of resolved records, filled in one pass. sums: issue key ->
+    """Counts of resolved records, each a (row, is_oa) pair whose row holds
+    the record's TALLY_FIELDS, filled in one pass. sums: issue key ->
     IssueSums, in the order issues first appear. cells: records by
     CELL_FIELDS (each by its own discipline and country) and class.
     citations: records by year, citation count and class."""
 
-    def __init__(self, resolved: Iterable[tuple[ArticleRecord, bool]]):
+    def __init__(self, resolved: Iterable[tuple[tuple, bool]]):
         self.sums: dict[str, IssueSums] = {}
         self.cells, self.citations = defaultdict(int), defaultdict(int)
-        for rec, is_oa in resolved:
-            issue = self.sums.get(rec.issue_key)
+        sums, cells, citations = self.sums, self.cells, self.citations
+        for (_, issue_key, journal_id, discipline, country, year,
+             cites), is_oa in resolved:
+            issue = sums.get(issue_key)
             if issue is None:
-                issue = self.sums[rec.issue_key] = IssueSums(rec)
+                issue = sums[issue_key] = IssueSums(journal_id, discipline,
+                                                    country, year)
             noa = not is_oa  # index 0 counts OA, 1 NOA
             issue.n[noa] += 1
-            issue.cites[noa] += rec.citation_count
-            self.cells[rec.issue_key, rec.discipline, rec.country, rec.year,
-                       noa] += 1
-            self.citations[rec.year, rec.citation_count, noa] += 1
+            issue.cites[noa] += cites
+            cells[issue_key, discipline, country, year, noa] += 1
+            citations[year, cites, noa] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +268,7 @@ class Reports:
     exclusions; the cohort tables, and the correlations' %OA and totals by
     year, count them all."""
 
-    def __init__(self, resolved: Iterable[tuple[ArticleRecord, bool]]):
+    def __init__(self, resolved: Iterable[tuple[tuple, bool]]):
         self.tally = Tally(resolved)
         self._tables: dict = {}
 

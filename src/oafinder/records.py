@@ -7,26 +7,33 @@ referring to source text.
 
 _read_jsonl reads every JSONL row (record, evidence, ground truth, page) off
 the fields and type hints of its dataclass, by the rule the README gives
-under "Exit codes"; row_to_json writes it as one line. A line in that exact
-form is read off one compiled pattern per class, without the JSON decoder,
-which reads every other line and names its faults. save_rows is the one
+under "Exit codes"; row_to_json writes it as one line. A stage that keeps
+rows reads them whole; a stage that drops them reads only the values of
+the fields it names, as a tuple, and builds no row. A line in row_to_json's
+exact form is read by one function compiled per (class, field names): one
+match, one m.group call, and a conversion of each typed field it returns.
+Every other line goes through the JSON decoder, which names its faults,
+into a row, and the named values are taken from that. save_rows is the one
 writer of a row file; only detect's resumable journal, and the copy that
 compacts it, take a line at a time. A field whose metadata is SHARED holds
-a value that repeats across rows (a discipline, a year, a reason): once it
-has passed its type check, the reader replaces it with the first equal
-value read from the same file, so a file's rows hold each such value once.
-Nothing of that outlives the read.
+a value that repeats across rows (a discipline, a year, a reason): where it
+is kept, once it has passed its type check, the reader replaces it with the
+first equal value read from the same file, so a file's rows hold each such
+value once. Nothing of that outlives the read.
 
-ArticleRecord.validate, run wherever records are read, is the one check of
-an issue key's "journal_id|year|issue" shape. A record holds no OA verdict:
-its detection does: load_verdicts keys the last one of each id, for the
-reports and the audit; cli._resolved_records pairs each record with it.
+Each row class with invariants states them once, in a static check() whose
+parameters are field names; validate() runs it on a row, and the readers
+run it on every line they read, whichever fields they keep. A record holds
+no OA verdict: its detection does: load_verdicts keys the last one of each
+id, for the reports and the audit; cli._resolved_records pairs each
+record's fields with it.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import inspect
 import json
 import re
 from bisect import bisect_left
@@ -89,26 +96,33 @@ class ArticleRecord:
     country: str = field(metadata=SHARED)
     citation_count: int
 
+    @staticmethod
+    def check(id, first_author_surname, title, journal_id, issue_key, year,
+              citation_count) -> None:
+        """The record invariants, on its field values: an id, a title, a
+        surname, citation_count >= 0 and a "journal_id|year|issue" key."""
+        if not id:
+            raise ValidationError("record has empty id")
+        if citation_count < 0:
+            raise ValidationError(
+                f"record {id}: citation_count must be >= 0, "
+                f"got {citation_count}"
+            )
+        if not title.strip():
+            raise ValidationError(f"record {id}: title is empty")
+        if not first_author_surname.strip():
+            raise ValidationError(f"record {id}: first_author_surname is empty")
+        parts = issue_key.split("|")
+        if len(parts) != 3 or parts[0] != journal_id or parts[1] != str(year):
+            raise ValidationError(
+                f"record {id}: issue_key {issue_key!r} is not "
+                f"'{journal_id}|{year}|<issue>'"
+            )
+
     # Called where records are read, not from __post_init__: the row
     # reader builds records without running __init__.
     def validate(self) -> None:
-        if not self.id:
-            raise ValidationError("record has empty id")
-        if self.citation_count < 0:
-            raise ValidationError(
-                f"record {self.id}: citation_count must be >= 0, "
-                f"got {self.citation_count}"
-            )
-        if not self.title.strip():
-            raise ValidationError(f"record {self.id}: title is empty")
-        if not self.first_author_surname.strip():
-            raise ValidationError(f"record {self.id}: first_author_surname is empty")
-        parts = self.issue_key.split("|")
-        if len(parts) != 3 or parts[0] != self.journal_id or parts[1] != str(self.year):
-            raise ValidationError(
-                f"record {self.id}: issue_key {self.issue_key!r} is not "
-                f"'{self.journal_id}|{self.year}|<issue>'"
-            )
+        _validate(self)
 
 
 class Verdict(enum.Enum):
@@ -130,15 +144,35 @@ class DetectionEvidence:
     depth: int = 0
     low_confidence: bool = False
 
+    @staticmethod
+    def check(article_id, verdict, url, depth) -> None:
+        """The evidence invariants: an OA verdict has a url, and the depth
+        is not negative."""
+        if verdict is Verdict.OA and not url:
+            raise ValidationError(
+                f"evidence for {article_id}: OA verdict requires a url"
+            )
+        if depth < 0:
+            raise ValidationError(f"evidence for {article_id}: negative depth")
+
     # Called where evidence is read, not from __post_init__: detect_oa
     # builds each one valid.
     def validate(self) -> None:
-        if self.verdict is Verdict.OA and not self.url:
-            raise ValidationError(
-                f"evidence for {self.article_id}: OA verdict requires a url"
-            )
-        if self.depth < 0:
-            raise ValidationError(f"evidence for {self.article_id}: negative depth")
+        _validate(self)
+
+
+@functools.cache
+def _check_params(cls) -> tuple[str, ...]:
+    """The field names cls.check takes, in order; () when cls has none."""
+    check = getattr(cls, "check", None)
+    return tuple(inspect.signature(check).parameters) if check else ()
+
+
+def _validate(row) -> None:
+    """Run the check of row's class, if it has one, on row's fields."""
+    cls = type(row)
+    if _check_params(cls):
+        cls.check(*[getattr(row, name) for name in _check_params(cls)])
 
 
 _ROW_DECODER = json.JSONDecoder()
@@ -178,29 +212,84 @@ def _row_pattern(cls) -> re.Pattern:
     return re.compile("{%s}" % ", ".join(parts))
 
 
-def _row_from_line(line: str, cls, rules, match):
-    """The row of class cls on a stripped JSONL line, each field read by its
-    (name, default, types, read, memo) rule, then swapped for the first equal
-    value in memo where that is a dict. A line that match takes is read off
-    its groups; any other is decoded, each field checked by exact type, so
-    true is not an int (raw_decode is json.loads without whitespace scans)."""
+@functools.cache
+def _fields_reader(cls, names):
+    """The factory of the function that reads a stripped line in the form
+    row_to_json writes for class cls: it returns the values of the fields
+    names in that order, as a tuple (with names None, a row), each field
+    converted and checked by cls.check; and None for any other line. The
+    factory returns (read, memos): memos maps each kept SHARED field to the
+    dict its values are kept in. Compiled once per (cls, names), so a line
+    costs one match, one m.group and one conversion per typed field."""
+    keep = names or tuple(f.name for f in fields(cls))
+    params = _check_params(cls)
+    # Also what check reads, and every int, which may be past the digit
+    # limit whether it is kept or not.
+    groups = tuple(dict.fromkeys(keep + params + tuple(
+        name for name, _, kinds, _, _ in _field_rules(cls) if int in kinds)))
+    env = {"match": _row_pattern(cls).fullmatch, "new": object.__new__,
+           "cls": cls, "check": getattr(cls, "check", None)}
+    memos, typed, memoized = [], [], []
+    for name, _, kinds, read, shared in _field_rules(cls):
+        if name not in groups:
+            continue
+        # Of these reads only int() can fail, past the digit limit: the
+        # pattern took only true or false and an enum's values.
+        if read is not None:
+            env[f"read_{name}"] = read
+            conv = f"read_{name}(v_{name})"
+            if type(None) in kinds:
+                conv = f"None if v_{name} is None else {conv}"
+            typed.append(f"v_{name} = {conv}")
+        if shared and name in keep:
+            memos.append(name)
+            memoized.append(f"v_{name} = memo_{name}(v_{name}, v_{name})")
+
+    def v(of):
+        return ", ".join(f"v_{name}" for name in of)
+
+    lines = ["def factory():",
+             "    memos = {%s}" % ", ".join(f"{n!r}: {{}}" for n in memos),
+             *(f"    memo_{n} = memos[{n!r}].setdefault" for n in memos),
+             "    def read(line):",
+             "        m = match(line)",
+             "        if m is None:",
+             "            return None",
+             # m.group of one name returns its value, of more a tuple
+             f"        {v(groups)} = m.group({', '.join(map(repr, groups))})"]
+    if typed:
+        lines += ["        try:",
+                  *(f"            {line}" for line in typed),
+                  "        except ValueError:  # an int past the digit limit",
+                  "            return None"]
+    lines += [f"        {line}" for line in memoized]
+    if params:
+        lines.append(f"        check({v(params)})")
+    if names is None:  # built as _decoded builds a row, a key at a time:
+        # a dict.update would give each row a dict of its own keys.
+        lines += ["        row = new(cls)",
+                  "        values = row.__dict__",
+                  *(f"        values[{n!r}] = v_{n}" for n in keep),
+                  "        return row"]
+    else:
+        lines.append(f"        return ({v(keep)},)")
+    lines.append("    return read, memos")
+    exec(compile("\n".join(lines) + "\n", f"<{cls.__name__} reader>",
+                 "exec"), env)
+    return env["factory"]
+
+
+def _decoded(line: str, cls, rules, names):
+    """What the reader of names returns, for a line it does not take: the
+    row the JSON decoder reads, each field checked by exact type, so true is
+    not an int (raw_decode is json.loads without whitespace scans), then
+    by cls.check; each field read by its (name, default, types, read, memo)
+    rule, then swapped for the first equal value in memo where that is a
+    dict."""
     # Built as unpickling builds an object, without a frozen __init__'s
-    # object.__setattr__ per field: rows check themselves in validate().
+    # object.__setattr__ per field: the check runs below.
     row = object.__new__(cls)
     values = row.__dict__
-    m = match(line)
-    if m is not None:
-        try:
-            for name, _, _, read, memo in rules:
-                value = m[name]
-                if read is not None and value is not None:
-                    value = read(value)
-                if memo is not None:
-                    value = memo.setdefault(value, value)
-                values[name] = value
-            return row
-        except ValueError:  # an int past the digit limit: decoded below
-            pass
     try:
         obj, end = _ROW_DECODER.raw_decode(line)
     except json.JSONDecodeError:
@@ -217,8 +306,8 @@ def _row_from_line(line: str, cls, rules, match):
             if value is MISSING:
                 raise ParseError(f"missing key {name!r}")
             if not issubclass(kinds[0], enum.Enum):
-                names = " or ".join(k.__name__ for k in kinds)
-                raise ParseError(f"{name} must be {names}, got {value!r}")
+                types = " or ".join(k.__name__ for k in kinds)
+                raise ParseError(f"{name} must be {types}, got {value!r}")
             try:
                 value = read(value)
             except (KeyError, TypeError):  # TypeError: an unhashable value
@@ -232,17 +321,18 @@ def _row_from_line(line: str, cls, rules, match):
         if memo is not None:  # after the type check: a list is unhashable
             value = memo.setdefault(value, value)
         values[name] = value
-    return row
+    _validate(row)
+    return row if names is None else tuple(getattr(row, n) for n in names)
 
 
-def _read_jsonl(path, cls) -> Iterator[tuple[int, object]]:
-    """(1-based line number, row of class cls) for each non-blank line of a
-    JSONL file, in file order, validated when cls has a validate(). Errors
-    name the file and the line."""
-    rules = [(name, default, kinds, read, {} if shared else None)
-             for name, default, kinds, read, shared in _field_rules(cls)]
-    match = _row_pattern(cls).fullmatch
-    validate = getattr(cls, "validate", None)
+def _read_jsonl(path, cls, names=None) -> Iterator[tuple[int, object]]:
+    """(1-based line number, value) for each non-blank line of a JSONL
+    file of rows of class cls, in file order, each line checked by
+    cls.check. The value is the row, or with a tuple of field names, the
+    tuple of those fields' values. Errors name the file and the line."""
+    read, memos = _fields_reader(cls, names)()
+    rules = [(name, default, kinds, conv, memos.get(name))
+             for name, default, kinds, conv, _ in _field_rules(cls)]
     # Read as bytes and decoded line by line: a text-mode file decodes ahead
     # in chunks, so its UnicodeDecodeError could not name the line.
     with open(path, "rb") as fh:
@@ -251,16 +341,16 @@ def _read_jsonl(path, cls) -> Iterator[tuple[int, object]]:
                 line = data.decode("utf-8").strip()
                 if not line:
                     continue
-                row = _row_from_line(line, cls, rules, match)
-                if validate:
-                    validate(row)
+                value = read(line)
+                if value is None:
+                    value = _decoded(line, cls, rules, names)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             except (ParseError, ValidationError) as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-            yield lineno, row
+            yield lineno, value
 
 
 # json.dumps(row, ensure_ascii=False, sort_keys=True), an enum as its value
@@ -273,17 +363,28 @@ def row_to_json(row) -> str:
     return _ROW_ENCODER.encode(vars(row))
 
 
-def iter_records(path) -> Iterator[ArticleRecord]:
-    """Stream and validate a JSONL records file, one object per line. Ids
-    are unique: a repeated id is a ParseError naming both lines."""
+def repeated_id(path, lineno: int, cls, key, what: str) -> ParseError:
+    """The error for the row on line lineno of path whose id, the first
+    field of cls, an earlier row holds, naming both lines and what the id
+    is of. The earlier line is found by reading the ids again, so a reader
+    need keep no line numbers."""
+    ids = _read_jsonl(path, cls, (fields(cls)[0].name,))
+    first = next(n for n, (k,) in ids if k == key)
+    return ParseError(f"{path}:{lineno}: duplicate {what} id {key!r}, "
+                      f"first on line {first}")
+
+
+def iter_records(path, names=None) -> Iterator:
+    """Stream a JSONL records file, each line checked: each record, or with
+    a tuple of field names that starts with "id", each record's values of
+    those fields. Ids are unique: a repeat is a ParseError naming both
+    lines."""
     seen = set()  # ids alone: a repeat's first line is found by a reread
-    for lineno, rec in _read_jsonl(path, ArticleRecord):
-        if rec.id in seen:
-            first = next(n for n, r in _read_jsonl(path, ArticleRecord)
-                         if r.id == rec.id)
-            raise ParseError(f"{path}:{lineno}: duplicate record id "
-                             f"{rec.id!r}, first on line {first}")
-        seen.add(rec.id)
+    for lineno, rec in _read_jsonl(path, ArticleRecord, names):
+        rec_id = rec.id if names is None else rec[0]
+        if rec_id in seen:
+            raise repeated_id(path, lineno, ArticleRecord, rec_id, "record")
+        seen.add(rec_id)
         yield rec
 
 
@@ -305,6 +406,8 @@ def load_detections(path) -> list[DetectionEvidence]:
 
 
 def load_verdicts(path) -> dict[str, bool]:
-    """Article id -> whether its last detection is OA, read keeping no rows."""
-    return {ev.article_id: ev.verdict is Verdict.OA
-            for _, ev in _read_jsonl(path, DetectionEvidence)}
+    """Article id -> whether its last detection is OA, read off each line's
+    id and verdict: no detection is built."""
+    oa = Verdict.OA
+    return {article_id: verdict is oa for _, (article_id, verdict)
+            in _read_jsonl(path, DetectionEvidence, ("article_id", "verdict"))}

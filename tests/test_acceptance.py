@@ -190,6 +190,11 @@ def _rec(i, journal, issue, oa, cites, year=2000, discipline="biology",
         discipline=discipline, country=country, citation_count=cites), oa
 
 
+def _rows(records):
+    """(record, is_oa) pairs as the (row, is_oa) pairs a Tally reads."""
+    return [(metrics.tally_row(r), is_oa) for r, is_oa in records]
+
+
 def brute_force_advantage(records):
     """Flat-loop recomputation over (record, is_oa) pairs: issue ratios ->
     journal means -> grand mean, skipping all-OA journals and any issue
@@ -238,7 +243,7 @@ def test_c6_exclusion_rules_and_oracle():
                 _rec(next(i), "j-other", 2, True, 10),
                 _rec(next(i), "j-other", 2, False, 4)]
 
-    kept, log = metrics.apply_exclusions(metrics.Tally(records).sums)
+    kept, log = metrics.apply_exclusions(metrics.Tally(_rows(records)).sums)
     logged = {(e.kind, e.key, e.reason) for e in log}
     assert ("journal", "j-allOA", metrics.ALL_OA_JOURNAL) in logged
     assert ("issue", "j-mixed|2000|1", metrics.ALL_OA_ISSUE) in logged
@@ -260,7 +265,7 @@ def test_c7_null_and_planted_advantage():
     # Records resolved from ground truth, bypassing the robot.
     null = generate_corpus(null_spec)
     null_recs = [(r, null.ground_truth[r.id].oa) for r in null.records]
-    kept, _ = metrics.apply_exclusions(metrics.Tally(null_recs).sums)
+    kept, _ = metrics.apply_exclusions(metrics.Tally(_rows(null_recs)).sums)
     reports = metrics.aggregate_advantage(kept, "discipline")
     advs = [r.advantage for r in reports if r.advantage is not None]
     null_adv = sum(advs) / len(advs)
@@ -271,7 +276,7 @@ def test_c7_null_and_planted_advantage():
     planted = generate_corpus(planted_spec)
     planted_recs = [(r, planted.ground_truth[r.id].oa)
                     for r in planted.records]
-    kept2, _ = metrics.apply_exclusions(metrics.Tally(planted_recs).sums)
+    kept2, _ = metrics.apply_exclusions(metrics.Tally(_rows(planted_recs)).sums)
     reports2 = metrics.aggregate_advantage(kept2, "discipline")
     advs2 = [r.advantage for r in reports2 if r.advantage is not None]
     planted_adv = sum(advs2) / len(advs2)

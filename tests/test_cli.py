@@ -462,6 +462,24 @@ mock_web = {corpus_dir / 'mockweb'}
         assert f"{recs}:4" in err and repr(first_id) in err
         assert "first on line 1" in err
 
+    def test_duplicate_ground_truth_id(self, corpus_dir, detections,
+                                       tmp_path, capsys):
+        # Every line, then the second line again with its truth flipped:
+        # neither row may win.
+        lines = (corpus_dir / "ground_truth.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row["oa"] = not row["oa"]
+        truth = tmp_path / "ground_truth.jsonl"
+        truth.write_text("\n".join(lines + [json.dumps(row)]) + "\n")
+        cfg = write_report_config(tmp_path, corpus_dir, detections,
+                                  f"ground_truth = {truth}")
+        assert main(["audit", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad ground_truth file: {truth}:{len(lines) + 1}: "
+            f"duplicate ground truth id {row['article_id']!r}, "
+            f"first on line 2\n")
+        assert not (tmp_path / "r" / "sdt.csv").exists()
+
     def test_unknown_spec_key(self, tmp_path, capsys):
         # A typo, a former crawl key, and an audit key, which only a
         # --config file may set.
@@ -921,10 +939,10 @@ class TestReports:
         # Four disciplines of 8 records in one issue each, with 1, 2, 4 and
         # 6 OA. The line gives only the counts: no report holds a summary
         # of %OA across disciplines.
-        resolved = [(records.ArticleRecord(
+        resolved = [(metrics.tally_row(records.ArticleRecord(
             id=f"{disc}{i}", first_author_surname="Smith", title="A title",
             journal_id=f"{disc}-j1", issue_key=f"{disc}-j1|1999|1",
-            year=1999, discipline=disc, country="US", citation_count=i),
+            year=1999, discipline=disc, country="US", citation_count=i)),
             i < n_oa)
             for disc, n_oa in (("a", 1), ("b", 2), ("c", 4), ("d", 6))
             for i in range(8)]

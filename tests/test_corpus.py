@@ -24,7 +24,12 @@ from oafinder.corpus import (
     load_mock_web,
     run_audit,
 )
-from oafinder.records import DetectionEvidence, Verdict, iter_records
+from oafinder.records import (
+    DetectionEvidence,
+    Verdict,
+    _read_jsonl,
+    iter_records,
+)
 from oafinder.robot.crawl import MAX_DEPTH, detect_oa, format_query
 from oafinder.robot.extract import extract_text
 from oafinder.robot.urls import host_of
@@ -113,8 +118,11 @@ class TestDeterminism:
             assert extract_text(result.text, result.format_tag) == \
                 (words, [])
         assert web.queries == corpus.web.queries
-        assert load_ground_truth(tmp_path / "ground_truth.jsonl") == \
-            corpus.ground_truth
+        truth = tmp_path / "ground_truth.jsonl"
+        assert [gt for _, gt in _read_jsonl(truth, GroundTruth)] == \
+            [corpus.ground_truth[a] for a in sorted(corpus.ground_truth)]
+        assert load_ground_truth(truth) == {
+            a: gt.oa for a, gt in corpus.ground_truth.items()}
 
     def test_repeated_values_held_once(self, big):
         # One string or int per distinct journal id, issue key and year,
@@ -128,9 +136,9 @@ class TestDeterminism:
         # and ""; a key that names no field is ignored.
         path = tmp_path / "ground_truth.jsonl"
         path.write_text('{"article_id": "a0", "oa": true, "note": 1}\n')
-        assert load_ground_truth(path) == {
-            "a0": GroundTruth("a0", True, kind="", chain_depth=0,
-                              fulltext_url="")}
+        assert [gt for _, gt in _read_jsonl(path, GroundTruth)] == [
+            GroundTruth("a0", True, kind="", chain_depth=0, fulltext_url="")]
+        assert load_ground_truth(path) == {"a0": True}
 
 
 @pytest.fixture(scope="module")
@@ -318,8 +326,7 @@ class TestAudit:
 
     @staticmethod
     def truth(tags, truths):
-        return {f"a{i}": GroundTruth(f"a{i}", truths[i], "fulltext", 0)
-                for i in range(len(tags))}
+        return {f"a{i}": truths[i] for i in range(len(tags))}
 
     def test_perfect_robot_zero_errors(self):
         tags = [Verdict.OA] * 120 + [Verdict.NOA] * 150

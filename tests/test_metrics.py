@@ -11,7 +11,6 @@ import gc
 import random
 import weakref
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +28,7 @@ from oafinder.metrics import (
     cohort_table,
     issue_advantage,
     percent_oa,
+    tally_row,
 )
 from oafinder.records import ALL_RANGES, ArticleRecord, CitationRange
 from oafinder.stats import ConfusionMatrix, sdt_analysis
@@ -43,9 +43,14 @@ def rec(i, journal="j1", year=2000, issue=1, cites=0, oa=False,
         discipline=discipline, country=country, citation_count=cites), oa
 
 
+def resolved(records):
+    """(record, is_oa) pairs as the (row, is_oa) pairs a Tally reads."""
+    return [(tally_row(r), is_oa) for r, is_oa in records]
+
+
 def sums(records):
     """The per-issue sums of one pass over records."""
-    return Tally(records).sums
+    return Tally(resolved(records)).sums
 
 
 def n_records(sums):
@@ -99,18 +104,18 @@ class TestPercentOA:
 
     def test_counts(self):
         records = [rec(i, oa=(i < 5)) for i in range(10)]
-        [report] = percent_oa(Tally(records), "discipline")
+        [report] = percent_oa(Tally(resolved(records)), "discipline")
         assert (report.n_oa, report.n_noa) == (5, 5)
         assert report.percent_oa == 0.5
 
     def test_zero_oa_group(self):
-        [report] = percent_oa(Tally([rec(1), rec(2)]), "year")
+        [report] = percent_oa(Tally(resolved([rec(1), rec(2)])), "year")
         assert report.percent_oa == 0.0
 
     def test_group_count_conservation(self):
         records = [rec(i, country=("US" if i % 2 else "DE"), oa=(i % 3 == 0))
                    for i in range(30)]
-        reports = percent_oa(Tally(records), "country")
+        reports = percent_oa(Tally(resolved(records)), "country")
         assert sum(r.n_oa + r.n_noa for r in reports) == len(records)
         assert all(0.0 <= r.percent_oa <= 1.0 for r in reports)
 
@@ -231,7 +236,7 @@ class TestCohorts:
         for i, cites in enumerate([0, 1, 3, 6, 10, 20] * 4):
             records.append(rec(2 * i, cites=cites, oa=True))
             records.append(rec(2 * i + 1, cites=cites, oa=False))
-        table = cohort_table(Tally(records), per_year=False)
+        table = cohort_table(Tally(resolved(records)), per_year=False)
         for cell in table["all"].values():
             assert cell.delta == pytest.approx(0.0, abs=1e-12)
 
@@ -239,7 +244,7 @@ class TestCohorts:
         rng = random.Random(1)
         records = [rec(i, year=1992 + (i % 3), cites=rng.randrange(0, 30),
                        oa=(i % 4 == 0)) for i in range(300)]
-        table = cohort_table(Tally(records), per_year=True)
+        table = cohort_table(Tally(resolved(records)), per_year=True)
         for year, cells in table.items():
             assert sum(c.oa_share for c in cells.values()) == \
                 pytest.approx(1.0, abs=1e-9)
@@ -255,7 +260,7 @@ class TestCohorts:
             if oa:
                 cites *= 2
             records.append(rec(i, cites=cites, oa=oa))
-        table = cohort_table(Tally(records), per_year=False)
+        table = cohort_table(Tally(resolved(records)), per_year=False)
 
         # flat histogram recount
         bins = {"0": lambda c: c == 0, "1": lambda c: c == 1,
@@ -277,7 +282,7 @@ class TestCohorts:
     def test_undefined_ratio_when_noa_bin_empty(self):
         records = [rec(0, cites=20, oa=True), rec(1, cites=0, oa=True),
                    rec(2, cites=0)]
-        table = cohort_table(Tally(records), per_year=False)
+        table = cohort_table(Tally(resolved(records)), per_year=False)
         assert table["all"][CitationRange.R16_PLUS].ratio is None
 
 
@@ -294,14 +299,18 @@ class TestReports:
                         oa=(i % 2 == 0), country="SE") for i in range(6)]
         refs = []
 
+        class Row(list):
+            """A tally row that a weak reference can follow (a tuple
+            cannot be one)."""
+
         def stream():
-            # A copy of each record, which nothing but the stream holds.
-            for r, is_oa in records:
-                copy = replace(r)
+            # A copy of each row, which nothing but the stream holds.
+            for row, is_oa in resolved(records):
+                copy = Row(row)
                 refs.append(weakref.ref(copy))
                 yield copy, is_oa
 
-        listed, streamed = metrics.Reports(records), metrics.Reports(stream())
+        listed, streamed = metrics.Reports(resolved(records)), metrics.Reports(stream())
         tables = [
             (reports.exclusions[1],
              [(reports.oa_share(dim), reports.advantage(dim))
@@ -321,8 +330,8 @@ class TestCsvDeterminism:
         records = [rec(i, year=1995 + i % 2, cites=i % 5, oa=(i % 3 == 0))
                    for i in range(40)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        metrics.write_oa_share_csv(percent_oa(Tally(records), "year"), p1)
-        metrics.write_oa_share_csv(percent_oa(Tally(records), "year"), p2)
+        metrics.write_oa_share_csv(percent_oa(Tally(resolved(records)), "year"), p1)
+        metrics.write_oa_share_csv(percent_oa(Tally(resolved(records)), "year"), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_every_table_lists_years_in_one_order(self, tmp_path):
@@ -332,7 +341,7 @@ class TestCsvDeterminism:
         records = [rec(4 * (year - 999) + k, year=year, cites=k + 1,
                        oa=k < 2)
                    for year in (999, 1000, 1001) for k in range(4)]
-        reports = metrics.Reports(records)
+        reports = metrics.Reports(resolved(records))
         metrics.write_oa_share_csv(reports.oa_share("year"),
                                    tmp_path / "oa_share_by_year.csv")
         metrics.write_advantage_csv(reports.advantage("year"),
@@ -362,7 +371,7 @@ class TestCsvDeterminism:
     def test_cohort_golden_shape(self, tmp_path):
         records = [rec(i, cites=i % 20, oa=(i % 2 == 0)) for i in range(40)]
         path = tmp_path / "cohorts.csv"
-        metrics.write_cohort_csv(cohort_table(Tally(records), per_year=False),
+        metrics.write_cohort_csv(cohort_table(Tally(resolved(records)), per_year=False),
                                  path)
         lines = path.read_text().splitlines()
         assert lines[0] == \

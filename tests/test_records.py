@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oafinder import records
 from oafinder.corpus import GroundTruth, Page
+from oafinder.metrics import TALLY_FIELDS
 from oafinder.records import (
     ArticleRecord,
     CitationRange,
@@ -17,6 +18,7 @@ from oafinder.records import (
     bin_citations,
     iter_records,
     load_detections,
+    load_verdicts,
     row_to_json,
     save_rows,
 )
@@ -115,6 +117,14 @@ class TestRecordsFile:
         with pytest.raises(ParseError,
                            match=r":3: duplicate record id 'a1', first on line 1"):
             list(iter_records(path))
+
+    def test_duplicate_id_names_both_lines_when_reading_fields(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        save_rows([make_record(id="a1"), make_record(id="a2"),
+                   make_record(id="a1", citation_count=9)], path)
+        with pytest.raises(ParseError,
+                           match=r":3: duplicate record id 'a1', first on line 1"):
+            list(iter_records(path, TALLY_FIELDS))
 
 
 def distinct_objects(rows, name):
@@ -294,18 +304,40 @@ row_classes = pytest.mark.parametrize("cls", ROWS, ids=lambda c: c.__name__)
 NO_LINE = re.compile(r"(?!)")
 
 
-def read_back(path, cls):
-    """The rows the file reader gives, or its error's type and message."""
+def read_back(path, cls, names=None):
+    """The rows the file reader gives, or with field names the tuples of
+    their values; or its error's type and message."""
     try:
-        return [row for _, row in records._read_jsonl(path, cls)]
+        return [value for _, value in records._read_jsonl(path, cls, names)]
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-def decoded(path, cls):
-    """read_back with every line read by the JSON decoder."""
-    with mock.patch.object(records, "_row_pattern", lambda cls: NO_LINE):
-        return read_back(path, cls)
+def decoded(path, cls, names=None):
+    """read_back with every line read by the JSON decoder: the readers are
+    compiled again against a pattern that matches no line."""
+    records._fields_reader.cache_clear()
+    try:
+        with mock.patch.object(records, "_row_pattern", lambda cls: NO_LINE):
+            return read_back(path, cls, names)
+    finally:
+        records._fields_reader.cache_clear()
+
+
+# The field tuples read where rows are dropped, by row class: the report
+# tally's, the verdicts', the audit's truth; and the ids a repeated id's
+# first line is looked up by.
+FIELD_READS = {ArticleRecord: [TALLY_FIELDS, ("id",)],
+               DetectionEvidence: [("article_id", "verdict")],
+               GroundTruth: [("article_id", "oa"), ("article_id",)],
+               Page: []}
+
+
+def picked(rows, names):
+    """read_back's rows cut to the values of names, or its error."""
+    if isinstance(rows, tuple):
+        return rows
+    return [tuple(getattr(row, name) for name in names) for row in rows]
 
 
 def perturb(pairs, how, at, draw):
@@ -337,7 +369,8 @@ def perturb(pairs, how, at, draw):
 
 class TestWriterForm:
     """A line in row_to_json's form is read off one pattern per row class;
-    any other line by the JSON decoder. Both read a line to one row."""
+    any other line by the JSON decoder. Both read a line to one row, and a
+    reader of some of its fields to those fields' values of that row."""
 
     @pytest.mark.parametrize("row", [
         make_record(),
@@ -361,6 +394,9 @@ class TestWriterForm:
         rows = data.draw(st.lists(ROWS[cls], max_size=5))
         save_rows(rows, rows_path)
         assert read_back(rows_path, cls) == rows == decoded(rows_path, cls)
+        for names in FIELD_READS[cls]:
+            assert read_back(rows_path, cls, names) == \
+                picked(rows, names) == decoded(rows_path, cls, names)
 
     @pytest.mark.parametrize("cls,how", [
         pytest.param(cls, how, id=f"{cls.__name__}-{how}") for cls in ROWS
@@ -377,5 +413,125 @@ class TestWriterForm:
         at = data.draw(st.integers(0, len(pairs) - 1))
         rows_path.write_text(perturb(pairs, how, at, data.draw) + "\n",
                              encoding="utf-8")
-        assert read_back(rows_path, cls) == decoded(rows_path, cls)
+        rows = read_back(rows_path, cls)
+        assert rows == decoded(rows_path, cls)
+        for names in FIELD_READS[cls]:
+            assert read_back(rows_path, cls, names) == \
+                picked(rows, names) == decoded(rows_path, cls, names)
 
+    def test_decoded_reads_by_the_decoder(self, rows_path):
+        # decoded() must not be served by a reader compiled before it.
+        save_rows([make_record()], rows_path)
+        read_back(rows_path, ArticleRecord)
+        with mock.patch.object(records, "_decoded",
+                               wraps=records._decoded) as slow:
+            assert decoded(rows_path, ArticleRecord) == [make_record()]
+            assert slow.call_count == 1
+            read_back(rows_path, ArticleRecord)
+            assert slow.call_count == 1
+
+
+def written(row, **texts) -> str:
+    """row_to_json's line for row, each key in texts given that JSON text."""
+    obj = json.loads(row_to_json(row))
+    return "{%s}" % ", ".join(
+        f"{json.dumps(key)}: "
+        f"{texts.get(key, json.dumps(obj[key], ensure_ascii=False))}"
+        for key in sorted(obj))
+
+
+LONG_INT = "9" * 5000
+GOOD_TRUTH = GroundTruth(article_id="a1", oa=True, kind="fulltext",
+                         chain_depth=1, fulltext_url="http://h.example/p.pdf")
+GOOD_EVIDENCE = DetectionEvidence(article_id="a1", verdict=Verdict.OA,
+                                  url="http://h.example/p.pdf", depth=1)
+# Lines each reader must read alike, each after one good line: all but -0
+# are faults, both in the writer's form and out of it.
+BAD_LINES = {
+    "negative citation_count": (ArticleRecord, row_to_json(
+        make_record(citation_count=-1))),
+    "blank title": (ArticleRecord, row_to_json(make_record(title=" \t"))),
+    "issue_key of another year": (ArticleRecord, row_to_json(
+        make_record(issue_key="j1|2000|2"))),
+    "-0 citations": (ArticleRecord, written(make_record(),
+                                            citation_count="-0")),
+    "true as a year": (ArticleRecord, written(make_record(), year="true")),
+    "year past the digit limit": (ArticleRecord, written(make_record(),
+                                                         year=LONG_INT)),
+    "non-UTF-8 title": (ArticleRecord, row_to_json(make_record()).replace(
+        "study", "stu\udcffdy")),
+    "OA verdict with no url": (DetectionEvidence, row_to_json(
+        DetectionEvidence(article_id="a2", verdict=Verdict.OA))),
+    "negative depth": (DetectionEvidence, row_to_json(
+        DetectionEvidence(article_id="a2", verdict=Verdict.NOA, depth=-1))),
+    "-0 depth": (DetectionEvidence, written(GOOD_EVIDENCE, depth="-0")),
+    "true as a depth": (DetectionEvidence, written(GOOD_EVIDENCE,
+                                                   depth="true")),
+    "depth past the digit limit": (DetectionEvidence, written(
+        GOOD_EVIDENCE, depth=LONG_INT)),
+    "unknown verdict": (DetectionEvidence, written(GOOD_EVIDENCE,
+                                                   verdict='"MAYBE"')),
+    "non-UTF-8 url": (DetectionEvidence, row_to_json(GOOD_EVIDENCE).replace(
+        "example", "exa\udcffmple")),
+    "-0 chain_depth": (GroundTruth, written(GOOD_TRUTH, chain_depth="-0")),
+    "true as a chain_depth": (GroundTruth, written(GOOD_TRUTH,
+                                                   chain_depth="true")),
+    "chain_depth past the digit limit": (GroundTruth, written(
+        GOOD_TRUTH, chain_depth=LONG_INT)),
+    "1 as oa": (GroundTruth, written(GOOD_TRUTH, oa="1")),
+    "non-UTF-8 kind": (GroundTruth, row_to_json(GOOD_TRUTH).replace(
+        "fulltext", "full\udcfftext")),
+}
+GOOD_ROWS = {ArticleRecord: make_record(id="a0"),
+             DetectionEvidence: GOOD_EVIDENCE, GroundTruth: GOOD_TRUTH}
+
+
+class TestFieldReaders:
+    """A reader that names fields gives the values of those fields of the
+    rows the row reader gives (TestWriterForm checks that for written and
+    perturbed lines), and on a bad line raises the same error."""
+
+    @pytest.mark.parametrize("cls,names,line", [
+        pytest.param(cls, names, line, id=f"{how}-{len(names)}")
+        for how, (cls, line) in BAD_LINES.items()
+        for names in FIELD_READS[cls]])
+    def test_bad_line(self, cls, names, line, rows_path):
+        rows_path.write_bytes(
+            (row_to_json(GOOD_ROWS[cls]) + "\n" + line + "\n").encode(
+                "utf-8", "surrogateescape"))
+        values = read_back(rows_path, cls, names)
+        assert values == picked(read_back(rows_path, cls), names) == \
+            decoded(rows_path, cls, names)
+        if "-0" in line:
+            assert len(values) == 2
+        else:
+            _, message = values
+            assert message.startswith(f"{rows_path}:2: ")
+
+    @given(evs=st.lists(detections(PLAIN), max_size=8))
+    def test_verdicts_of_the_last_detections(self, evs, rows_path):
+        save_rows(evs, rows_path)
+        assert load_verdicts(rows_path) == {
+            ev.article_id: ev.verdict is Verdict.OA
+            for ev in load_detections(rows_path)}
+
+    def test_tally_rows_share_repeated_values(self, tmp_path):
+        # Each kept SHARED field holds one object per value; the id and
+        # the citation count (past the small ints Python caches) are not
+        # SHARED, so each row holds its own.
+        recs = [make_record(id=f"a{i}", journal_id=f"j{i % 2}",
+                            issue_key=f"j{i % 2}|{1999 + i % 3}|1",
+                            year=1999 + i % 3, citation_count=1000 + i % 2,
+                            discipline=("biology", "physics")[i % 2],
+                            country=("US", "UK", "DE")[i % 3])
+                for i in range(30)]
+        path = tmp_path / "records.jsonl"
+        save_rows(recs, path)
+        rows = list(iter_records(path, TALLY_FIELDS))
+        for at, name in enumerate(TALLY_FIELDS):
+            objects = len({id(row[at]) for row in rows})
+            values = len({row[at] for row in rows})
+            if name in ("id", "citation_count"):
+                assert objects == len(rows), name
+            else:
+                assert objects == values < len(rows), name

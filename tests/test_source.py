@@ -1,9 +1,10 @@
 """Checks on the source of src/oafinder itself: its modules read with ast,
-its compiled patterns read with re's own parser, and the names perfbench
-traces in it. The tests' own modules are held to the same unused-import
+its compiled patterns read with re's own parser, the names perfbench
+traces in it, and the field names each row class's check takes. The tests' own modules are held to the same unused-import
 check."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -136,3 +137,54 @@ def test_perfbench_spans_are_traced():
     traced = traced_names(
         assigned_literal(PERFBENCH / "tracer.py", "TRACED_MODULES"))
     assert spans - traced == spans & STALE_SPANS
+
+
+def check_param_faults(cls) -> list[str]:
+    """What is wrong with a row class's check: it must be a staticmethod
+    whose parameters, each a plain positional one, name fields of cls; the
+    compiled field readers pass it the values of the fields so named."""
+    check = vars(cls)["check"]
+    if not isinstance(check, staticmethod):
+        return ["check is not a staticmethod"]
+    names = {f.name for f in dataclasses.fields(cls)}
+    return [f"{p.name} is not a plain field parameter"
+            for p in inspect.signature(check).parameters.values()
+            if p.name not in names or p.default is not p.empty
+            or p.kind is not p.POSITIONAL_OR_KEYWORD]
+
+
+def checked_row_classes():
+    for info in pkgutil.walk_packages(oafinder.__path__, "oafinder."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if (dataclasses.is_dataclass(value) and "check" in vars(value)
+                    and value.__module__ == module.__name__):
+                yield pytest.param(value, id=f"{module.__name__}.{name}")
+
+
+@pytest.mark.parametrize("cls", checked_row_classes())
+def test_check_reads_fields(cls):
+    assert check_param_faults(cls) == []
+
+
+def test_checked_row_classes_found():
+    assert {p.values[0].__name__ for p in checked_row_classes()} == {
+        "ArticleRecord", "DetectionEvidence"}
+
+
+def test_check_param_fault_found():
+    @dataclasses.dataclass
+    class Row:
+        a: int
+        b: str = ""
+
+        @staticmethod
+        def check(a, c, b="", *rest) -> None:
+            pass
+
+    assert check_param_faults(Row) == [
+        "c is not a plain field parameter",
+        "b is not a plain field parameter",
+        "rest is not a plain field parameter"]
+    Row.check = lambda self, a: None
+    assert check_param_faults(Row) == ["check is not a staticmethod"]
